@@ -5,6 +5,10 @@ the upper half-plane whose boundary value is fractional Brownian motion:
 seeded series samplers, exact covariances of the imaginary-shift
 regularization, special-function machinery for closed-form iterated-integral
 moments, and Monte Carlo cross-checks.
+
+The package re-exports the documented entry points and the exception
+classes; everything else is imported from its module (``cfbm.specfun``,
+``cfbm.gamma_process``, ``cfbm.eps_approx``, ``cfbm.rough_integrals``).
 """
 
 from .specfun import (
@@ -13,70 +17,8 @@ from .specfun import (
     NonConvergenceError,
     PoleError,
     SpecFunError,
-    gamma_fn,
-    hyp2f1,
-    hyp2f1_at_one,
-    hyp2f1_euler_integral,
-    log_pochhammer,
-    pochhammer,
-    principal_pow,
 )
-from .gamma_process import (
-    DomainError,
-    F_k,
-    GaussianDraw,
-    ModelParams,
-    PathSample,
-    cayley,
-    cayley_inv,
-    cov_C,
-    cov_fbm,
-    f_k,
-    fk_table,
-    gaussian_draw,
-    kernel_closed,
-    kernel_partial_sum,
-    kernel_terms_needed,
-    sample_fbm_series,
-    sample_gamma_plus,
-    series_truncation_experiment,
-)
-from .eps_approx import (
-    EpsApproxSpec,
-    cholesky_factor,
-    contour_kernel_integral,
-    contour_kernel_pieces,
-    contour_vv_piece,
-    cov_eps,
-    covariance_matrix,
-    l2_error_law,
-    sample_gamma_eps_exact,
-    sup_error_experiment,
-)
-from .rough_integrals import (
-    F1,
-    F2,
-    I1,
-    I2,
-    LevyAreaSpec,
-    MCEstimate,
-    Phi1,
-    Phi2,
-    PowerIntegralParams,
-    area_path,
-    divergence_slope,
-    dyadic_dk,
-    dyadic_increment_blocks,
-    dyadic_level2_blocks,
-    dyadic_scale_sum,
-    dyadic_tail_sum,
-    levy_area_variance,
-    levy_const,
-    levy_volume_w1,
-    mc_levy_area_moment,
-    mc_levy_volume_moment,
-    volume_inner_closed,
-    volume_path,
-)
+from .gamma_process import DomainError, ModelParams, gaussian_draw, sample_fbm_series
+from .rough_integrals import LevyAreaSpec, levy_area_variance, levy_const
 
 __version__ = "0.1.0"

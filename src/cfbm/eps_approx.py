@@ -17,9 +17,11 @@ from scipy import integrate
 from .gamma_process import (
     DomainError,
     PathSample,
+    _coupled_sup_experiment,
+    _philox,
     fk_table,
-    gaussian_draw,
 )
+from .specfun import _pow
 
 __all__ = [
     "EpsApproxSpec",
@@ -53,16 +55,6 @@ class EpsApproxSpec:
             raise ValueError("grid points must be distinct")
 
 
-def _pow0(base, expo):
-    # principal power with the continuous value 0 at base = 0; bases here
-    # always satisfy Re >= 0, so the cut is never touched.
-    base = np.asarray(base, dtype=complex)
-    out = np.zeros_like(base)
-    nz = base != 0
-    out[nz] = np.exp(expo * np.log(base[nz]))
-    return out if out.ndim else complex(out)
-
-
 def cov_eps(s, eps1, t, eps2, params):
     """E[Gamma(eps1)_s Gamma(eps2)_t], exact.
 
@@ -78,10 +70,13 @@ def cov_eps(s, eps1, t, eps2, params):
         raise DomainError("imaginary shifts must be >= 0")
     a2 = 2.0 * params.alpha
     denom = a2 * (a2 - 1.0)
+
+    def pow0(base):
+        # bases have Re >= 0, so only base = 0 (continuous value 0) needs care
+        return 0j if base == 0 else complex(_pow(base, a2))
+
     i_val = (
-        _pow0(eps1 + eps2 - 1j * (s - t), a2)
-        - _pow0(eps1 - 1j * s, a2)
-        - _pow0(eps2 + 1j * t, a2)
+        pow0(eps1 + eps2 - 1j * (s - t)) - pow0(eps1 - 1j * s) - pow0(eps2 + 1j * t)
     ) / denom
     return params.normalization * 2.0 * (params.kappa * i_val).real
 
@@ -98,16 +93,17 @@ def covariance_matrix(spec, params):
     a2 = 2.0 * params.alpha
     denom = a2 * (a2 - 1.0)
     e = spec.eps
-    v_s = _pow0(e - 1j * g, a2)
-    v_t = _pow0(e + 1j * g, a2)
+    # every base has Re >= eps > 0: off the cut and never zero
+    v_s = _pow(e - 1j * g, a2)
+    v_t = _pow(e + 1j * g, a2)
     steps = np.diff(g)
     if n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
         d = np.arange(-(n - 1), n) * steps[0]
-        pv = _pow0(2.0 * e - 1j * d, a2)
+        pv = _pow(2.0 * e - 1j * d, a2)
         idx = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
         diff_term = pv[idx]
     else:
-        diff_term = _pow0(2.0 * e - 1j * np.subtract.outer(g, g), a2)
+        diff_term = _pow(2.0 * e - 1j * np.subtract.outer(g, g), a2)
     i_val = (diff_term - v_s[:, None] - v_t[None, :]) / denom
     cov = params.normalization * 2.0 * (params.kappa * i_val).real
     return 0.5 * (cov + cov.T)
@@ -142,9 +138,7 @@ def sample_gamma_eps_exact(seed, spec, params, stream=0):
     """Exact Gaussian sample of Gamma(eps) on the grid (Cholesky transport)."""
     cov = covariance_matrix(spec, params)
     factor = cholesky_factor(cov)
-    key = np.array([seed, stream], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    values = factor @ rng.standard_normal(len(spec.grid))
+    values = factor @ _philox(seed, stream).standard_normal(len(spec.grid))
     return PathSample(
         grid=np.asarray(spec.grid, dtype=float),
         values=values,
@@ -183,20 +177,8 @@ def sup_error_experiment(params, eps_list, n_mc, n_terms, seed, grid=None):
     if any(e <= 0 for e in eps_list):
         raise DomainError("all eps must be > 0")
     table_real = fk_table(n_terms, grid.astype(complex), params)
-    tables = [fk_table(n_terms, grid + 1j * e, params) for e in eps_list]
-    sups = np.zeros((len(eps_list), n_mc))
-    for r in range(n_mc):
-        xi = gaussian_draw(seed, n_terms, params, stream=r).xi_plus
-        path = 2.0 * (xi @ table_real).real
-        for i, table in enumerate(tables):
-            shifted = 2.0 * (xi @ table).real
-            sups[i, r] = np.max(np.abs(shifted - path))
-    esup = sups.mean(axis=1)
-    rows = list(zip(eps_list, esup))
-    slope = float("nan")
-    if len(eps_list) >= 2:
-        slope = float(np.polyfit(np.log(eps_list), np.log(esup), 1)[0])
-    return rows, slope
+    variants = [(n_terms, fk_table(n_terms, grid + 1j * e, params)) for e in eps_list]
+    return _coupled_sup_experiment(params, eps_list, table_real, variants, n_mc, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .specfun import BranchCutError, PoleError, principal_pow
+from .specfun import BranchCutError, PoleError, _pow, principal_pow
 
 __all__ = [
     "DomainError",
@@ -101,6 +101,11 @@ class GaussianDraw:
     xi_plus: np.ndarray = field(repr=False)
 
 
+def _philox(seed, stream):
+    # the one random source: a counter-based generator keyed (seed, stream)
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
 def gaussian_draw(seed, n_terms, params, stream=0):
     """Draw the first ``n_terms`` complex coefficients of a seeded stream.
 
@@ -112,9 +117,7 @@ def gaussian_draw(seed, n_terms, params, stream=0):
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be non-negative integers")
-    key = np.array([seed, stream], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    raw = rng.standard_normal(2 * n_terms)
+    raw = _philox(seed, stream).standard_normal(2 * n_terms)
     scale = math.sqrt(params.sigma_component)
     xi = scale * (raw[0::2] + 1j * raw[1::2])
     return GaussianDraw(seed=int(seed), n_terms=int(n_terms), xi_plus=xi)
@@ -272,7 +275,7 @@ def _fk_segment_integrals(ks, p, q, params):
     phase = _segment_phase(p, q)
     panels = max(1, math.ceil(abs(q - p) / 4.0), math.ceil(max(1, kmax) * phase / _PHASE_PER_PANEL))
     nodes, weights = _segment_nodes(p, q, panels)
-    base = np.exp((2.0 * params.alpha - 2.0) * np.log((nodes + 1j) / 2j))
+    base = _pow((nodes + 1j) / 2j, 2.0 * params.alpha - 2.0)
     zeta = (nodes - 1j) / (nodes + 1j)
     wb = weights * base
     if len(ks) <= 8:
@@ -395,8 +398,32 @@ def sample_fbm_series(draw, grid, params):
 
 
 # ---------------------------------------------------------------------------
-# series truncation rate experiment
+# coupled sup-error experiments
 # ---------------------------------------------------------------------------
+
+def _loglog_slope(xs, ys):
+    # least-squares slope of log ys against log xs; nan below two points
+    if len(xs) < 2:
+        return float("nan")
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
+def _coupled_sup_experiment(params, labels, ref_table, variants, n_mc, seed):
+    # Monte Carlo E[sup_grid |B_variant - B_ref|] per (n, table) variant, the
+    # variant path being 2 Re(xi[:n] @ table[:n]).  Replicate r draws stream
+    # r once and reuses it for the reference and every variant, so the
+    # differences isolate what the variants change.  Returns (rows, slope)
+    # with rows (label, e_sup) and the log-log slope of e_sup against label.
+    sups = np.zeros((len(variants), n_mc))
+    for r in range(n_mc):
+        xi = gaussian_draw(seed, ref_table.shape[0], params, stream=r).xi_plus
+        ref = 2.0 * (xi @ ref_table).real
+        for i, (n, table) in enumerate(variants):
+            path = 2.0 * (xi[:n] @ table[:n]).real
+            sups[i, r] = np.max(np.abs(path - ref))
+    esup = sups.mean(axis=1)
+    return list(zip(labels, esup)), _loglog_slope(labels, esup)
+
 
 def series_truncation_experiment(params, n_list, n_ref, n_mc, grid, seed):
     """Monte Carlo E[sup_grid |B^(N) - B^(n_ref)|] for each N in n_list.
@@ -411,16 +438,5 @@ def series_truncation_experiment(params, n_list, n_ref, n_mc, grid, seed):
         raise ValueError("every N must be < n_ref")
     grid = np.asarray(grid, dtype=float)
     table = fk_table(n_ref, grid.astype(complex), params)
-    sups = np.zeros((len(n_list), n_mc))
-    for r in range(n_mc):
-        xi = gaussian_draw(seed, n_ref, params, stream=r).xi_plus
-        ref = 2.0 * (xi @ table).real
-        for i, n in enumerate(n_list):
-            path = 2.0 * (xi[:n] @ table[:n]).real
-            sups[i, r] = np.max(np.abs(path - ref))
-    esup = sups.mean(axis=1)
-    rows = list(zip(n_list, esup))
-    slope = float("nan")
-    if len(n_list) >= 2:
-        slope = float(np.polyfit(np.log(n_list), np.log(esup), 1)[0])
-    return rows, slope
+    variants = [(n, table) for n in n_list]
+    return _coupled_sup_experiment(params, n_list, table, variants, n_mc, seed)

@@ -23,8 +23,8 @@ import numpy as np
 from scipy import integrate
 
 from .eps_approx import EpsApproxSpec, cholesky_factor, covariance_matrix
-from .gamma_process import DomainError, ModelParams
-from .specfun import NonConvergenceError, hyp2f1, principal_pow
+from .gamma_process import DomainError, ModelParams, _loglog_slope, _philox
+from .specfun import NonConvergenceError, _pow, hyp2f1, principal_pow
 
 __all__ = [
     "PowerIntegralParams",
@@ -207,10 +207,6 @@ def _quad(f, lo, hi, scale=None):
     return val
 
 
-def _pw(base, expo):
-    return np.exp(expo * np.log(base))
-
-
 def _levy_area_sign_term(alpha, e1, e2, t, sign2):
     # One of the two double-kernel integrals over the simplex product,
     # with the inner pair of time integrals carried out exactly:
@@ -219,16 +215,16 @@ def _levy_area_sign_term(alpha, e1, e2, t, sign2):
     a2 = 2.0 * alpha
 
     def term1(x):
-        g = _pw(-1j * x + 2.0 * e1, a2 - 2.0) * _pw(-1j * sign2 * x + 2.0 * e2, a2)
+        g = _pow(-1j * x + 2.0 * e1, a2 - 2.0) * _pow(-1j * sign2 * x + 2.0 * e2, a2)
         return (t - x) * 2.0 * g.real
 
     def term2(x):
-        bracket = _pw(-1j * (x - t) + 2.0 * e1, a2 - 1.0) - _pw(-1j * x + 2.0 * e1, a2 - 1.0)
-        g = _pw(-1j * sign2 * x + 2.0 * e2, a2) * (-1j / (a2 - 1.0)) * bracket
+        bracket = _pow(-1j * (x - t) + 2.0 * e1, a2 - 1.0) - _pow(-1j * x + 2.0 * e1, a2 - 1.0)
+        g = _pow(-1j * sign2 * x + 2.0 * e2, a2) * (-1j / (a2 - 1.0)) * bracket
         return 2.0 * g.real
 
     def term4(x):
-        return (t - x) * 2.0 * _pw(-1j * x + 2.0 * e1, a2 - 2.0).real
+        return (t - x) * 2.0 * _pow(-1j * x + 2.0 * e1, a2 - 2.0).real
 
     ridge = 2.0 * (e1 + e2)
     t1 = _quad(term1, 0.0, t, scale=ridge)
@@ -245,7 +241,7 @@ def levy_area_variance(spec):
     normalization (Var B_1 = 1), matching the exact samplers.
     """
     a = spec.alpha
-    kappa = a * (1.0 - 2.0 * a) / (2.0 * math.cos(math.pi * a))
+    kappa = ModelParams(a).kappa
     vp = _levy_area_sign_term(a, spec.eps1, spec.eps2, spec.t, +1.0)
     vm = _levy_area_sign_term(a, spec.eps1, spec.eps2, spec.t, -1.0)
     return kappa * kappa * 2.0 * (vp + vm)
@@ -271,24 +267,24 @@ def levy_area_sign_sum(alpha, eps1, eps2, t):
     for s1 in (1.0, -1.0):
         for s2 in (1.0, -1.0):
             def t1(x):
-                return (t - abs(x)) * _pw(-1j * s1 * x + 2 * eps1, a2 - 2) * _pw(
+                return (t - abs(x)) * _pow(-1j * s1 * x + 2 * eps1, a2 - 2) * _pow(
                     -1j * s2 * x + 2 * eps2, a2
                 )
 
             def t2(x):
-                bracket = _pw(-1j * s1 * (x - t) + 2 * eps1, a2 - 1) - _pw(
+                bracket = _pow(-1j * s1 * (x - t) + 2 * eps1, a2 - 1) - _pow(
                     -1j * s1 * x + 2 * eps1, a2 - 1
                 )
-                return _pw(-1j * s2 * x + 2 * eps2, a2) * bracket / (1j * s1 * (a2 - 1))
+                return _pow(-1j * s2 * x + 2 * eps2, a2) * bracket / (1j * s1 * (a2 - 1))
 
             def t3(y):
-                bracket = _pw(-1j * s1 * (t - y) + 2 * eps1, a2 - 1) - _pw(
+                bracket = _pow(-1j * s1 * (t - y) + 2 * eps1, a2 - 1) - _pow(
                     1j * s1 * y + 2 * eps1, a2 - 1
                 )
-                return _pw(1j * s2 * y + 2 * eps2, a2) * bracket / (-1j * s1 * (a2 - 1))
+                return _pow(1j * s2 * y + 2 * eps2, a2) * bracket / (-1j * s1 * (a2 - 1))
 
             def t4(x):
-                return (t - abs(x)) * _pw(-1j * s1 * x + 2 * eps1, a2 - 2)
+                return (t - abs(x)) * _pow(-1j * s1 * x + 2 * eps1, a2 - 2)
 
             part = (
                 _quad_c(t1, -t, t, ridge)
@@ -329,8 +325,7 @@ def area_path(grid, path1, path2):
     x2 = np.asarray(path2, dtype=float)
     if not (len(grid) == len(x1) == len(x2)):
         raise ValueError("grid and both paths must have equal length")
-    y = x2 - x2[0]
-    return float(np.sum(0.5 * (y[:-1] + y[1:]) * np.diff(x1)))
+    return float(_areas_batch([x1[:, None], x2[:, None]])[0])
 
 
 def volume_path(grid, path1, path2, path3):
@@ -342,10 +337,7 @@ def volume_path(grid, path1, path2, path3):
     x1, x2, x3 = (np.asarray(p, dtype=float) for p in (path1, path2, path3))
     if not (len(grid) == len(x1) == len(x2) == len(x3)):
         raise ValueError("grid and all paths must have equal length")
-    inner = x3 - x3[0]
-    steps = 0.5 * (inner[:-1] + inner[1:]) * np.diff(x2)
-    mid = np.concatenate([[0.0], np.cumsum(steps)])
-    return float(np.sum(0.5 * (mid[:-1] + mid[1:]) * np.diff(x1)))
+    return float(_volumes_batch([x1[:, None], x2[:, None], x3[:, None]])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -370,29 +362,32 @@ _MC_BATCH = 256
 
 
 def _path_normals(seed, path_index, n, n_components):
-    key = np.array([seed, path_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.standard_normal((n, n_components))
+    return _philox(seed, path_index).standard_normal((n, n_components))
 
 
-def _check_mc_grid(eps_values, t, grid_n):
+def _mc_second_moment(alpha, shifts, t, grid_n, n_paths, seed, n_threads, functional):
+    # Second moment of functional(components), component c being an exact
+    # Gamma(shifts[c]) path on the uniform grid_n-grid of [0, t]; one factor
+    # per distinct shift.  Deterministic Monte Carlo: path p draws its
+    # normals from a Philox stream keyed (seed, p), batches are fixed-size
+    # and reduced in path order, so the result is independent of n_threads.
     if grid_n < 2 or grid_n & (grid_n - 1):
         raise ValueError(f"grid_n must be a power of two, got {grid_n}")
     finest = 4.0 * t / grid_n
-    for e in eps_values:
+    for e in shifts:
         if e < finest:
             raise DomainError(
                 f"grid too coarse for eps={e}: need eps >= 4 t / grid_n = {finest}"
             )
-
-
-def _mc_second_moment(factors, t, grid_n, n_paths, seed, n_threads, functional):
-    # Deterministic Monte Carlo: path p draws its normals from a Philox
-    # stream keyed (seed, p), batches are fixed-size and reduced in path
-    # order, so the result is independent of n_threads.
+    params = ModelParams(alpha)
     n = grid_n + 1
+    grid = tuple(np.linspace(0.0, t, n))
+    distinct = {
+        e: cholesky_factor(covariance_matrix(EpsApproxSpec(alpha, e, grid), params))
+        for e in dict.fromkeys(shifts)
+    }
+    factors = [distinct[e] for e in shifts]
     n_comp = len(factors)
-    grid = np.linspace(0.0, t, n)
     starts = list(range(0, n_paths, _MC_BATCH))
 
     def run_batch(p0):
@@ -400,8 +395,7 @@ def _mc_second_moment(factors, t, grid_n, n_paths, seed, n_threads, functional):
         z = np.empty((n_comp, n, p1 - p0))
         for j, p in enumerate(range(p0, p1)):
             z[:, :, j] = _path_normals(seed, p, n, n_comp).T
-        comps = [factors[c] @ z[c] for c in range(n_comp)]
-        return functional(grid, comps)
+        return functional([factors[c] @ z[c] for c in range(n_comp)])
 
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -412,16 +406,16 @@ def _mc_second_moment(factors, t, grid_n, n_paths, seed, n_threads, functional):
     sq = values * values
     mean = float(np.mean(sq))
     stderr = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
-    return mean, stderr
+    return MCEstimate(mean=mean, stderr=stderr, n_samples=n_paths, seed=seed)
 
 
-def _areas_batch(grid, comps):
+def _areas_batch(comps):
     x1, x2 = comps
     y = x2 - x2[0]
     return np.sum(0.5 * (y[:-1] + y[1:]) * np.diff(x1, axis=0), axis=0)
 
 
-def _volumes_batch(grid, comps):
+def _volumes_batch(comps):
     x1, x2, x3 = comps
     inner = x3 - x3[0]
     steps = 0.5 * (inner[:-1] + inner[1:]) * np.diff(x2, axis=0)
@@ -439,32 +433,16 @@ def mc_levy_area_moment(alpha, eps, t, n_paths, grid_n, seed, n_threads=1):
     relative, because the jittered covariance factor (see
     `cholesky_factor`) carries rounding noise into every path.
     """
-    _check_mc_grid([eps], t, grid_n)
-    params = ModelParams(alpha)
-    grid = np.linspace(0.0, t, grid_n + 1)
-    spec = EpsApproxSpec(alpha, eps, tuple(grid))
-    factor = cholesky_factor(covariance_matrix(spec, params))
-    mean, stderr = _mc_second_moment(
-        [factor, factor], t, grid_n, n_paths, seed, n_threads, _areas_batch
+    return _mc_second_moment(
+        alpha, (eps, eps), t, grid_n, n_paths, seed, n_threads, _areas_batch
     )
-    return MCEstimate(mean=mean, stderr=stderr, n_samples=n_paths, seed=seed)
 
 
 def mc_levy_volume_moment(alpha, eps1, eps2, eps3, t, n_paths, grid_n, seed, n_threads=1):
     """Sample second moment of the third iterated integral (Levy volume)."""
-    _check_mc_grid([eps1, eps2, eps3], t, grid_n)
-    params = ModelParams(alpha)
-    grid = np.linspace(0.0, t, grid_n + 1)
-    factors = {}
-    for e in (eps1, eps2, eps3):
-        if e not in factors:
-            spec = EpsApproxSpec(alpha, e, tuple(grid))
-            factors[e] = cholesky_factor(covariance_matrix(spec, params))
-    triple = [factors[eps1], factors[eps2], factors[eps3]]
-    mean, stderr = _mc_second_moment(
-        triple, t, grid_n, n_paths, seed, n_threads, _volumes_batch
+    return _mc_second_moment(
+        alpha, (eps1, eps2, eps3), t, grid_n, n_paths, seed, n_threads, _volumes_batch
     )
-    return MCEstimate(mean=mean, stderr=stderr, n_samples=n_paths, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +460,7 @@ def divergence_slope(alpha, eps_list, t):
     if len(eps_list) < 2:
         raise ValueError("need at least two eps values to fit a slope")
     v = [levy_area_variance(LevyAreaSpec(alpha, t, e, e)) for e in eps_list]
-    return float(np.polyfit(np.log(eps_list), np.log(v), 1)[0])
+    return _loglog_slope(eps_list, v)
 
 
 def volume_inner_closed(x2, y2, sigma3, eps3, alpha):
@@ -500,9 +478,9 @@ def volume_inner_closed(x2, y2, sigma3, eps3, alpha):
     e = 2.0 * eps3
     return (
         e ** a2
-        - _pw(-1j * sigma3 * x2 + e, a2)
-        - _pw(1j * sigma3 * y2 + e, a2)
-        + _pw(-1j * sigma3 * (x2 - y2) + e, a2)
+        - _pow(-1j * sigma3 * x2 + e, a2)
+        - _pow(1j * sigma3 * y2 + e, a2)
+        + _pow(-1j * sigma3 * (x2 - y2) + e, a2)
     ) / (a2 * (a2 - 1.0))
 
 
@@ -513,7 +491,7 @@ def levy_volume_w1(alpha, eps1, eps2, eps3, t):
     moment at (eps1, eps2); finite for every positive shift.
     """
     a2 = 2.0 * alpha
-    kappa = alpha * (1.0 - 2.0 * alpha) / (2.0 * math.cos(math.pi * alpha))
+    kappa = ModelParams(alpha).kappa
     v = levy_area_variance(LevyAreaSpec(alpha, t, eps1, eps2))
     return 2.0 * kappa * (2.0 * eps3) ** a2 / (a2 * (a2 - 1.0)) * v
 
@@ -548,15 +526,20 @@ def dyadic_dk(w_tables, v_tables, q, k, level):
     return float(np.sum(norms ** (q / k)) ** (k / q))
 
 
+def _dyadic_blocks(n_points, level):
+    # (block count, points per block - 1) of a grid split into 2^level blocks
+    n_blocks = 2 ** level
+    if (n_points - 1) % n_blocks:
+        raise ValueError(
+            f"grid with {n_points} points cannot be split into {n_blocks} blocks"
+        )
+    return n_blocks, (n_points - 1) // n_blocks
+
+
 def dyadic_increment_blocks(values, level):
     """First-level block table: the increment over each of 2^level blocks."""
     values = np.asarray(values, dtype=float)
-    n_blocks = 2 ** level
-    if (len(values) - 1) % n_blocks:
-        raise ValueError(
-            f"grid with {len(values)} points cannot be split into {n_blocks} blocks"
-        )
-    m = (len(values) - 1) // n_blocks
+    n_blocks, m = _dyadic_blocks(len(values), level)
     idx = np.arange(n_blocks + 1) * m
     return np.diff(values[idx])
 
@@ -569,12 +552,7 @@ def dyadic_level2_blocks(grid, x, y, level):
     half the squared block increments exactly.
     """
     grid = np.asarray(grid, dtype=float)
-    n_blocks = 2 ** level
-    if (len(grid) - 1) % n_blocks:
-        raise ValueError(
-            f"grid with {len(grid)} points cannot be split into {n_blocks} blocks"
-        )
-    m = (len(grid) - 1) // n_blocks
+    n_blocks, m = _dyadic_blocks(len(grid), level)
     comps = (np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     out = np.empty((n_blocks, 2, 2))
     for l in range(n_blocks):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 
-import mpmath
+import numpy as np
 
 __all__ = [
     "SpecFunError",
@@ -79,11 +79,10 @@ def principal_pow(z, beta):
     return cmath.exp(beta * cmath.log(z))
 
 
-def _pow_unchecked(z, beta):
+def _pow(z, beta):
     # principal power without domain checks; callers guarantee z is off the
-    # cut (typically Re z > 0).  Works on numpy arrays as well as scalars.
-    import numpy as np
-
+    # cut and nonzero (typically Re z > 0).  Works on numpy arrays as well as
+    # scalars.
     return np.exp(beta * np.log(z))
 
 
@@ -325,6 +324,8 @@ def hyp2f1_euler_integral(a, b, c, z, dps=25):
     valid for Re c > Re b > 0 and z off [1, oo).  Uses tanh-sinh quadrature in
     extended precision; intended as a test oracle, not a fast path.
     """
+    import mpmath  # only this oracle needs it; keeps it off the import path
+
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if not (c.real > b.real > 0):
         raise ValueError(f"Euler integral needs Re c > Re b > 0 (b={b}, c={c})")

@@ -15,17 +15,21 @@ from cfbm.cli import ConfigError, ExperimentConfig, load_config_file, main
 _CFBM_ROOT = str(Path(cfbm.__file__).resolve().parent.parent)
 
 
-def run_cli(args, cwd):
+def run_python(args, cwd):
     pythonpath = [_CFBM_ROOT]
     if os.environ.get("PYTHONPATH"):
         pythonpath.append(os.environ["PYTHONPATH"])
     return subprocess.run(
-        [sys.executable, "-m", "cfbm.cli", *args],
+        [sys.executable, *args],
         cwd=cwd,
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
     )
+
+
+def run_cli(args, cwd):
+    return run_python(["-m", "cfbm.cli", *args], cwd)
 
 
 def read_rows(path):
@@ -88,6 +92,14 @@ class TestParsingAndConfig:
             ["sample", "--config", str(cfg), "--n-terms", "128", "--out", str(out2)]
         ) == 0
         assert read_rows(out1) != read_rows(out2)
+
+    def test_import_leaves_mpmath_unloaded(self, tmp_path):
+        # mpmath backs only the Euler-integral oracle, which imports it on use
+        res = run_python(
+            ["-c", "import sys, cfbm.cli; print('mpmath' in sys.modules)"], tmp_path
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
 
     def test_validated_catches_bad_fields(self):
         with pytest.raises(ConfigError):
