@@ -552,14 +552,17 @@ def dyadic_level2_blocks(grid, x, y, level):
     half the squared block increments exactly.
     """
     grid = np.asarray(grid, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (len(grid) == len(x) == len(y)):
+        raise ValueError("grid and both paths must have equal length")
     n_blocks, m = _dyadic_blocks(len(grid), level)
-    comps = (np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    # column l holds the m+1 points of block l (neighbours share an endpoint)
+    idx = np.arange(m + 1)[:, None] + m * np.arange(n_blocks)[None, :]
+    cols = (x[idx], y[idx])
     out = np.empty((n_blocks, 2, 2))
-    for l in range(n_blocks):
-        sl = slice(l * m, (l + 1) * m + 1)
-        for i in range(2):
-            for j in range(2):
-                out[l, i, j] = area_path(grid[sl], comps[i][sl], comps[j][sl])
+    for i in range(2):
+        for j in range(2):
+            out[:, i, j] = _areas_batch([cols[i], cols[j]])
     return out
 
 

@@ -31,27 +31,26 @@ def i2_integrand(p):
     )
 
 
-def fk_by_recursion(n_terms, z, params):
-    """Integration-by-parts recursion for F_k in the disk variable.
+def fk_by_quadrature(ks, z, params, panels):
+    """F_k(z) for the requested ks by composite 64-node Gauss-Legendre on [0, z].
 
-    With w = cayley(z) and J_k = int_(-1)^w zeta^k (1-zeta)^(-2a) dzeta,
-    F_k = prefactor * sqrt((2-2a)_k/k!) * 2i * J_k, and
-    (k+2-2a) J_(k+1) = (k+1) J_k - w^(k+1)(1-w)^(1-2a) + (-1)^(k+1) 2^(1-2a).
-    Independent of the Gauss-Legendre path used by the library.
+    ``panels`` equal panels, no adaptivity, and direct powers exp(k log zeta)
+    of the Cayley variable for each requested k.  Independent of the
+    integration-by-parts recurrence used by the library.
     """
     from cfbm.gamma_process import _fk_prefactor, _sqrt_poch_ratio
 
+    x, wts = np.polynomial.legendre.leggauss(64)
+    edges = complex(z) * np.linspace(0.0, 1.0, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    u = (mid + half * x).ravel()
+    weights = (half * wts).ravel()
     a = params.alpha
-    w = complex((z - 1j) / (z + 1j))
-    pw = (1 - w) ** (1 - 2 * a)
-    J = np.empty(n_terms, dtype=complex)
-    J[0] = (pw - 2 ** (1 - 2 * a)) / (2 * a - 1)
-    wk = 1.0 + 0j
-    for k in range(n_terms - 1):
-        wk *= w
-        J[k + 1] = ((k + 1) * J[k] - wk * pw + (-1) ** (k + 1) * 2 ** (1 - 2 * a)) / (k + 2 - 2 * a)
-    ks = np.arange(n_terms)
-    return _fk_prefactor(params) * _sqrt_poch_ratio(a, ks) * 2j * J
+    base = np.exp((2 * a - 2) * np.log((u + 1j) / 2j))
+    ks = np.asarray(ks)
+    powers = np.exp(np.outer(ks, np.log((u - 1j) / (u + 1j))))
+    return _fk_prefactor(params) * _sqrt_poch_ratio(a, ks) * (powers @ (weights * base))
 
 
 def levy_area_variance_dblquad(alpha, e1, e2, t):

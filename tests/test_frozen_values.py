@@ -89,7 +89,7 @@ def test_contour_total():
 
 
 def test_sampled_path_values():
-    # pins the seeded coefficient stream and the quadrature table together
+    # pins the seeded coefficient stream and the F_k table together
     p = ModelParams(0.4)
     draw = gaussian_draw(42, 64, p)
     table = fk_table(64, np.array([0.5 + 0j, 1.0 + 0j]), p)
