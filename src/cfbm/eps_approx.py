@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate
 
 from .gamma_process import (
@@ -84,9 +85,15 @@ def cov_eps(s, eps1, t, eps2, params):
 def covariance_matrix(spec, params):
     """Symmetric covariance matrix of Gamma(eps) on the spec grid.
 
-    The one-variable terms broadcast from vectors; the difference term is
-    Toeplitz on uniform grids, so only 2n-1 distinct powers are evaluated
-    there instead of n^2.
+    Entry (i, j) is normalization * 2 Re(kappa I), with
+    I = (D_ij - V_i - W_j) / (2a(2a-1)) as in `cov_eps`. kappa is real, so
+    the build is real arithmetic on Re(I), in place, doing per element the
+    steps of the complex form (the division as a product with the
+    reciprocal, as numpy divides a complex array by a real scalar); with
+    numpy 2.4 it equals the complex broadcast bit for bit. D is Toeplitz on
+    uniform grids: its 2n-1 distinct powers are read through a strided
+    view, and the peak is about two real n x n arrays. Non-uniform grids
+    evaluate D as an n x n complex power.
     """
     g = np.asarray(spec.grid, dtype=float)
     n = len(g)
@@ -94,19 +101,25 @@ def covariance_matrix(spec, params):
     denom = a2 * (a2 - 1.0)
     e = spec.eps
     # every base has Re >= eps > 0: off the cut and never zero
-    v_s = _pow(e - 1j * g, a2)
-    v_t = _pow(e + 1j * g, a2)
+    v_s = _pow(e - 1j * g, a2).real
+    v_t = _pow(e + 1j * g, a2).real
     steps = np.diff(g)
     if n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
         d = np.arange(-(n - 1), n) * steps[0]
-        pv = _pow(2.0 * e - 1j * d, a2)
-        idx = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
-        diff_term = pv[idx]
+        pv = np.ascontiguousarray(_pow(2.0 * e - 1j * d, a2).real)
+        # read-only view whose entry (i, j) is pv[n - 1 + i - j]
+        diff_term = sliding_window_view(pv, n)[:, ::-1]
     else:
-        diff_term = _pow(2.0 * e - 1j * np.subtract.outer(g, g), a2)
-    i_val = (diff_term - v_s[:, None] - v_t[None, :]) / denom
-    cov = params.normalization * 2.0 * (params.kappa * i_val).real
-    return 0.5 * (cov + cov.T)
+        diff_term = _pow(2.0 * e - 1j * np.subtract.outer(g, g), a2).real
+    cov = diff_term - v_s[:, None]
+    del diff_term  # on non-uniform grids, frees the n x n complex powers
+    cov -= v_t
+    cov *= 1.0 / denom
+    cov *= params.kappa
+    cov *= params.normalization * 2.0
+    sym = cov + cov.T
+    sym *= 0.5
+    return sym
 
 
 def cholesky_factor(cov):
@@ -114,19 +127,21 @@ def cholesky_factor(cov):
 
     Grid covariances of Gamma(eps) are numerically rank-deficient, so the
     plain factorization fails and the jitter retry runs on every grid
-    covariance, not only in exceptional cases. The trailing columns of the
-    jittered factor are rounding noise of size sqrt(jitter), so samples
-    drawn through it depend on the BLAS build and thread count. A failure
-    of the retry signals a covariance bug (wrong branch or formula), not
-    statistical noise, and raises.
+    covariance, not only in exceptional cases. The jitter is added to the
+    diagonal of a private copy; ``cov`` itself is never modified. The
+    trailing columns of the jittered factor are rounding noise of size
+    sqrt(jitter), so samples drawn through it depend on the BLAS build and
+    thread count. A failure of the retry signals a covariance bug (wrong
+    branch or formula), not statistical noise, and raises.
     """
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         n = cov.shape[0]
-        jitter = 1e-12 * np.trace(cov) / n
+        work = cov.copy()
+        work.flat[:: n + 1] += 1e-12 * np.trace(cov) / n
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(n))
+            return np.linalg.cholesky(work)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 "covariance matrix not positive semidefinite after jitter; "

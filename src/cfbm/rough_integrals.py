@@ -361,8 +361,9 @@ class MCEstimate:
 _MC_BATCH = 256
 
 
-def _path_normals(seed, path_index, n, n_components):
-    return _philox(seed, path_index).standard_normal((n, n_components))
+def _path_normals(seed, path_index, n, n_components, out=None):
+    # the stream layout of one MC path: an (n, n_components) C-order block
+    return _philox(seed, path_index).standard_normal((n, n_components), out=out)
 
 
 def _mc_second_moment(alpha, shifts, t, grid_n, n_paths, seed, n_threads, functional):
@@ -371,6 +372,9 @@ def _mc_second_moment(alpha, shifts, t, grid_n, n_paths, seed, n_threads, functi
     # per distinct shift.  Deterministic Monte Carlo: path p draws its
     # normals from a Philox stream keyed (seed, p), batches are fixed-size
     # and reduced in path order, so the result is independent of n_threads.
+    # Path p's normals are drawn straight into its (n, n_comp) slot of the
+    # batch buffer; numpy copies the strided w[:, :, c].T to a contiguous
+    # block before the BLAS product, so the buffer layout leaves it unchanged.
     if grid_n < 2 or grid_n & (grid_n - 1):
         raise ValueError(f"grid_n must be a power of two, got {grid_n}")
     finest = 4.0 * t / grid_n
@@ -392,10 +396,10 @@ def _mc_second_moment(alpha, shifts, t, grid_n, n_paths, seed, n_threads, functi
 
     def run_batch(p0):
         p1 = min(p0 + _MC_BATCH, n_paths)
-        z = np.empty((n_comp, n, p1 - p0))
+        w = np.empty((p1 - p0, n, n_comp))
         for j, p in enumerate(range(p0, p1)):
-            z[:, :, j] = _path_normals(seed, p, n, n_comp).T
-        return functional([factors[c] @ z[c] for c in range(n_comp)])
+            _path_normals(seed, p, n, n_comp, out=w[j])
+        return functional([factors[c] @ w[:, :, c].T for c in range(n_comp)])
 
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -53,6 +53,36 @@ def fk_by_quadrature(ks, z, params, panels):
     return _fk_prefactor(params) * _sqrt_poch_ratio(a, ks) * (powers @ (weights * base))
 
 
+def covariance_by_complex_broadcast(spec, params):
+    """Grid covariance of Gamma(eps) by complex broadcasting of the formula.
+
+    Every entry normalization * 2 Re(kappa I) with I evaluated in complex
+    arithmetic on n x n arrays; Toeplitz difference powers are gathered
+    through an index array. The library builds the same matrix in real
+    arithmetic with no n x n complex temporaries.
+    """
+    from cfbm.specfun import _pow
+
+    g = np.asarray(spec.grid, dtype=float)
+    n = len(g)
+    a2 = 2.0 * params.alpha
+    denom = a2 * (a2 - 1.0)
+    e = spec.eps
+    v_s = _pow(e - 1j * g, a2)
+    v_t = _pow(e + 1j * g, a2)
+    steps = np.diff(g)
+    if n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        d = np.arange(-(n - 1), n) * steps[0]
+        pv = _pow(2.0 * e - 1j * d, a2)
+        idx = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
+        diff_term = pv[idx]
+    else:
+        diff_term = _pow(2.0 * e - 1j * np.subtract.outer(g, g), a2)
+    i_val = (diff_term - v_s[:, None] - v_t[None, :]) / denom
+    cov = params.normalization * 2.0 * (params.kappa * i_val).real
+    return 0.5 * (cov + cov.T)
+
+
 def levy_area_variance_dblquad(alpha, e1, e2, t):
     """Second Levy-area moment by 2-d quadrature of the inner-integrated forms."""
     import math

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from cfbm.eps_approx import (
 )
 from cfbm.gamma_process import DomainError, ModelParams, fk_table, gaussian_draw
 
-from helpers import dblquad_complex
+from helpers import covariance_by_complex_broadcast, dblquad_complex
 
 
 class TestCovEps:
@@ -102,6 +104,57 @@ class TestCovarianceMatrix:
         cholesky_factor(g + 1e-15 * np.eye(2))
         with pytest.raises(RuntimeError):
             cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.linspace(0.0, 1.0, 129),
+            np.linspace(-0.4, 1.7, 64),
+            np.array([0.0, 0.07, 0.5, 0.52, 1.3]),
+            np.sort(np.random.default_rng(4).uniform(0.0, 2.0, 50)),
+            np.array([0.4]),
+        ],
+        ids=["uniform", "offset", "nonuniform", "random", "one-point"],
+    )
+    def test_matches_complex_broadcast_oracle(self, grid):
+        for alpha in (0.2, 0.45, 0.7, 0.9):
+            p = ModelParams(alpha)
+            for eps in (0.005, 0.05, 0.3):
+                spec = EpsApproxSpec(alpha, eps, tuple(grid))
+                ref = covariance_by_complex_broadcast(spec, p)
+                cov = covariance_matrix(spec, p)
+                assert np.max(np.abs(cov - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_peak_memory_uniform_grid(self):
+        # the uniform build keeps no n x n complex or index temporaries: its
+        # traced allocation peak stays within 3.5 real n x n arrays
+        n = 1025
+        spec = EpsApproxSpec(0.4, 0.05, tuple(np.linspace(0.0, 1.0, n)))
+        p = ModelParams(0.4)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            covariance_matrix(spec, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3.5 * 8 * n * n
+
+    def test_factor_leaves_argument_unchanged(self):
+        p = ModelParams(0.4)
+        grid = tuple(np.linspace(0.0, 1.0, 257))
+        cov = covariance_matrix(EpsApproxSpec(0.4, 0.1, grid), p)
+        before = cov.copy()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov)  # so the call below takes the jitter retry
+        cholesky_factor(cov)
+        assert np.array_equal(cov, before)
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        before = bad.copy()
+        with pytest.raises(RuntimeError):
+            cholesky_factor(bad)
+        assert np.array_equal(bad, before)
 
 
 class TestExactSampler:
