@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import integrate
 
 from .gamma_process import (
     DomainError,
@@ -218,6 +217,8 @@ def contour_kernel_pieces(s, t, params):
     Returns a dict keyed by (i, j) piece indices, 0 = vertical at 0,
     1 = horizontal, 2 = vertical at t.
     """
+    from scipy import integrate  # on use: the sampling commands never load scipy
+
     if s <= 0 or t <= 0:
         raise DomainError(f"contour integral needs s, t > 0 (s={s}, t={t})")
     am2 = 2.0 * params.alpha - 2.0

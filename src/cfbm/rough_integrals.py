@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .eps_approx import EpsApproxSpec, cholesky_factor, covariance_matrix
 from .gamma_process import DomainError, ModelParams, _loglog_slope, _philox
@@ -193,6 +192,8 @@ class LevyAreaSpec:
 def _quad(f, lo, hi, scale=None):
     # breakpoints at multiples of the kernel ridge scale keep the adaptive
     # rule honest when the regularization is many orders below the window
+    from scipy import integrate  # on use: the sampling commands never load scipy
+
     pts = []
     if lo < 0.0 < hi:
         pts.append(0.0)

@@ -101,6 +101,28 @@ class TestParsingAndConfig:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
 
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        # scipy backs only the quadrature routes, which import it on use, so
+        # neither the import nor the sampling and closed-form commands load it
+        commands = [
+            ["sample", "--n-terms", "64", "--grid-n", "16"],
+            ["converge-series", "--n-terms", "256", "--n-mc", "4", "--grid-n", "16"],
+            ["converge-eps", "--n-terms", "64", "--n-mc", "4", "--grid-n", "16"],
+            ["kernel-check"],
+            ["cov-check"],
+        ]
+        code = (
+            "import sys; from cfbm.cli import main\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy_modules())\n"
+            f"print([main([*argv, '--out', 'out.csv']) for argv in {commands!r}])\n"
+            "print(scipy_modules())\n"
+        )
+        res = run_python(["-c", code], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0]", "[]"]
+
     def test_validated_catches_bad_fields(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=-1).validated("sample")

@@ -16,8 +16,9 @@ from cfbm.eps_approx import (
     sup_error_experiment,
 )
 from cfbm.gamma_process import DomainError, ModelParams, fk_table, gaussian_draw
+from cfbm.gamma_process import _REPLICATE_BLOCK as BLOCK
 
-from helpers import covariance_by_complex_broadcast, dblquad_complex
+from helpers import covariance_by_complex_broadcast, coupled_sup_by_replicate, dblquad_complex
 
 
 class TestCovEps:
@@ -262,6 +263,19 @@ class TestSupErrorExperiment:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(DomainError):
             sup_error_experiment(ModelParams(0.35), [0.1, 0.0], 1, 32, 0)
+
+    @pytest.mark.parametrize("n_mc", [1, BLOCK - 1, BLOCK, BLOCK + 1, 200])
+    def test_matches_per_replicate_oracle(self, n_mc):
+        # the replicate blocks reorder only the sums inside each product
+        p = ModelParams(0.35)
+        grid = np.linspace(0, 1, 33)
+        eps_list = [0.1, 0.05, 0.025]
+        rows, _ = sup_error_experiment(p, eps_list, n_mc, 96, 7, grid)
+        table = fk_table(96, grid.astype(complex), p)
+        variants = [(96, fk_table(96, grid + 1j * e, p)) for e in eps_list]
+        ref = coupled_sup_by_replicate(p, table, variants, n_mc, 7)
+        assert [e for e, _ in rows] == eps_list
+        np.testing.assert_allclose([v for _, v in rows], ref, rtol=1e-13, atol=0)
 
 
 class TestContourKernelIntegral:

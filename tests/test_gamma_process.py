@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfbm.gamma_process import _REPLICATE_BLOCK as BLOCK
 from cfbm.gamma_process import (
     DomainError,
     ModelParams,
@@ -25,7 +26,7 @@ from cfbm.gamma_process import (
 )
 from cfbm.specfun import BranchCutError, PoleError
 
-from helpers import fk_by_quadrature
+from helpers import coupled_sup_by_replicate, fk_by_quadrature
 
 ALPHAS = (0.3, 0.45, 0.7)
 
@@ -99,6 +100,21 @@ class TestBasisFunctions:
         vals = {k: abs(f_k(k, z, p)) / _sqrt_poch_ratio(0.35, [k])[0] for k in (10, 20, 40)}
         assert vals[20] / vals[10] == pytest.approx(r ** 10, rel=0.05)
         assert vals[40] / vals[20] == pytest.approx(r ** 20, rel=0.05)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.35, 0.7, 0.99])
+    def test_pochhammer_ratio_matches_mpmath(self, alpha):
+        # sqrt((2-2a)_k / k!) to 1e-12 relative out to k = 20000, where the
+        # running product has taken 20000 rounded steps
+        import mpmath
+
+        from cfbm.gamma_process import _sqrt_poch_ratio
+
+        ks = [0, 1, 10, 100, 1000, 5000, 10000, 20000]
+        got = _sqrt_poch_ratio(alpha, ks)
+        with mpmath.workdps(40):
+            x = 2 - 2 * mpmath.mpf(alpha)
+            ref = [float(mpmath.sqrt(mpmath.rf(x, k) / mpmath.factorial(k))) for k in ks]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
 class TestKernelIdentity:
@@ -440,3 +456,15 @@ class TestTruncationExperiment:
         p = ModelParams(0.35)
         with pytest.raises(ValueError):
             series_truncation_experiment(p, [128], 128, 2, np.linspace(0, 1, 8), seed=0)
+
+    @pytest.mark.parametrize("n_mc", [1, BLOCK - 1, BLOCK, BLOCK + 1, 200])
+    def test_matches_per_replicate_oracle(self, n_mc):
+        # the replicate blocks reorder only the sums inside each product
+        p = ModelParams(0.35)
+        grid = np.linspace(0, 1, 33)
+        n_list = [16, 32, 64]
+        rows, _ = series_truncation_experiment(p, n_list, 128, n_mc, grid, seed=5)
+        table = fk_table(128, grid.astype(complex), p)
+        ref = coupled_sup_by_replicate(p, table, [(n, table) for n in n_list], n_mc, 5)
+        assert [n for n, _ in rows] == n_list
+        np.testing.assert_allclose([e for _, e in rows], ref, rtol=1e-13, atol=0)
