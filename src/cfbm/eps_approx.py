@@ -124,6 +124,10 @@ def covariance_matrix(spec, params):
 def cholesky_factor(cov):
     """Lower Cholesky factor, retrying once with a tiny diagonal jitter.
 
+    The result is a C-order lower-triangular array whose strictly upper part
+    is exactly zero (numpy clears it), so it can be applied as a triangular
+    operator: the Monte Carlo path synthesis reads only its lower part.
+
     Grid covariances of Gamma(eps) are numerically rank-deficient, so the
     plain factorization fails and the jitter retry runs on every grid
     covariance, not only in exceptional cases. The jitter is added to the

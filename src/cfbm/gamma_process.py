@@ -100,9 +100,23 @@ class GaussianDraw:
     xi_plus: np.ndarray = field(repr=False)
 
 
-def _philox(seed, stream):
-    # the one random source: a counter-based generator keyed (seed, stream)
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+def _philox(seed, stream, gen=None):
+    # the one random source: a counter-based generator keyed (seed, stream).
+    # Given a generator from here, rewind it in place to the fresh state of
+    # that key (zero counter, empty buffers) instead of building a new one,
+    # which would draw OS entropy for a seed sequence that the key overrides.
+    key = np.array([seed, stream], dtype=np.uint64)
+    if gen is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def gaussian_draw(seed, n_terms, params, stream=0):
@@ -116,9 +130,9 @@ def gaussian_draw(seed, n_terms, params, stream=0):
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be non-negative integers")
-    raw = _philox(seed, stream).standard_normal(2 * n_terms)
-    scale = math.sqrt(params.sigma_component)
-    xi = scale * (raw[0::2] + 1j * raw[1::2])
+    # interleaved (re, im) normals read as complex and scaled in place
+    xi = _philox(seed, stream).standard_normal(2 * n_terms).view(complex)
+    xi *= math.sqrt(params.sigma_component)
     return GaussianDraw(seed=int(seed), n_terms=int(n_terms), xi_plus=xi)
 
 

@@ -362,9 +362,10 @@ class MCEstimate:
 _MC_BATCH = 256
 
 
-def _path_normals(seed, path_index, n, n_components, out=None):
-    # the stream layout of one MC path: an (n, n_components) C-order block
-    return _philox(seed, path_index).standard_normal((n, n_components), out=out)
+def _path_normals(seed, path_index, n, n_components, out=None, gen=None):
+    # the stream layout of one MC path: an (n, n_components) C-order block;
+    # gen, a generator from _philox, is rewound to the path's stream and reused
+    return _philox(seed, path_index, gen).standard_normal((n, n_components), out=out)
 
 
 def _mc_second_moment(alpha, shifts, t, grid_n, n_paths, seed, n_threads, functional):
@@ -373,9 +374,15 @@ def _mc_second_moment(alpha, shifts, t, grid_n, n_paths, seed, n_threads, functi
     # per distinct shift.  Deterministic Monte Carlo: path p draws its
     # normals from a Philox stream keyed (seed, p), batches are fixed-size
     # and reduced in path order, so the result is independent of n_threads.
-    # Path p's normals are drawn straight into its (n, n_comp) slot of the
-    # batch buffer; numpy copies the strided w[:, :, c].T to a contiguous
-    # block before the BLAS product, so the buffer layout leaves it unchanged.
+    # Each batch rewinds one generator of its own from path to path, and
+    # draws path p's normals straight into its (n, n_comp) slot of the batch
+    # buffer.  Component c's paths are the triangular product L_c Z_c (BLAS
+    # dtrmm, half the flops of a dense product): Z_c, the strided
+    # w[:, :, c].T, is copied once to Fortran order and overwritten by the
+    # result, and the C-order lower factor is read as its Fortran-order
+    # transpose, an upper factor, without a copy.
+    from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
+
     if grid_n < 2 or grid_n & (grid_n - 1):
         raise ValueError(f"grid_n must be a power of two, got {grid_n}")
     finest = 4.0 * t / grid_n
@@ -398,9 +405,14 @@ def _mc_second_moment(alpha, shifts, t, grid_n, n_paths, seed, n_threads, functi
     def run_batch(p0):
         p1 = min(p0 + _MC_BATCH, n_paths)
         w = np.empty((p1 - p0, n, n_comp))
+        gen = _philox(seed, p0)
         for j, p in enumerate(range(p0, p1)):
-            _path_normals(seed, p, n, n_comp, out=w[j])
-        return functional([factors[c] @ w[:, :, c].T for c in range(n_comp)])
+            _path_normals(seed, p, n, n_comp, out=w[j], gen=gen)
+        return functional([
+            dtrmm(1.0, factors[c].T, np.asfortranarray(w[:, :, c].T),
+                  lower=0, trans_a=1, overwrite_b=1)
+            for c in range(n_comp)
+        ])
 
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -432,11 +444,12 @@ def mc_levy_area_moment(alpha, eps, t, n_paths, grid_n, seed, n_threads=1):
     """Sample second moment of the Levy area over exact Gamma(eps) pairs.
 
     Two independent components are drawn from the exact grid covariance.
-    For a given numpy/BLAS set-up the estimate is deterministic in
+    For a given numpy/scipy/BLAS set-up the estimate is deterministic in
     (seed, n_paths, grid_n) and does not change with n_threads. It does
-    change with the BLAS build and the BLAS thread count, by about 1e-5
+    change with the BLAS builds and the BLAS thread count, by about 1e-5
     relative, because the jittered covariance factor (see
-    `cholesky_factor`) carries rounding noise into every path.
+    `cholesky_factor`) carries rounding noise into every path. The factor
+    runs on numpy's BLAS and the path product on scipy's.
     """
     return _mc_second_moment(
         alpha, (eps, eps), t, grid_n, n_paths, seed, n_threads, _areas_batch
@@ -444,7 +457,12 @@ def mc_levy_area_moment(alpha, eps, t, n_paths, grid_n, seed, n_threads=1):
 
 
 def mc_levy_volume_moment(alpha, eps1, eps2, eps3, t, n_paths, grid_n, seed, n_threads=1):
-    """Sample second moment of the third iterated integral (Levy volume)."""
+    """Sample second moment of the third iterated integral (Levy volume).
+
+    Three independent components, component c an exact Gamma(eps_c) path.
+    Deterministic and n_threads-invariant with the same BLAS caveat as
+    `mc_levy_area_moment`.
+    """
     return _mc_second_moment(
         alpha, (eps1, eps2, eps3), t, grid_n, n_paths, seed, n_threads, _volumes_batch
     )

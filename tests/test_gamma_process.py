@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbm.gamma_process import _REPLICATE_BLOCK as BLOCK
+from cfbm.gamma_process import _philox
 from cfbm.gamma_process import (
     DomainError,
     ModelParams,
@@ -330,6 +331,39 @@ class TestDraws:
             gaussian_draw(5, 0, p)
         with pytest.raises(ValueError):
             gaussian_draw(-3, 10, p)
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.3])
+    def test_coefficients_are_scaled_interleaved_pairs(self, sigma):
+        # the complex view of the raw stream equals the two-halves expression
+        # bit for bit (they could differ only at a normal of exactly +-0)
+        p = ModelParams(0.35, sigma_component=sigma)
+        for seed in range(5):
+            for n in (1, 7, 2048):
+                raw = np.random.Generator(
+                    np.random.Philox(key=np.array([seed, 2], dtype=np.uint64))
+                ).standard_normal(2 * n)
+                expected = math.sqrt(sigma) * (raw[0::2] + 1j * raw[1::2])
+                got = gaussian_draw(seed, n, p, stream=2).xi_plus
+                assert got.dtype == np.complex128 and got.shape == (n,)
+                assert got.tobytes() == expected.tobytes()
+
+    def test_rewound_generator_matches_fresh_stream(self):
+        # a generator reused across streams, each entered after the previous
+        # one was partly used (buffered uint32 and normals pending), draws
+        # exactly what a freshly keyed Philox draws
+        gen = _philox(9, 0)
+        for stream in (1, 0, 5, 2**40):
+            gen.standard_normal(3)
+            gen.integers(0, 7, dtype=np.uint32)
+            assert _philox(9, stream, gen) is gen
+            fresh = np.random.Generator(
+                np.random.Philox(key=np.array([9, stream], dtype=np.uint64))
+            )
+            got, want = (
+                [g.standard_normal((17, 3)), g.integers(0, 7, 5, dtype=np.uint32)]
+                for g in (gen, fresh)
+            )
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestSamplers:

@@ -32,6 +32,8 @@ from cfbm.rough_integrals import (
     volume_path,
 )
 
+from cfbm.rough_integrals import _areas_batch, _path_normals, _volumes_batch
+
 from helpers import (
     dblquad_complex,
     i1_integrand,
@@ -46,6 +48,24 @@ def _example_params(alpha=0.4, s=0.0, t=1.0):
         a=0.0, b=0.0, beta1=2 * alpha - 2, beta2=2 * alpha,
         eps1=0.02, eps2=0.01, s=s, t=t,
     )
+
+
+def _dense_second_moment(alpha, shifts, grid_n, n_paths, seed, functional):
+    # path by path: a fresh stream per path, every component through the
+    # dense n x n factor product
+    from cfbm.eps_approx import EpsApproxSpec, cholesky_factor, covariance_matrix
+
+    grid = tuple(np.linspace(0.0, 1.0, grid_n + 1))
+    factors = [
+        cholesky_factor(covariance_matrix(EpsApproxSpec(alpha, e, grid), ModelParams(alpha)))
+        for e in shifts
+    ]
+    values = []
+    for p in range(n_paths):
+        z = _path_normals(seed, p, grid_n + 1, len(shifts))
+        comps = [(f @ z[:, c])[:, None] for c, f in enumerate(factors)]
+        values.append(functional(comps)[0])
+    return float(np.mean(np.square(values)))
 
 
 def _random_params(rng):
@@ -301,6 +321,13 @@ class TestMonteCarloArea:
         joint_se = np.sqrt(fwd.var(ddof=1) / 800 + swp.var(ddof=1) / 800)
         assert abs(fwd.mean() - swp.mean()) <= 3 * joint_se
 
+    def test_triangular_product_matches_dense_per_path(self):
+        # 300 paths span two batches; each path is rebuilt from a fresh
+        # stream through the dense factor product
+        est = mc_levy_area_moment(0.4, 0.1, 1.0, 300, 256, seed=13)
+        mean = _dense_second_moment(0.4, (0.1, 0.1), 256, 300, 13, _areas_batch)
+        assert est.mean == pytest.approx(mean, rel=1e-12)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             mc_levy_area_moment(0.4, 0.1, 1.0, 10, 300, seed=0)  # not a power of 2
@@ -373,6 +400,18 @@ class TestVolumeMoments:
     def test_mc_volume_mixed_eps(self):
         est = mc_levy_volume_moment(0.3, 0.08, 0.05, 0.04, 1.0, 200, 512, seed=6)
         assert math.isfinite(est.mean) and est.mean > 0
+
+    def test_mc_volume_thread_invariant(self):
+        # 600 paths run as three batches
+        a = mc_levy_volume_moment(0.3, 0.08, 0.05, 0.04, 1.0, 600, 128, seed=8, n_threads=1)
+        b = mc_levy_volume_moment(0.3, 0.08, 0.05, 0.04, 1.0, 600, 128, seed=8, n_threads=3)
+        assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+    def test_mc_volume_triangular_product_matches_dense_per_path(self):
+        shifts = (0.08, 0.05, 0.04)
+        est = mc_levy_volume_moment(0.3, *shifts, 1.0, 300, 128, seed=14)
+        mean = _dense_second_moment(0.3, shifts, 128, 300, 14, _volumes_batch)
+        assert est.mean == pytest.approx(mean, rel=1e-12)
 
 
 class TestDyadic:
