@@ -379,6 +379,12 @@ def _random_2f1_case(rng, region):
 
 
 def cmd_specfun_test(cfg):
+    try:
+        import mpmath  # noqa: F401  (hyp2f1_euler_integral imports it on use)
+    except ImportError:
+        print("specfun-test: the Euler-integral oracle needs mpmath; "
+              "pip install -e .[oracle]", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0

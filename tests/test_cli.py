@@ -102,8 +102,11 @@ class TestParsingAndConfig:
         assert res.stdout.strip() == "False"
 
     def test_import_leaves_scipy_unloaded(self, tmp_path):
-        # scipy backs only the quadrature routes, which import it on use, so
-        # neither the import nor the sampling and closed-form commands load it
+        # scipy backs only the adaptive quadrature routes and the MC path
+        # product, which import it on use, so neither the import nor the
+        # sampling and closed-form commands load it, nor the Levy-area
+        # variance and its callers; the Gauss-Legendre nodes are built on
+        # first use, so the import loads no numpy.polynomial either
         commands = [
             ["sample", "--n-terms", "64", "--grid-n", "16"],
             ["converge-series", "--n-terms", "256", "--n-mc", "4", "--grid-n", "16"],
@@ -113,15 +116,34 @@ class TestParsingAndConfig:
         ]
         code = (
             "import sys; from cfbm.cli import main\n"
+            "import cfbm.rough_integrals as ri\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(scipy_modules())\n"
+            "print(scipy_modules(), 'numpy.polynomial' in sys.modules)\n"
             f"print([main([*argv, '--out', 'out.csv']) for argv in {commands!r}])\n"
+            "print(scipy_modules())\n"
+            "ri.levy_area_variance(ri.LevyAreaSpec(0.4, 1.0, 1e-3, 2e-3))\n"
+            "ri.divergence_slope(0.2, (1e-3, 1e-4), 1.0)\n"
+            "ri.levy_volume_w1(0.3, 0.05, 0.05, 0.05, 1.0)\n"
             "print(scipy_modules())\n"
         )
         res = run_python(["-c", code], tmp_path)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0]", "[]"]
+        assert res.stdout.splitlines() == ["[] False", "[0, 0, 0, 0, 0]", "[]", "[]"]
+
+    def test_specfun_test_without_mpmath_names_the_extra(self, tmp_path):
+        # mpmath is the optional `oracle` extra: without it specfun-test
+        # stops with one line naming the install, not a traceback
+        code = (
+            "import sys; sys.modules['mpmath'] = None\n"
+            "from cfbm.cli import main\n"
+            "sys.exit(main(['specfun-test', '--n-mc', '3', '--out', 'out.csv']))\n"
+        )
+        res = run_python(["-c", code], tmp_path)
+        lines = res.stderr.strip().splitlines()
+        assert res.returncode == 2
+        assert len(lines) == 1 and "pip install -e .[oracle]" in lines[0]
+        assert not (tmp_path / "out.csv").exists()
 
     def test_validated_catches_bad_fields(self):
         with pytest.raises(ConfigError):

@@ -38,6 +38,8 @@ from helpers import (
     dblquad_complex,
     i1_integrand,
     i2_integrand,
+    levy_area_variance_by_mpmath,
+    levy_area_variance_by_quadpack,
     levy_area_variance_dblquad,
     quad_complex,
 )
@@ -158,6 +160,44 @@ class TestLevyAreaVariance:
             mine = levy_area_variance(LevyAreaSpec(alpha, 1.0, e1, e2))
             oracle = levy_area_variance_dblquad(alpha, e1, e2, 1.0)
             assert mine == pytest.approx(oracle, rel=1e-7)
+
+    # (alpha, eps1, eps2, t) where the six-call QUADPACK route meets its
+    # tolerance: the benchmark's variance grid, the levy-area divergence
+    # schedule, and unequal shifts on other windows
+    QUADPACK_CASES = (
+        [(a, float(e), float(e), 1.0) for a in (0.3, 0.4, 0.45, 0.7)
+         for e in np.logspace(-5.0, -1.0, 17)]
+        + [(a, e, e, 1.0) for a in (0.15, 0.2) for e in (3e-4, 1e-4, 3e-5, 1e-5)]
+        + [(a, e1, e2, t) for a in (0.15, 0.3, 0.45, 0.7, 0.85)
+           for e1, e2 in ((0.1, 0.07), (0.02, 0.05), (1e-3, 4e-3)) for t in (0.3, 2.5, 7.0)]
+    )
+
+    def test_matches_quadpack_route(self):
+        worst = 0.0
+        for alpha, e1, e2, t in self.QUADPACK_CASES:
+            mine = levy_area_variance(LevyAreaSpec(alpha, t, e1, e2))
+            oracle = levy_area_variance_by_quadpack(alpha, e1, e2, t)
+            worst = max(worst, abs(mine / oracle - 1.0))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "alpha, e1, e2, t",
+        [(0.05, 1e-4, 2e-4, 50.0), (0.26, 1e-8, 1e-8, 1.0)],
+    )
+    def test_extreme_shift_ratio_matches_mpmath(self, alpha, e1, e2, t):
+        # shifts many orders below the window, where the QUADPACK route
+        # returns values off by 1e-3 and 4e-5 relative, raising nothing
+        # (an IntegrationWarning at most)
+        mine = levy_area_variance(LevyAreaSpec(alpha, t, e1, e2))
+        assert mine == pytest.approx(levy_area_variance_by_mpmath(alpha, e1, e2, t), rel=1e-11)
+
+    def test_guard_raises_when_rules_disagree(self, monkeypatch):
+        from cfbm import rough_integrals
+        from cfbm.specfun import NonConvergenceError
+
+        monkeypatch.setattr(rough_integrals, "_LEVY_GUARD_ORDER", 2)
+        with pytest.raises(NonConvergenceError):
+            levy_area_variance(LevyAreaSpec(0.4, 1.0, 1e-3, 1e-3))
 
     def test_sign_resolved_route_agrees(self):
         alpha, e1, e2, t = 0.4, 0.05, 0.04, 1.0
