@@ -38,7 +38,7 @@ from .rough_integrals import (
     mc_levy_volume_moment,
     volume_inner_closed,
 )
-from .specfun import gamma_fn, hyp2f1, hyp2f1_euler_integral
+from .specfun import gamma_fn, hyp2f1
 
 __all__ = ["main", "ConfigError", "ExperimentConfig"]
 
@@ -385,6 +385,8 @@ def cmd_specfun_test(cfg):
         print("specfun-test: the Euler-integral oracle needs mpmath; "
               "pip install -e .[oracle]", file=sys.stderr)
         return 2
+    from .oracles import hyp2f1_euler_integral
+
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0

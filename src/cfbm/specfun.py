@@ -1,15 +1,25 @@
 """Complex special functions for the analytic-FBM toolkit.
 
-Self-contained principal-branch powers, a Lanczos Gamma function, Pochhammer
-symbols, and a Gauss 2F1 engine built on the classical connection formulas.
-The 2F1 dispatch is tuned for the power-integral family driving the Levy-area
-analytics: power series near 0, the 1/z connection at large modulus, the 1-z
-connection near 1, and a Pfaff-transformed (or guarded) series on the
-remaining annulus.
+Self-contained principal-branch powers, a Gamma function (``math.gamma`` on
+the real axis, Lanczos off it), Pochhammer symbols, and a Gauss 2F1 engine.
+
+``hyp2f1`` evaluates whichever of seven convergent expansions is cheapest at
+its argument: the power series in z, the Pfaff-transformed series in
+z/(z-1), the connection formulas in 1-z, 1-1/z, 1/z and 1/(1-z)
+(DLMF 15.8(i)), and a Taylor re-expansion of the hypergeometric ODE about
+0.7 z/|z| that covers the neighbourhood of exp(+-i pi/3), where all six
+Kummer variables have modulus near 1.  The cost of a route is the number of
+series it sums times the terms one needs at its modulus, ln(1e-17)/ln|w|,
+plus a fixed charge for the Gamma coefficients of a connection (and for the
+start values of the Taylor route); routes with |w| >= 1, and connections
+whose coefficients hit a Gamma pole, are skipped.
 
 All functions are pure and stateless.  Domain violations raise SpecFunError
 subclasses instead of returning NaN, so callers cannot silently continue
-across a branch cut or a Gamma pole.
+across a branch cut or a Gamma pole: BranchCutError on [1, oo), PoleError at
+non-positive integer c, DegenerateParameterError when every convergent route
+is a connection with an integer b-a or c-a-b, and NonConvergenceError when a
+series trips its 6000-term guard.
 """
 
 from __future__ import annotations
@@ -32,7 +42,6 @@ __all__ = [
     "pochhammer",
     "hyp2f1",
     "hyp2f1_at_one",
-    "hyp2f1_euler_integral",
 ]
 
 EULER_GAMMA = 0.57721566490153286
@@ -117,13 +126,17 @@ def _is_nonpositive_integer(z, tol=1e-12):
 
 
 def gamma_fn(z):
-    """Complex Gamma function (Lanczos, reflection for Re z < 0.5).
+    """Gamma function: ``math.gamma`` on the real axis, elsewhere Lanczos
+    with reflection for Re z < 0.5.
 
     Raises PoleError at the non-positive integers.
     """
     z = complex(z)
-    if _is_nonpositive_integer(z, tol=0.0):
-        raise PoleError(f"Gamma pole at z={z}")
+    if z.imag == 0:
+        x = z.real
+        if x <= 0 and x.is_integer():
+            raise PoleError(f"Gamma pole at z={z}")
+        return math.gamma(x)
     if z.real < 0.5:
         # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
         return math.pi / (cmath.sin(math.pi * z) * gamma_fn(1.0 - z))
@@ -138,9 +151,10 @@ def gamma_fn(z):
 def _rgamma(z):
     # 1/Gamma, with the value 0 at the poles.  Used for connection-formula
     # coefficients whose denominator Gamma may legitimately blow up.
-    if _is_nonpositive_integer(z, tol=0.0):
+    try:
+        return 1.0 / gamma_fn(z)
+    except PoleError:
         return 0j
-    return 1.0 / gamma_fn(z)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +201,18 @@ def pochhammer(x, k):
 # ---------------------------------------------------------------------------
 
 _SERIES_MAX_TERMS = 6000
-_ANNULUS_MAX_TERMS = 40000
+_SERIES_TOL = 1e-17
 _DEGENERACY_TOL = 1e-9
+_TAYLOR_RADIUS = 0.7
+# Route costs are in series terms: a series in a variable of modulus m needs
+# about ln(_SERIES_TOL)/ln(m) terms.  A connection also pays a fixed charge
+# for its Gamma coefficients, and the Taylor re-expansion for the two series
+# at |z0| = 0.7 that give its start values; a Taylor term costs about two
+# series terms.
+_LOG_TOL = math.log(_SERIES_TOL)
+_GAMMA_CHARGE = 40.0
+_TAYLOR_TERM_WEIGHT = 2.0
+_TAYLOR_START_CHARGE = 2.0 * _LOG_TOL / math.log(_TAYLOR_RADIUS)
 
 
 def _near_integer(w, tol=_DEGENERACY_TOL):
@@ -198,14 +222,17 @@ def _near_integer(w, tol=_DEGENERACY_TOL):
 
 def _series_2f1(a, b, c, z, max_terms=_SERIES_MAX_TERMS):
     # plain hypergeometric power series with a term-count guard; terminates
-    # exactly when a or b is a non-positive integer.
+    # exactly when a or b is a non-positive integer.  With real parameters
+    # the term ratio is formed in float arithmetic.
+    if a.imag == 0 and b.imag == 0 and c.imag == 0:
+        a, b, c = a.real, b.real, c.real
     term = 1.0 + 0j
     total = 1.0 + 0j
     small = 0
     for n in range(max_terms):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
         total += term
-        if abs(term) <= 1e-17 * abs(total):
+        if abs(term) <= _SERIES_TOL * abs(total):
             small += 1
             if small >= 2:
                 return total
@@ -223,39 +250,56 @@ def hyp2f1_at_one(a, b, c):
         raise BranchCutError(
             f"2F1 divergent at z=1 for Re(c-a-b)={ (c-a-b).real } <= 0"
         )
-    return gamma_fn(c) * gamma_fn(c - a - b) * _rgamma(c - a) * _rgamma(c - b)
+    return complex(gamma_fn(c) * gamma_fn(c - a - b) * _rgamma(c - a) * _rgamma(c - b))
 
 
-def _connection_inv_z(a, b, c, z, max_terms=_SERIES_MAX_TERMS):
-    # z -> 1/z connection; needs b - a non-integer.
-    if _near_integer(b - a):
-        raise DegenerateParameterError(
-            f"1/z connection degenerate: b-a={b - a} is (near-)integer"
-        )
-    coeff_a = gamma_fn(c) * gamma_fn(b - a) * _rgamma(b) * _rgamma(c - a)
-    coeff_b = gamma_fn(c) * gamma_fn(a - b) * _rgamma(a) * _rgamma(c - b)
+def _inv_coeffs(a, b, c):
+    # Gamma coefficients of the 1/z and 1/(1-z) connections (b - a non-integer)
+    gc = gamma_fn(c)
+    return (
+        gc * gamma_fn(b - a) * _rgamma(b) * _rgamma(c - a),
+        gc * gamma_fn(a - b) * _rgamma(a) * _rgamma(c - b),
+    )
+
+
+def _one_minus_coeffs(a, b, c):
+    # Gamma coefficients of the 1-z and 1-1/z connections (c - a - b non-integer)
+    gc = gamma_fn(c)
+    return (
+        gc * gamma_fn(c - a - b) * _rgamma(c - a) * _rgamma(c - b),
+        gc * gamma_fn(a + b - c) * _rgamma(a) * _rgamma(b),
+    )
+
+
+def _connection_inv_z(a, b, c, z):
+    # DLMF 15.8.2: series in 1/z
+    coeff_a, coeff_b = _inv_coeffs(a, b, c)
     inv = 1.0 / z
     out = 0j
     if coeff_a != 0:
-        out += coeff_a * principal_pow(-z, -a) * _series_2f1(
-            a, 1 - c + a, 1 - b + a, inv, max_terms
-        )
+        out += coeff_a * principal_pow(-z, -a) * _series_2f1(a, 1 - c + a, 1 - b + a, inv)
     if coeff_b != 0:
-        out += coeff_b * principal_pow(-z, -b) * _series_2f1(
-            b, 1 - c + b, 1 - a + b, inv, max_terms
-        )
+        out += coeff_b * principal_pow(-z, -b) * _series_2f1(b, 1 - c + b, 1 - a + b, inv)
+    return out
+
+
+def _connection_inv_one_minus_z(a, b, c, z):
+    # DLMF 15.8.3: series in 1/(1-z)
+    coeff_a, coeff_b = _inv_coeffs(a, b, c)
+    u = 1.0 - z
+    inv = 1.0 / u
+    out = 0j
+    if coeff_a != 0:
+        out += coeff_a * principal_pow(u, -a) * _series_2f1(a, c - b, 1 - b + a, inv)
+    if coeff_b != 0:
+        out += coeff_b * principal_pow(u, -b) * _series_2f1(b, c - a, 1 - a + b, inv)
     return out
 
 
 def _connection_one_minus_z(a, b, c, z):
-    # z -> 1-z connection; needs c - a - b non-integer.
-    if _near_integer(c - a - b):
-        raise DegenerateParameterError(
-            f"1-z connection degenerate: c-a-b={c - a - b} is (near-)integer"
-        )
+    # DLMF 15.8.4: series in 1-z
+    coeff_1, coeff_2 = _one_minus_coeffs(a, b, c)
     u = 1.0 - z
-    coeff_1 = gamma_fn(c) * gamma_fn(c - a - b) * _rgamma(c - a) * _rgamma(c - b)
-    coeff_2 = gamma_fn(c) * gamma_fn(a + b - c) * _rgamma(a) * _rgamma(b)
     out = 0j
     if coeff_1 != 0:
         out += coeff_1 * _series_2f1(a, b, a + b - c + 1, u)
@@ -266,23 +310,135 @@ def _connection_one_minus_z(a, b, c, z):
     return out
 
 
-def _pfaff_series(a, b, c, z, max_terms=_SERIES_MAX_TERMS):
+def _connection_one_minus_inv_z(a, b, c, z):
+    # DLMF 15.8.5: series in 1-1/z; it converges only for Re z > 1/2, off
+    # the cut of z^(-a)
+    coeff_1, coeff_2 = _one_minus_coeffs(a, b, c)
+    w = 1.0 - 1.0 / z
+    out = 0j
+    if coeff_1 != 0:
+        out += coeff_1 * principal_pow(z, -a) * _series_2f1(a, a - c + 1, a + b - c + 1, w)
+    if coeff_2 != 0:
+        out += (
+            coeff_2
+            * principal_pow(1.0 - z, c - a - b)
+            * principal_pow(z, a - c)
+            * _series_2f1(c - a, 1 - a, c - a - b + 1, w)
+        )
+    return out
+
+
+def _pfaff_series(a, b, c, z):
     # Pfaff transformation: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
     w = z / (z - 1.0)
-    return principal_pow(1.0 - z, -a) * _series_2f1(a, c - b, c, w, max_terms)
+    return principal_pow(1.0 - z, -a) * _series_2f1(a, c - b, c, w)
+
+
+def _taylor_2f1(a, b, c, z):
+    # Taylor re-expansion about z0 = 0.7 z/|z| (Pearson, Olver & Porter,
+    # Numer. Algorithms 74, 2017).  With t = z - z0 the hypergeometric ODE
+    # z(1-z) F'' + (c - (a+b+1) z) F' - ab F = 0 gives the coefficients d_k
+    # of F(z0 + t) = sum d_k t^k the three-term recurrence
+    #   p0 (k+2)(k+1) d_{k+2} = -(p1 k + q0)(k+1) d_{k+1} - (q1 k - k(k-1) - ab) d_k
+    # with p0 = z0(1-z0), p1 = 1-2 z0, q0 = c-(a+b+1) z0, q1 = -(a+b+1); it
+    # runs on the terms e_k = d_k t^k.
+    z0 = _TAYLOR_RADIUS * z / abs(z)
+    t = z - z0
+    ab = a * b
+    p0 = z0 * (1.0 - z0)
+    p1 = 1.0 - 2.0 * z0
+    q1 = -(a + b + 1.0)
+    q0 = c + q1 * z0
+    t1 = t / p0
+    t2 = t * t1
+    e_prev = _series_2f1(a, b, c, z0)
+    e = ab / c * _series_2f1(a + 1, b + 1, c + 1, z0) * t
+    total = e_prev + e
+    small = 0
+    for k in range(_SERIES_MAX_TERMS):
+        e_prev, e = e, -(
+            (p1 * k + q0) * (k + 1) * t1 * e + (q1 * k - k * (k - 1) - ab) * t2 * e_prev
+        ) / ((k + 2) * (k + 1))
+        total += e
+        if abs(e) <= _SERIES_TOL * abs(total):
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
+    raise NonConvergenceError(
+        f"2F1 Taylor re-expansion guard tripped after {_SERIES_MAX_TERMS} terms at z={z}"
+    )
+
+
+def _taylor_modulus(z, abs_z, abs_1mz):
+    z0 = _TAYLOR_RADIUS * z / abs_z
+    return abs(abs_z - _TAYLOR_RADIUS) / min(_TAYLOR_RADIUS, abs(1.0 - z0))
+
+
+# The seven routes: (evaluator, modulus of its expansion variable as a
+# function of z, |z| and |1-z|, series summed at that modulus, fixed charge,
+# parameter difference whose integer values put its Gamma coefficients on
+# a pole).
+_ROUTES = (
+    (_series_2f1, lambda z, az, a1: az, 1.0, 0.0, None),
+    (_pfaff_series, lambda z, az, a1: az / a1, 1.0, 0.0, None),
+    (_connection_one_minus_z, lambda z, az, a1: a1, 2.0, _GAMMA_CHARGE, "c-a-b"),
+    (_connection_one_minus_inv_z, lambda z, az, a1: a1 / az, 2.0, _GAMMA_CHARGE, "c-a-b"),
+    (_connection_inv_z, lambda z, az, a1: 1.0 / az, 2.0, _GAMMA_CHARGE, "b-a"),
+    (_connection_inv_one_minus_z, lambda z, az, a1: 1.0 / a1, 2.0, _GAMMA_CHARGE, "b-a"),
+    (_taylor_2f1, _taylor_modulus, _TAYLOR_TERM_WEIGHT, _TAYLOR_START_CHARGE, None),
+)
+
+
+def _cheapest_route(a, b, c, z):
+    # the convergent, non-degenerate route of least estimated cost; off the
+    # cut some route always has modulus <= 0.8, so when none is left every
+    # convergent one was a degenerate connection
+    az, a1 = abs(z), abs(1.0 - z)
+    degenerate = {"b-a": _near_integer(b - a), "c-a-b": _near_integer(c - a - b)}
+    best, best_cost = None, math.inf
+    for evaluate, modulus, n_series, charge, pole in _ROUTES:
+        m = modulus(z, az, a1)
+        if m >= 1.0 or (pole is not None and degenerate[pole]):
+            continue
+        cost = charge + (n_series * _LOG_TOL / math.log(m) if m > 0 else 0.0)
+        if cost < best_cost:
+            best, best_cost = evaluate, cost
+    if best is None:
+        raise DegenerateParameterError(
+            f"2F1 at z={z}: every convergent route is a connection whose Gamma "
+            f"coefficients hit a pole (b-a={b - a}, c-a-b={c - a - b})"
+        )
+    return best
 
 
 def hyp2f1(a, b, c, z):
     """Gauss hypergeometric function 2F1(a, b; c; z), principal branch.
 
-    Dispatch: direct series for |z| <= 0.7; the 1/z connection for |z| >= 1.4
-    off the cut; the 1-z connection for |1-z| <= 0.3; on the remaining
-    annulus a Pfaff-transformed series when its argument is small, otherwise
-    a term-count-guarded series (in z or 1/z, whichever converges).
+    Seven routes, each a convergent expansion in its own variable:
 
-    Raises BranchCutError on [1, oo) (except the z -> 1 limit when
-    Re(c-a-b) > 0), DegenerateParameterError when a connection formula hits a
-    Gamma pole, and NonConvergenceError when the series guard trips.
+    - the direct series in z;
+    - the Pfaff-transformed series in z/(z-1);
+    - the connection formulas in 1-z, 1-1/z, 1/z and 1/(1-z) (DLMF 15.8.2-5),
+      each two series with Gamma-function coefficients;
+    - a Taylor re-expansion of the hypergeometric ODE about
+      z0 = 0.7 z/|z|, with modulus |z - z0| / min(|z0|, |1 - z0|), which
+      covers the neighbourhood of exp(+-i pi/3) where all six Kummer
+      variables have modulus near 1.
+
+    The route evaluated is the one of least estimated cost: the series it
+    sums times ln(1e-17)/ln(modulus), plus a fixed charge for the Gamma
+    coefficients of a connection and for the two start-value series of the
+    Taylor route.  Routes whose modulus is >= 1 are skipped, and so are the
+    1/z and 1/(1-z) connections when b-a is (within 1e-9 of) an integer and
+    the 1-z and 1-1/z connections when c-a-b is, because their coefficients
+    then hit a Gamma pole.
+
+    Raises PoleError for non-positive integer c, BranchCutError on [1, oo)
+    (except the z -> 1 limit when Re(c-a-b) > 0), DegenerateParameterError
+    when every convergent route is such a degenerate connection, and
+    NonConvergenceError when the chosen series trips its 6000-term guard.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if _is_nonpositive_integer(c):
@@ -301,46 +457,4 @@ def hyp2f1(a, b, c, z):
         return _series_2f1(a, b, c, z, max_terms=int(-a.real) + 4)
     if _is_nonpositive_integer(b):
         return _series_2f1(b, a, c, z, max_terms=int(-b.real) + 4)
-
-    az = abs(z)
-    if az <= 0.7:
-        return _series_2f1(a, b, c, z)
-    if abs(1.0 - z) <= 0.3:
-        return _connection_one_minus_z(a, b, c, z)
-    if az >= 1.4:
-        return _connection_inv_z(a, b, c, z)
-    # remaining annulus
-    if abs(z / (z - 1.0)) <= 0.7:
-        return _pfaff_series(a, b, c, z)
-    if az < 1.0:
-        return _series_2f1(a, b, c, z, max_terms=_ANNULUS_MAX_TERMS)
-    return _connection_inv_z(a, b, c, z, max_terms=_ANNULUS_MAX_TERMS)
-
-
-def hyp2f1_euler_integral(a, b, c, z, dps=25):
-    """Independent 2F1 evaluation by quadrature of the Euler integral.
-
-    Gamma(c)/(Gamma(b)Gamma(c-b)) * int_0^1 t^(b-1) (1-t)^(c-b-1) (1-tz)^(-a) dt,
-    valid for Re c > Re b > 0 and z off [1, oo).  Uses tanh-sinh quadrature in
-    extended precision; intended as a test oracle, not a fast path.
-    """
-    import mpmath  # only this oracle needs it; keeps it off the import path
-
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
-    if not (c.real > b.real > 0):
-        raise ValueError(f"Euler integral needs Re c > Re b > 0 (b={b}, c={c})")
-    if z.imag == 0 and z.real >= 1.0:
-        raise BranchCutError(f"Euler integral undefined on [1, oo) at z={z}")
-    with mpmath.workdps(dps):
-        ma, mb, mc, mz = (mpmath.mpmathify(w) for w in (a, b, c, z))
-
-        def integrand(t):
-            return (
-                mpmath.power(t, mb - 1)
-                * mpmath.power(1 - t, mc - mb - 1)
-                * mpmath.power(1 - t * mz, -ma)
-            )
-
-        val = mpmath.quad(integrand, [0, 1])
-        val *= mpmath.gamma(mc) / (mpmath.gamma(mb) * mpmath.gamma(mc - mb))
-        return complex(val)
+    return _cheapest_route(a, b, c, z)(a, b, c, z)

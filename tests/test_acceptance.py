@@ -50,7 +50,8 @@ from cfbm.rough_integrals import (
     mc_levy_volume_moment,
     volume_inner_closed,
 )
-from cfbm.specfun import gamma_fn, hyp2f1, hyp2f1_euler_integral
+from cfbm.oracles import hyp2f1_euler_integral
+from cfbm.specfun import gamma_fn, hyp2f1
 
 from helpers import dblquad_complex, i1_integrand, i2_integrand, quad_complex
 

@@ -106,7 +106,8 @@ class TestParsingAndConfig:
         # product, which import it on use, so neither the import nor the
         # sampling and closed-form commands load it, nor the Levy-area
         # variance and its callers; the Gauss-Legendre nodes are built on
-        # first use, so the import loads no numpy.polynomial either
+        # first use, so the import loads no numpy.polynomial either; the
+        # import loads no mpmath, and neither does importing the oracles
         commands = [
             ["sample", "--n-terms", "64", "--grid-n", "16"],
             ["converge-series", "--n-terms", "256", "--n-mc", "4", "--grid-n", "16"],
@@ -119,7 +120,9 @@ class TestParsingAndConfig:
             "import cfbm.rough_integrals as ri\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(scipy_modules(), 'numpy.polynomial' in sys.modules)\n"
+            "print(scipy_modules(), 'numpy.polynomial' in sys.modules, 'mpmath' in sys.modules)\n"
+            "import cfbm.oracles\n"
+            "print(scipy_modules(), 'mpmath' in sys.modules)\n"
             f"print([main([*argv, '--out', 'out.csv']) for argv in {commands!r}])\n"
             "print(scipy_modules())\n"
             "ri.levy_area_variance(ri.LevyAreaSpec(0.4, 1.0, 1e-3, 2e-3))\n"
@@ -129,7 +132,9 @@ class TestParsingAndConfig:
         )
         res = run_python(["-c", code], tmp_path)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines() == ["[] False", "[0, 0, 0, 0, 0]", "[]", "[]"]
+        assert res.stdout.splitlines() == [
+            "[] False False", "[] False", "[0, 0, 0, 0, 0]", "[]", "[]"
+        ]
 
     def test_specfun_test_without_mpmath_names_the_extra(self, tmp_path):
         # mpmath is the optional `oracle` extra: without it specfun-test

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cfbm.specfun as specfun
+from cfbm.oracles import hyp2f1_euler_integral
 from cfbm.specfun import (
     EULER_GAMMA,
     BranchCutError,
@@ -15,7 +17,6 @@ from cfbm.specfun import (
     gamma_fn,
     hyp2f1,
     hyp2f1_at_one,
-    hyp2f1_euler_integral,
     log_pochhammer,
     pochhammer,
     principal_pow,
@@ -97,6 +98,14 @@ class TestGamma:
             ref = complex(mpmath.gamma(z))
             assert abs(gamma_fn(z) - ref) <= 1e-12 * abs(ref)
 
+    def test_real_axis_matches_mpmath(self):
+        import mpmath
+
+        for x in (-7.9, -4.5, -2.3, -1.5, -0.5, -0.01, 0.01, 0.1, 0.5, 1.7, 3.7, 20.2, 150.5):
+            ref = float(mpmath.gamma(x))
+            assert abs(gamma_fn(x) - ref) <= 1e-14 * abs(ref), x
+            assert abs(gamma_fn(complex(x, 0.0)) - ref) <= 1e-14 * abs(ref), x
+
     @given(re=st.floats(min_value=-4.7, max_value=5), im=st.floats(min_value=0.1, max_value=5))
     @settings(max_examples=60, deadline=None)
     def test_recurrence(self, re, im):
@@ -162,12 +171,19 @@ class TestHyp2F1:
             hyp2f1(0.3, 0.7, -2, 0.4)
 
     def test_degenerate_connection_signals(self):
-        # b - a integer breaks the 1/z connection
+        # b - a and c - a - b both integers break all four connections; at
+        # these points every convergent route is one of them
         with pytest.raises(DegenerateParameterError):
-            hyp2f1(0.3, 1.3, 1.9, 3.5 + 0.1j)
-        # c - a - b integer breaks the 1-z connection
+            hyp2f1(0.3, 1.3, 2.6, 3.5 + 0.1j)
         with pytest.raises(DegenerateParameterError):
-            hyp2f1(0.3, 0.8, 2.1, 1.05 + 0.1j)
+            hyp2f1(0.3, 1.3, 2.6, 1.05 + 0.1j)
+        # one integer difference leaves a convergent route: b - a = 1 is
+        # served by 1-1/z, c - a - b = 1 by 1/z
+        import mpmath
+
+        for args in ((0.3, 1.3, 1.9, 3.5 + 0.1j), (0.3, 0.8, 2.1, 1.05 + 0.1j)):
+            ref = complex(mpmath.hyp2f1(*args))
+            assert abs(hyp2f1(*args) - ref) <= 1e-12 * abs(ref), args
 
     def test_quadrature_oracle_fixed_point(self):
         val = hyp2f1(0.3, 0.7, 1.1, 0.4 + 0.2j)
@@ -209,7 +225,84 @@ class TestHyp2F1:
         assert abs(val - ref) <= 1e-10 * abs(ref)
 
     def test_series_guard_trips(self):
+        z = cmath.exp(1j * math.pi / 3)
         with pytest.raises(NonConvergenceError):
-            # |z| = 1 away from 1 with Re(c-a-b) < 0 and a large Pfaff
-            # argument: no dispatch branch converges
-            hyp2f1(0.4 + 0.997j, 0.9, 0.31, cmath.exp(1j * math.pi / 3) * 1.0)
+            # |z| = 1 with Re(c-a-b) < 0: the terms do not decay, so the
+            # direct series stops at its term cap
+            specfun._series_2f1(0.4 + 0.997j, 0.9, 0.31, z)
+        # hyp2f1 reaches the point by the Taylor re-expansion
+        import mpmath
+
+        ref = complex(mpmath.hyp2f1(0.4 + 0.997j, 0.9, 0.31, z))
+        assert abs(hyp2f1(0.4 + 0.997j, 0.9, 0.31, z) - ref) <= 1e-12 * abs(ref)
+
+
+# (a, b, c, z) of I1/I2 calls of the benchmark generator (seeds 0 and
+# 2001-2003) with |z| between 0.9994 and 1.0000, where neither the series in
+# z nor the Pfaff series in z/(z-1) converges
+UNIT_CIRCLE_CASES = (
+    (0.6582635290042924, 1.3417364709957076, 2.3417364709957074,
+     0.9468882041417116 - 0.3207882483510378j),
+    (0.650198369306277, 1.349801630693723, 2.3498016306937233,
+     0.9315565819611333 + 0.36236818961307943j),
+    (-0.36883283074187934, 1.3688328307418793, 2.368832830741879,
+     0.9269382281867138 + 0.37501309302406954j),
+    (1.5906716338340747, 0.4093283661659253, 1.4093283661659253,
+     0.7480201850544809 + 0.663653989351249j),
+    (1.1466729628774137, 0.8533270371225863, 1.8533270371225863,
+     0.9252457707720804 + 0.38084540675152223j),
+)
+
+# complex parameters with b - a and c - a - b away from the integers
+ROUTE_PARAMS = (
+    (0.3 + 0.2j, 0.7 - 0.1j, 1.9 + 0.15j),
+    (-0.6 + 0.3j, 1.4 + 0.2j, 2.3 - 0.1j),
+    (1.2 - 0.25j, 0.45 + 0.1j, 1.35 + 0.3j),
+)
+
+# both sides of the cut [1, oo) and of the negative real axis, where the
+# connection formulas' powers have their cuts, and one point per route
+ROUTE_POINTS = (
+    2 + 1e-9j, 2 - 1e-9j, 1.6 + 1e-12j, 1.6 - 1e-12j,
+    -3 + 1e-12j, -3 - 1e-12j, -3, 0.8 + 1e-12j, 0.8 - 1e-12j,
+    0.3 + 0.2j, -0.9, -0.4 + 2j, 5 + 3j, 1.2 - 0.3j,
+)
+
+
+def _near_sixth_roots_of_unity():
+    # the neighbourhood of exp(+-i pi/3), where all six Kummer variables
+    # have modulus near 1
+    for sign in (1, -1):
+        for r in np.linspace(0.85, 1.17, 9):
+            for dtheta in np.linspace(-0.35, 0.35, 8):
+                yield complex(r * cmath.exp(1j * sign * (math.pi / 3 + dtheta)))
+
+
+class TestHyp2F1Routes:
+    @pytest.mark.parametrize("case", UNIT_CIRCLE_CASES)
+    def test_unit_circle_cases_match_mpmath(self, case):
+        import mpmath
+
+        ref = complex(mpmath.hyp2f1(*case))
+        assert abs(hyp2f1(*case) - ref) <= 1e-10 * abs(ref)
+
+    def test_every_route_matches_mpmath(self, monkeypatch):
+        import mpmath
+
+        taken = set()
+        choose = specfun._cheapest_route
+
+        def spy(a, b, c, z):
+            route = choose(a, b, c, z)
+            taken.add(route.__name__)
+            return route
+
+        monkeypatch.setattr(specfun, "_cheapest_route", spy)
+        points = (*ROUTE_POINTS, *_near_sixth_roots_of_unity())
+        for a, b, c in ROUTE_PARAMS:
+            for z in points:
+                ref = complex(mpmath.hyp2f1(a, b, c, z))
+                val = hyp2f1(a, b, c, z)
+                assert abs(val - ref) <= 1e-12 * abs(ref), (a, b, c, z)
+        assert taken == {route[0].__name__ for route in specfun._ROUTES}
+        assert len(taken) == 7
