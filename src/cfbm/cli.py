@@ -84,6 +84,21 @@ class ExperimentConfig:
             raise ConfigError(
                 f"eps_list: must be strictly decreasing, got {self.eps_list}"
             )
+        if command in ("levy-area", "levy-volume"):
+            if self.grid_n & (self.grid_n - 1):
+                raise ConfigError(f"grid_n: must be a power of two, got {self.grid_n}")
+            if self.n_mc < 2:
+                raise ConfigError(f"n_mc: must be >= 2, got {self.n_mc}")
+        if command == "converge-series" and self.n_terms < 3:
+            raise ConfigError(f"n_terms: must be >= 3, got {self.n_terms}")
+        if command == "specfun-test":
+            try:
+                import mpmath  # noqa: F401  (hyp2f1_euler_integral imports it on use)
+            except ImportError:
+                raise ConfigError(
+                    "specfun-test: the Euler-integral oracle needs mpmath; "
+                    "pip install -e .[oracle]"
+                ) from None
         return self
 
 
@@ -168,8 +183,7 @@ def cmd_sample(cfg):
     grid = np.linspace(0.0, cfg.t_max, cfg.grid_n + 1)
     draw = gaussian_draw(cfg.seed, cfg.n_terms, params)
     path = sample_fbm_series(draw, grid, params)
-    _write_csv(cfg.out, ["t", "value"], zip(path.grid, path.values))
-    return 0
+    return ["t", "value"], zip(path.grid, path.values), []
 
 
 _KERNEL_POINTS = (
@@ -202,11 +216,8 @@ def cmd_kernel_check(cfg):
             err = abs(kernel_partial_sum(z, w, n, params) - closed)
             rows.append((z, w, n, err))
         worst = max(worst, rows[-1][3])
-    _write_csv(cfg.out, ["z", "w", "N", "abs_error"], rows)
-    if worst > 1e-6:
-        print(f"kernel-check: final-N error {worst:.3e} exceeds 1e-6", file=sys.stderr)
-        return 1
-    return 0
+    failures = [f"final-N error {worst:.3e} exceeds 1e-6"] if worst > 1e-6 else []
+    return ["z", "w", "N", "abs_error"], rows, failures
 
 
 def cmd_cov_check(cfg):
@@ -222,14 +233,18 @@ def cmd_cov_check(cfg):
             err = abs(closed - ref)
             worst = max(worst, err)
             rows.append((s, t, closed, ref, err))
-    _write_csv(cfg.out, ["s", "t", "cov_closed", "cov_reference", "abs_error"], rows)
-    if worst > 1e-10:
-        print(f"cov-check: max deviation {worst:.3e} exceeds 1e-10", file=sys.stderr)
-        return 1
-    return 0
+    failures = [f"max deviation {worst:.3e} exceeds 1e-10"] if worst > 1e-10 else []
+    return ["s", "t", "cov_closed", "cov_reference", "abs_error"], rows, failures
 
 
 _DIVERGENCE_EPS = (3e-4, 1e-4, 3e-5, 1e-5)
+
+
+def _unresolved(cfg, e):
+    # the Monte Carlo grid resolves shifts down to 4 t / grid_n
+    if e < 4.0 * cfg.t_max / cfg.grid_n:
+        return f"eps={e}: grid_n={cfg.grid_n} too coarse to resolve"
+    return None
 
 
 def cmd_levy_area(cfg):
@@ -241,8 +256,9 @@ def cmd_levy_area(cfg):
     failures = []
     for e in cfg.eps_list:
         analytic = levy_area_variance(LevyAreaSpec(cfg.alpha, t, e, e))
-        if e < 4.0 * t / cfg.grid_n:
-            failures.append(f"eps={e}: grid_n={cfg.grid_n} too coarse to resolve")
+        unresolved = _unresolved(cfg, e)
+        if unresolved:
+            failures.append(unresolved)
             rows.append((e, analytic, None, None, target))
             continue
         est = mc_levy_area_moment(
@@ -259,14 +275,7 @@ def cmd_levy_area(cfg):
         # the reported exponent is fitted on a dedicated asymptotic schedule
         slope = divergence_slope(cfg.alpha, _DIVERGENCE_EPS, t)
         rows.append(("divergence_slope", slope, None, None, None))
-    _write_csv(
-        cfg.out,
-        ["eps", "analytic_V", "mc_mean", "mc_stderr", "levy_const_target"],
-        rows,
-    )
-    for msg in failures:
-        print(f"levy-area: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    return ["eps", "analytic_V", "mc_mean", "mc_stderr", "levy_const_target"], rows, failures
 
 
 def cmd_levy_volume(cfg):
@@ -306,22 +315,23 @@ def cmd_levy_volume(cfg):
         failures.append("volume sub-term identity broken")
 
     # Monte Carlo second moment, reproducibility
-    est = mc_levy_volume_moment(
-        cfg.alpha, e, e, e, t, cfg.n_mc, cfg.grid_n, cfg.seed, n_threads=cfg.threads
-    )
-    est2 = mc_levy_volume_moment(
-        cfg.alpha, e, e, e, t, cfg.n_mc, cfg.grid_n, cfg.seed, n_threads=cfg.threads
-    )
-    rows.append(("mc_second_moment", est.mean, est.stderr, est.n_samples))
-    if not (math.isfinite(est.mean) and est.mean >= 0):
-        failures.append(f"MC volume moment not finite/non-negative: {est.mean}")
-    if est.mean != est2.mean or est.stderr != est2.stderr:
-        failures.append("MC volume moment not reproducible for fixed seed")
-
-    _write_csv(cfg.out, ["quantity", "value", "reference", "extra"], rows)
-    for msg in failures:
-        print(f"levy-volume: {msg}", file=sys.stderr)
-    return 1 if failures else 0
+    unresolved = _unresolved(cfg, e)
+    if unresolved:
+        failures.append(unresolved)
+        rows.append(("mc_second_moment", None, None, None))
+    else:
+        est = mc_levy_volume_moment(
+            cfg.alpha, e, e, e, t, cfg.n_mc, cfg.grid_n, cfg.seed, n_threads=cfg.threads
+        )
+        est2 = mc_levy_volume_moment(
+            cfg.alpha, e, e, e, t, cfg.n_mc, cfg.grid_n, cfg.seed, n_threads=cfg.threads
+        )
+        rows.append(("mc_second_moment", est.mean, est.stderr, est.n_samples))
+        if not (math.isfinite(est.mean) and est.mean >= 0):
+            failures.append(f"MC volume moment not finite/non-negative: {est.mean}")
+        if est.mean != est2.mean or est.stderr != est2.stderr:
+            failures.append("MC volume moment not reproducible for fixed seed")
+    return ["quantity", "value", "reference", "extra"], rows, failures
 
 
 def cmd_converge(cfg, which):
@@ -342,15 +352,8 @@ def cmd_converge(cfg, which):
         gate_ok = len(rows) < 2 or abs(slope) >= cfg.alpha - 0.1
         gate_msg = f"|slope| {abs(slope)} vs bound {cfg.alpha - 0.1}"
     slope_field = slope if len(rows) >= 2 else None
-    _write_csv(
-        cfg.out,
-        ["param", "e_sup_estimate", "fit_slope"],
-        [(p, e, slope_field) for p, e in rows],
-    )
-    if not gate_ok:
-        print(f"converge-{which}: {gate_msg}", file=sys.stderr)
-        return 1
-    return 0
+    rows = [(p, e, slope_field) for p, e in rows]
+    return ["param", "e_sup_estimate", "fit_slope"], rows, [] if gate_ok else [gate_msg]
 
 
 _SPECFUN_REGIONS = ("series", "inv", "near_one")
@@ -379,12 +382,6 @@ def _random_2f1_case(rng, region):
 
 
 def cmd_specfun_test(cfg):
-    try:
-        import mpmath  # noqa: F401  (hyp2f1_euler_integral imports it on use)
-    except ImportError:
-        print("specfun-test: the Euler-integral oracle needs mpmath; "
-              "pip install -e .[oracle]", file=sys.stderr)
-        return 2
     from .oracles import hyp2f1_euler_integral
 
     rng = np.random.default_rng(cfg.seed)
@@ -409,15 +406,8 @@ def cmd_specfun_test(cfg):
         rows.append(("at_one", a, b, c, 1.0 + 0j, val, ref, rel))
         if rel > 1e-10:
             worst = max(worst, 1.0)  # force the gate
-    _write_csv(
-        cfg.out,
-        ["region", "a", "b", "c", "z", "value", "oracle", "rel_error"],
-        rows,
-    )
-    if worst > 1e-8:
-        print(f"specfun-test: worst relative error {worst:.3e} exceeds 1e-8", file=sys.stderr)
-        return 1
-    return 0
+    failures = [f"worst relative error {worst:.3e} exceeds 1e-8"] if worst > 1e-8 else []
+    return ["region", "a", "b", "c", "z", "value", "oracle", "rel_error"], rows, failures
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +461,14 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](cfg)
+        header, rows, failures = _COMMANDS[args.command](cfg)
+        _write_csv(cfg.out, header, rows)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    for msg in failures:
+        print(f"{args.command}: {msg}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -215,8 +215,9 @@ def contour_kernel_pieces(s, t, params):
     z and w both run over the three-piece contour
     [0, is] u [is, t+is] u [t+is, t]; the integrand depends on |z - conj w|
     only, so each piece is either elementary (the two vertical self-pairs),
-    reducible to one dimension (the horizontal pair), or a smooth 2-d
-    integral evaluated adaptively.
+    reducible to one dimension (the horizontal pair and the opposite
+    verticals), or, for the four vertical x horizontal pieces, one smooth
+    2-d integral (equal for all four by reflection) evaluated adaptively.
 
     Returns a dict keyed by (i, j) piece indices, 0 = vertical at 0,
     1 = horizontal, 2 = vertical at t.
@@ -241,28 +242,31 @@ def contour_kernel_pieces(s, t, params):
     )
     pieces[(1, 1)] = hh
 
-    def dbl(dist2, x_hi, y_hi):
-        val, _ = integrate.dblquad(
-            lambda y, x: dist2(x, y) ** (am2 / 2.0),
-            0.0,
-            x_hi,
-            0.0,
-            y_hi,
-            epsabs=1e-12,
-            epsrel=1e-10,
-        )
-        return val
-
-    # vertical(0) x horizontal: z = i rho, conj w = rho' - i s
-    vh = dbl(lambda rho, rp: rp * rp + (rho + s) ** 2, s, t)
-    pieces[(0, 1)] = vh
-    pieces[(1, 0)] = vh
-    # horizontal x vertical(t): z = rho + i s, conj w = t - i(s - rho')
-    hv = dbl(lambda rho, rp: (rho - t) ** 2 + (2.0 * s - rp) ** 2, t, s)
-    pieces[(1, 2)] = hv
-    pieces[(2, 1)] = hv
-    # vertical(0) x vertical(t): z = i rho, conj w = t - i(s - rho')
-    vv = dbl(lambda rho, rp: t * t + (rho + s - rp) ** 2, s, s)
+    # vertical(0) x horizontal: z = i rho, conj w = rho' - i s; horizontal x
+    # vertical(t), z = rho + i s and conj w = t - i(s - rho'), is the same
+    # integral after rho -> t - rho, rho' -> s - rho'
+    vh, _ = integrate.dblquad(
+        lambda rp, rho: (rp * rp + (rho + s) ** 2) ** (am2 / 2.0),
+        0.0,
+        s,
+        0.0,
+        t,
+        epsabs=1e-12,
+        epsrel=1e-10,
+    )
+    for key in ((0, 1), (1, 0), (1, 2), (2, 1)):
+        pieces[key] = vh
+    # vertical(0) x vertical(t): z = i rho, conj w = t - i(s - rho'); the
+    # integrand depends on d = rho - rho' only, of weight s - |d| on [-s, s]
+    vv, _ = integrate.quad(
+        lambda d: (s - abs(d)) * (t * t + (d + s) ** 2) ** (am2 / 2.0),
+        -s,
+        s,
+        points=(0.0,),
+        epsabs=1e-13,
+        epsrel=1e-11,
+        limit=200,
+    )
     pieces[(0, 2)] = vv
     pieces[(2, 0)] = vv
     return pieces

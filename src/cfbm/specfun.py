@@ -4,15 +4,17 @@ Self-contained principal-branch powers, a Gamma function (``math.gamma`` on
 the real axis, Lanczos off it), Pochhammer symbols, and a Gauss 2F1 engine.
 
 ``hyp2f1`` evaluates whichever of seven convergent expansions is cheapest at
-its argument: the power series in z, the Pfaff-transformed series in
-z/(z-1), the connection formulas in 1-z, 1-1/z, 1/z and 1/(1-z)
-(DLMF 15.8(i)), and a Taylor re-expansion of the hypergeometric ODE about
-0.7 z/|z| that covers the neighbourhood of exp(+-i pi/3), where all six
-Kummer variables have modulus near 1.  The cost of a route is the number of
-series it sums times the terms one needs at its modulus, ln(1e-17)/ln|w|,
-plus a fixed charge for the Gamma coefficients of a connection (and for the
-start values of the Taylor route); routes with |w| >= 1, and connections
-whose coefficients hit a Gamma pole, are skipped.
+its argument: three expansions (the power series and the connection
+formulas in 1-v and 1/v, DLMF 15.8(i)), each summed in v = z and, after the
+Pfaff transformation, in v = z/(z-1), and a Taylor re-expansion of the
+hypergeometric ODE about 0.7 z/|z| that covers the neighbourhood of
+exp(+-i pi/3), where all six Kummer variables have modulus near 1.  The cost
+of a route is the number of series it sums times the terms one needs at its
+modulus, ln(1e-17)/ln|v|, plus a fixed charge for the Gamma coefficients of
+a connection (and for the start values of the Taylor route); a connection
+whose coefficients lie near a Gamma pole is also charged for the digits
+their cancellation loses.  Routes with |v| >= 1, and connections whose
+coefficients hit a Gamma pole, are skipped.
 
 All functions are pure and stateless.  Domain violations raise SpecFunError
 subclasses instead of returning NaN, so callers cannot silently continue
@@ -208,16 +210,16 @@ _TAYLOR_RADIUS = 0.7
 # about ln(_SERIES_TOL)/ln(m) terms.  A connection also pays a fixed charge
 # for its Gamma coefficients, and the Taylor re-expansion for the two series
 # at |z0| = 0.7 that give its start values; a Taylor term costs about two
-# series terms.
+# series terms.  When a connection's pole difference lies within
+# delta < _NEAR_POLE of an integer, its two terms cancel and lose about
+# log10(1/delta) digits, so it pays _DIGIT_CHARGE terms per digit of
+# log10(_NEAR_POLE/delta) as well.
 _LOG_TOL = math.log(_SERIES_TOL)
 _GAMMA_CHARGE = 40.0
+_NEAR_POLE = 1e-2
+_DIGIT_CHARGE = 1000.0
 _TAYLOR_TERM_WEIGHT = 2.0
 _TAYLOR_START_CHARGE = 2.0 * _LOG_TOL / math.log(_TAYLOR_RADIUS)
-
-
-def _near_integer(w, tol=_DEGENERACY_TOL):
-    w = complex(w)
-    return abs(w.imag) <= tol and abs(w.real - round(w.real)) <= tol
 
 
 def _series_2f1(a, b, c, z, max_terms=_SERIES_MAX_TERMS):
@@ -253,85 +255,33 @@ def hyp2f1_at_one(a, b, c):
     return complex(gamma_fn(c) * gamma_fn(c - a - b) * _rgamma(c - a) * _rgamma(c - b))
 
 
-def _inv_coeffs(a, b, c):
-    # Gamma coefficients of the 1/z and 1/(1-z) connections (b - a non-integer)
-    gc = gamma_fn(c)
-    return (
-        gc * gamma_fn(b - a) * _rgamma(b) * _rgamma(c - a),
-        gc * gamma_fn(a - b) * _rgamma(a) * _rgamma(c - b),
-    )
-
-
-def _one_minus_coeffs(a, b, c):
-    # Gamma coefficients of the 1-z and 1-1/z connections (c - a - b non-integer)
-    gc = gamma_fn(c)
-    return (
-        gc * gamma_fn(c - a - b) * _rgamma(c - a) * _rgamma(c - b),
-        gc * gamma_fn(a + b - c) * _rgamma(a) * _rgamma(b),
-    )
-
-
 def _connection_inv_z(a, b, c, z):
-    # DLMF 15.8.2: series in 1/z
-    coeff_a, coeff_b = _inv_coeffs(a, b, c)
+    # DLMF 15.8.2: series in 1/z, two terms that swap a and b (b - a
+    # non-integer); a term whose coefficient has 1/Gamma at a pole is 0
+    gc = gamma_fn(c)
     inv = 1.0 / z
     out = 0j
-    if coeff_a != 0:
-        out += coeff_a * principal_pow(-z, -a) * _series_2f1(a, 1 - c + a, 1 - b + a, inv)
-    if coeff_b != 0:
-        out += coeff_b * principal_pow(-z, -b) * _series_2f1(b, 1 - c + b, 1 - a + b, inv)
-    return out
-
-
-def _connection_inv_one_minus_z(a, b, c, z):
-    # DLMF 15.8.3: series in 1/(1-z)
-    coeff_a, coeff_b = _inv_coeffs(a, b, c)
-    u = 1.0 - z
-    inv = 1.0 / u
-    out = 0j
-    if coeff_a != 0:
-        out += coeff_a * principal_pow(u, -a) * _series_2f1(a, c - b, 1 - b + a, inv)
-    if coeff_b != 0:
-        out += coeff_b * principal_pow(u, -b) * _series_2f1(b, c - a, 1 - a + b, inv)
+    for p, q in ((a, b), (b, a)):
+        coeff = gc * gamma_fn(q - p) * _rgamma(q) * _rgamma(c - p)
+        if coeff != 0:
+            out += coeff * principal_pow(-z, -p) * _series_2f1(p, 1 - c + p, 1 - q + p, inv)
     return out
 
 
 def _connection_one_minus_z(a, b, c, z):
-    # DLMF 15.8.4: series in 1-z
-    coeff_1, coeff_2 = _one_minus_coeffs(a, b, c)
+    # DLMF 15.8.4: series in 1-z (c - a - b non-integer)
+    gc = gamma_fn(c)
     u = 1.0 - z
     out = 0j
+    coeff_1 = gc * gamma_fn(c - a - b) * _rgamma(c - a) * _rgamma(c - b)
     if coeff_1 != 0:
         out += coeff_1 * _series_2f1(a, b, a + b - c + 1, u)
+    coeff_2 = gc * gamma_fn(a + b - c) * _rgamma(a) * _rgamma(b)
     if coeff_2 != 0:
         out += coeff_2 * principal_pow(u, c - a - b) * _series_2f1(
             c - a, c - b, c - a - b + 1, u
         )
     return out
-
-
-def _connection_one_minus_inv_z(a, b, c, z):
-    # DLMF 15.8.5: series in 1-1/z; it converges only for Re z > 1/2, off
-    # the cut of z^(-a)
-    coeff_1, coeff_2 = _one_minus_coeffs(a, b, c)
-    w = 1.0 - 1.0 / z
-    out = 0j
-    if coeff_1 != 0:
-        out += coeff_1 * principal_pow(z, -a) * _series_2f1(a, a - c + 1, a + b - c + 1, w)
-    if coeff_2 != 0:
-        out += (
-            coeff_2
-            * principal_pow(1.0 - z, c - a - b)
-            * principal_pow(z, a - c)
-            * _series_2f1(c - a, 1 - a, c - a - b + 1, w)
-        )
-    return out
-
-
-def _pfaff_series(a, b, c, z):
-    # Pfaff transformation: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
-    w = z / (z - 1.0)
-    return principal_pow(1.0 - z, -a) * _series_2f1(a, c - b, c, w)
 
 
 def _taylor_2f1(a, b, c, z):
@@ -371,40 +321,44 @@ def _taylor_2f1(a, b, c, z):
     )
 
 
-def _taylor_modulus(z, abs_z, abs_1mz):
-    z0 = _TAYLOR_RADIUS * z / abs_z
-    return abs(abs_z - _TAYLOR_RADIUS) / min(_TAYLOR_RADIUS, abs(1.0 - z0))
-
-
-# The seven routes: (evaluator, modulus of its expansion variable as a
-# function of z, |z| and |1-z|, series summed at that modulus, fixed charge,
-# parameter difference whose integer values put its Gamma coefficients on
-# a pole).
-_ROUTES = (
-    (_series_2f1, lambda z, az, a1: az, 1.0, 0.0, None),
-    (_pfaff_series, lambda z, az, a1: az / a1, 1.0, 0.0, None),
-    (_connection_one_minus_z, lambda z, az, a1: a1, 2.0, _GAMMA_CHARGE, "c-a-b"),
-    (_connection_one_minus_inv_z, lambda z, az, a1: a1 / az, 2.0, _GAMMA_CHARGE, "c-a-b"),
-    (_connection_inv_z, lambda z, az, a1: 1.0 / az, 2.0, _GAMMA_CHARGE, "b-a"),
-    (_connection_inv_one_minus_z, lambda z, az, a1: 1.0 / a1, 2.0, _GAMMA_CHARGE, "b-a"),
-    (_taylor_2f1, _taylor_modulus, _TAYLOR_TERM_WEIGHT, _TAYLOR_START_CHARGE, None),
-)
+def _connection_charge(w):
+    # fixed charge of a connection whose pole difference is w: infinite
+    # (skip) on a pole, plus the digit charge near one
+    delta = abs(w - round(w.real))
+    if delta <= _DEGENERACY_TOL:
+        return math.inf
+    return _GAMMA_CHARGE + _DIGIT_CHARGE * max(0.0, math.log10(_NEAR_POLE / delta))
 
 
 def _cheapest_route(a, b, c, z):
-    # the convergent, non-degenerate route of least estimated cost; off the
-    # cut some route always has modulus <= 0.8, so when none is left every
-    # convergent one was a degenerate connection
+    # the convergent, non-degenerate route of least estimated cost, as
+    # (expansion, pfaff).  A Pfaff route sums the expansion in w = z/(z-1)
+    # with (a, c-b, c), where |w| = |z|/|1-z|, |1-w| = 1/|1-z| and the pole
+    # differences b-a and c-a-b swap.  Off the cut some route always has
+    # modulus <= 0.8, so when none is left every convergent one was a
+    # degenerate connection.
     az, a1 = abs(z), abs(1.0 - z)
-    degenerate = {"b-a": _near_integer(b - a), "c-a-b": _near_integer(c - a - b)}
+    charge_ba, charge_cab = _connection_charge(b - a), _connection_charge(c - a - b)
+    routes = []
+    for pfaff, m, m_1m, charge_1m, charge_inv in (
+        (False, az, a1, charge_cab, charge_ba),
+        (True, az / a1, 1.0 / a1, charge_ba, charge_cab),
+    ):
+        routes += [
+            (_series_2f1, pfaff, m, 1.0, 0.0),
+            (_connection_one_minus_z, pfaff, m_1m, 2.0, charge_1m),
+            (_connection_inv_z, pfaff, 1.0 / m, 2.0, charge_inv),
+        ]
+    z0 = _TAYLOR_RADIUS * z / az
+    m_taylor = abs(az - _TAYLOR_RADIUS) / min(_TAYLOR_RADIUS, abs(1.0 - z0))
+    routes.append((_taylor_2f1, False, m_taylor, _TAYLOR_TERM_WEIGHT, _TAYLOR_START_CHARGE))
     best, best_cost = None, math.inf
-    for evaluate, modulus, n_series, charge, pole in _ROUTES:
-        m = modulus(z, az, a1)
-        if m >= 1.0 or (pole is not None and degenerate[pole]):
+    for expansion, pfaff, m, n_series, charge in routes:
+        if m >= 1.0:
             continue
         cost = charge + (n_series * _LOG_TOL / math.log(m) if m > 0 else 0.0)
         if cost < best_cost:
-            best, best_cost = evaluate, cost
+            best, best_cost = (expansion, pfaff), cost
     if best is None:
         raise DegenerateParameterError(
             f"2F1 at z={z}: every convergent route is a connection whose Gamma "
@@ -418,10 +372,12 @@ def hyp2f1(a, b, c, z):
 
     Seven routes, each a convergent expansion in its own variable:
 
-    - the direct series in z;
-    - the Pfaff-transformed series in z/(z-1);
-    - the connection formulas in 1-z, 1-1/z, 1/z and 1/(1-z) (DLMF 15.8.2-5),
-      each two series with Gamma-function coefficients;
+    - three expansions: the power series, the connection formula in 1-v
+      (DLMF 15.8.4) and the one in 1/v (15.8.2), the connections being two
+      series with Gamma-function coefficients;
+    - each summed in v = z with (a, b, c), and in v = z/(z-1) with
+      (a, c-b, c) times (1-z)^(-a) (the Pfaff transformation, 15.8.1), which
+      gives the series in z/(z-1) and the connections in 1/(1-z) and 1-1/z;
     - a Taylor re-expansion of the hypergeometric ODE about
       z0 = 0.7 z/|z|, with modulus |z - z0| / min(|z0|, |1 - z0|), which
       covers the neighbourhood of exp(+-i pi/3) where all six Kummer
@@ -430,14 +386,15 @@ def hyp2f1(a, b, c, z):
     The route evaluated is the one of least estimated cost: the series it
     sums times ln(1e-17)/ln(modulus), plus a fixed charge for the Gamma
     coefficients of a connection and for the two start-value series of the
-    Taylor route.  Routes whose modulus is >= 1 are skipped, and so are the
-    1/z and 1/(1-z) connections when b-a is (within 1e-9 of) an integer and
-    the 1-z and 1-1/z connections when c-a-b is, because their coefficients
-    then hit a Gamma pole.
+    Taylor route.  Routes whose modulus is >= 1 are skipped.  A connection
+    in 1/v has its Gamma poles at integer b-a (c-a-b after Pfaff), one in
+    1-v at integer c-a-b (b-a after Pfaff): within 1e-9 of an integer it is
+    skipped, and within delta < 1e-2 it pays 1000 terms per digit of
+    log10(1e-2/delta), the digits its cancelling terms lose.
 
     Raises PoleError for non-positive integer c, BranchCutError on [1, oo)
     (except the z -> 1 limit when Re(c-a-b) > 0), DegenerateParameterError
-    when every convergent route is such a degenerate connection, and
+    when every convergent route is a connection on a Gamma pole, and
     NonConvergenceError when the chosen series trips its 6000-term guard.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
@@ -457,4 +414,7 @@ def hyp2f1(a, b, c, z):
         return _series_2f1(a, b, c, z, max_terms=int(-a.real) + 4)
     if _is_nonpositive_integer(b):
         return _series_2f1(b, a, c, z, max_terms=int(-b.real) + 4)
-    return _cheapest_route(a, b, c, z)(a, b, c, z)
+    expansion, pfaff = _cheapest_route(a, b, c, z)
+    if pfaff:
+        return principal_pow(1.0 - z, -a) * expansion(a, c - b, c, z / (z - 1.0))
+    return expansion(a, b, c, z)

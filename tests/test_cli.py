@@ -80,6 +80,23 @@ class TestParsingAndConfig:
         assert res.returncode == 2
         assert "eps" in res.stderr
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["levy-area", "--grid-n", "96"], "grid_n"),
+            (["levy-volume", "--grid-n", "96"], "grid_n"),
+            (["levy-area", "--n-mc", "1"], "n_mc"),
+            (["levy-volume", "--n-mc", "1"], "n_mc"),
+            (["converge-series", "--n-terms", "2"], "n_terms"),
+        ],
+    )
+    def test_command_limits_rejected(self, argv, field, tmp_path):
+        res = run_cli(argv, tmp_path)
+        lines = res.stderr.strip().splitlines()
+        assert res.returncode == 2
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert field in lines[0]
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("alpha = 0.3\nn_terms = 64\ngrid_n = 16  # comment\n")
@@ -292,6 +309,30 @@ class TestLevyArea:
         assert code == 1
         rows = read_rows(out)
         assert rows[1][2] == ""  # no MC columns for the unresolved row
+
+    def test_volume_unresolved_eps_flagged(self, tmp_path, capsys):
+        out = tmp_path / "lv.csv"
+        code = main(
+            [
+                "levy-volume",
+                "--alpha",
+                "0.3",
+                "--grid-n",
+                "64",
+                "--n-mc",
+                "50",
+                "--eps",
+                "0.05",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "levy-volume: eps=0.05: grid_n=64 too coarse to resolve"
+        ]
+        rows = {r[0]: r for r in read_rows(out)[1:]}
+        assert rows["mc_second_moment"][1:] == ["", "", ""]  # no MC cells
 
 
 class TestConverge:

@@ -303,6 +303,16 @@ class TestContourKernelIntegral:
             lambda x1, x2: ((x1 - x2) ** 2 + 4 * s * s + 0j) ** (a2 / 2 - 1), 0, t, 0, t
         ).real
         assert pieces[(1, 1)] == pytest.approx(ref, rel=1e-9)
+        # horizontal x vertical(t): z = x + i s, conj w = t - i(s - y)
+        ref = dblquad_complex(
+            lambda x, y: ((x - t) ** 2 + (2 * s - y) ** 2 + 0j) ** (a2 / 2 - 1), 0, t, 0, s
+        ).real
+        assert pieces[(1, 2)] == pytest.approx(ref, rel=1e-9)
+        # vertical(0) x vertical(t): z = i x, conj w = t - i(s - y)
+        ref = dblquad_complex(
+            lambda x, y: (t * t + (x + s - y) ** 2 + 0j) ** (a2 / 2 - 1), 0, s, 0, s
+        ).real
+        assert pieces[(0, 2)] == pytest.approx(ref, rel=1e-9)
 
     def test_piece_bounds(self):
         # horizontal x vertical <= t s^(2a-1); opposite verticals <=

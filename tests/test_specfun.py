@@ -178,10 +178,12 @@ class TestHyp2F1:
         with pytest.raises(DegenerateParameterError):
             hyp2f1(0.3, 1.3, 2.6, 1.05 + 0.1j)
         # one integer difference leaves a convergent route: b - a = 1 is
-        # served by 1-1/z, c - a - b = 1 by 1/z
+        # served by 1-1/z, c - a - b = 1 by 1/z; near an integer difference
+        # the connections whose terms cancel are charged for the lost digits
         import mpmath
 
-        for args in ((0.3, 1.3, 1.9, 3.5 + 0.1j), (0.3, 0.8, 2.1, 1.05 + 0.1j)):
+        near = [(0.3, 1.3 + d, 1.9, 3.5 + 0.1j) for d in (1e-8, 1e-6, 1e-4, 1e-3)]
+        for args in ((0.3, 1.3, 1.9, 3.5 + 0.1j), (0.3, 0.8, 2.1, 1.05 + 0.1j), *near):
             ref = complex(mpmath.hyp2f1(*args))
             assert abs(hyp2f1(*args) - ref) <= 1e-12 * abs(ref), args
 
@@ -294,7 +296,7 @@ class TestHyp2F1Routes:
 
         def spy(a, b, c, z):
             route = choose(a, b, c, z)
-            taken.add(route.__name__)
+            taken.add((route[0].__name__, route[1]))
             return route
 
         monkeypatch.setattr(specfun, "_cheapest_route", spy)
@@ -304,5 +306,7 @@ class TestHyp2F1Routes:
                 ref = complex(mpmath.hyp2f1(a, b, c, z))
                 val = hyp2f1(a, b, c, z)
                 assert abs(val - ref) <= 1e-12 * abs(ref), (a, b, c, z)
-        assert taken == {route[0].__name__ for route in specfun._ROUTES}
+        expansions = ("_series_2f1", "_connection_one_minus_z", "_connection_inv_z")
+        routes = {(name, pfaff) for name in expansions for pfaff in (False, True)}
+        assert taken == routes | {("_taylor_2f1", False)}
         assert len(taken) == 7
