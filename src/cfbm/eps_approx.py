@@ -122,34 +122,31 @@ def covariance_matrix(spec, params):
 
 
 def cholesky_factor(cov):
-    """Lower Cholesky factor, retrying once with a tiny diagonal jitter.
+    """Lower Cholesky factor of ``cov`` plus a tiny diagonal jitter.
 
     The result is a C-order lower-triangular array whose strictly upper part
     is exactly zero (numpy clears it), so it can be applied as a triangular
     operator: the Monte Carlo path synthesis reads only its lower part.
 
-    Grid covariances of Gamma(eps) are numerically rank-deficient, so the
-    plain factorization fails and the jitter retry runs on every grid
-    covariance, not only in exceptional cases. The jitter is added to the
-    diagonal of a private copy; ``cov`` itself is never modified. The
-    trailing columns of the jittered factor are rounding noise of size
-    sqrt(jitter), so samples drawn through it depend on the BLAS build and
-    thread count. A failure of the retry signals a covariance bug (wrong
-    branch or formula), not statistical noise, and raises.
+    Grid covariances of Gamma(eps) are numerically rank-deficient, so every
+    input, positive definite or not, is factored once, with no unjittered
+    attempt, as a private copy whose diagonal carries the jitter
+    1e-12 trace/n; ``cov`` itself is never modified. The trailing columns of
+    the factor are rounding noise of size sqrt(jitter), so samples drawn
+    through it depend on the BLAS build and thread count. A failure signals
+    a covariance bug (wrong branch or formula), not statistical noise, and
+    raises.
     """
+    n = cov.shape[0]
+    work = cov.copy()
+    work.flat[:: n + 1] += 1e-12 * np.trace(cov) / n
     try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        n = cov.shape[0]
-        work = cov.copy()
-        work.flat[:: n + 1] += 1e-12 * np.trace(cov) / n
-        try:
-            return np.linalg.cholesky(work)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "covariance matrix not positive semidefinite after jitter; "
-                "this indicates a formula or branch bug"
-            ) from exc
+        return np.linalg.cholesky(work)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(
+            "covariance matrix not positive semidefinite after jitter; "
+            "this indicates a formula or branch bug"
+        ) from exc
 
 
 def sample_gamma_eps_exact(seed, spec, params, stream=0):

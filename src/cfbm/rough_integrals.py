@@ -491,9 +491,10 @@ def mc_levy_area_moment(alpha, eps, t, n_paths, grid_n, seed, n_threads=1):
     For a given numpy/scipy/BLAS set-up the estimate is deterministic in
     (seed, n_paths, grid_n) and does not change with n_threads. It does
     change with the BLAS builds and the BLAS thread count, by about 1e-5
-    relative, because the jittered covariance factor (see
-    `cholesky_factor`) carries rounding noise into every path. The factor
-    runs on numpy's BLAS and the path product on scipy's.
+    relative, because each covariance is factored once with a diagonal
+    jitter (see `cholesky_factor`) and the factor's trailing columns carry
+    rounding noise into every path. The factor runs on numpy's BLAS and the
+    path product on scipy's.
     """
     return _mc_second_moment(
         alpha, (eps, eps), t, grid_n, n_paths, seed, n_threads, _areas_batch

@@ -454,3 +454,13 @@ class TestSpecfunAndVolumeCommands:
         rows = {r[0]: r for r in read_rows(out)[1:]}
         assert float(rows["w1_identity_rel_err"][1]) <= 1e-8
         assert float(rows["mc_second_moment"][1]) > 0
+
+    @pytest.mark.parametrize("alpha, eps", [("0.3", "0.02"), ("0.2", "0.01")])
+    def test_levy_volume_inner_check_is_exact(self, alpha, eps, tmp_path):
+        # the closed form is exact, so the oracle's own error must stay far below
+        # the 1e-4 gate (a 220 x 220 midpoint sum is 1.5e-4 and 7.0e-4 off here)
+        out = tmp_path / "lv.csv"
+        argv = ["levy-volume", "--alpha", alpha, "--eps", eps, "--grid-n", "512"]
+        assert main(argv + ["--n-mc", "50", "--out", str(out)]) == 0
+        rows = {r[0]: r for r in read_rows(out)[1:]}
+        assert float(rows["inner_integral_max_abs_err"][1]) <= 1e-12

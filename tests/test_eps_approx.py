@@ -100,7 +100,7 @@ class TestCovarianceMatrix:
                 cholesky_factor(covariance_matrix(EpsApproxSpec(alpha, eps, tuple(grid)), p))
 
     def test_jitter_then_hard_error(self):
-        # a rank-deficient Gram matrix needs (at most) the one jitter retry
+        # the jitter factors a rank-deficient Gram matrix; an indefinite one raises
         g = np.array([[1.0, 1.0], [1.0, 1.0]])
         cholesky_factor(g + 1e-15 * np.eye(2))
         with pytest.raises(RuntimeError):
@@ -142,13 +142,25 @@ class TestCovarianceMatrix:
             tracemalloc.stop()
         assert peak - base <= 3.5 * 8 * n * n
 
+    @pytest.mark.parametrize("case", ["positive-definite", "grid-257"])
+    def test_factor_is_cholesky_of_jittered_copy(self, case):
+        # one code path: a positive-definite input gets the jitter too
+        if case == "positive-definite":
+            cov = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+        else:
+            grid = tuple(np.linspace(0.0, 1.0, 257))
+            cov = covariance_matrix(EpsApproxSpec(0.4, 0.1, grid), ModelParams(0.4))
+        work = cov.copy()
+        work.flat[:: len(cov) + 1] += 1e-12 * np.trace(cov) / len(cov)
+        assert np.array_equal(cholesky_factor(cov), np.linalg.cholesky(work))
+
     def test_factor_leaves_argument_unchanged(self):
         p = ModelParams(0.4)
         grid = tuple(np.linspace(0.0, 1.0, 257))
         cov = covariance_matrix(EpsApproxSpec(0.4, 0.1, grid), p)
         before = cov.copy()
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(cov)  # so the call below takes the jitter retry
+            np.linalg.cholesky(cov)  # rank-deficient: only the jittered copy factors
         cholesky_factor(cov)
         assert np.array_equal(cov, before)
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
