@@ -318,7 +318,7 @@ def cmd_levy_volume(cfg):
     if abs(w1 - direct) > 1e-8 * abs(direct):
         failures.append("volume sub-term identity broken")
 
-    # Monte Carlo second moment, reproducibility
+    # Monte Carlo second moment
     unresolved = _unresolved(cfg, e)
     if unresolved:
         failures.append(unresolved)
@@ -327,14 +327,9 @@ def cmd_levy_volume(cfg):
         est = mc_levy_volume_moment(
             cfg.alpha, e, e, e, t, cfg.n_mc, cfg.grid_n, cfg.seed, n_threads=cfg.threads
         )
-        est2 = mc_levy_volume_moment(
-            cfg.alpha, e, e, e, t, cfg.n_mc, cfg.grid_n, cfg.seed, n_threads=cfg.threads
-        )
         rows.append(("mc_second_moment", est.mean, est.stderr, est.n_samples))
         if not (math.isfinite(est.mean) and est.mean >= 0):
             failures.append(f"MC volume moment not finite/non-negative: {est.mean}")
-        if est.mean != est2.mean or est.stderr != est2.stderr:
-            failures.append("MC volume moment not reproducible for fixed seed")
     return ["quantity", "value", "reference", "extra"], rows, failures
 
 

@@ -63,8 +63,8 @@ def cov_eps(s, eps1, t, eps2, params):
 
         I = [(e1+e2-i(s-t))^2a - (e1-is)^2a - (e2+it)^2a] / (2a(2a-1))
 
-    and the covariance is normalization * 2 Re(kappa I).  At
-    eps1 = eps2 = 0 this reduces to (|s|^2a + |t|^2a - |t-s|^2a)/2.
+    and the covariance is 2 Re(kappa I).  At eps1 = eps2 = 0 this reduces to
+    (|s|^2a + |t|^2a - |t-s|^2a)/2.
     """
     if eps1 < 0 or eps2 < 0:
         raise DomainError("imaginary shifts must be >= 0")
@@ -78,13 +78,13 @@ def cov_eps(s, eps1, t, eps2, params):
     i_val = (
         pow0(eps1 + eps2 - 1j * (s - t)) - pow0(eps1 - 1j * s) - pow0(eps2 + 1j * t)
     ) / denom
-    return params.normalization * 2.0 * (params.kappa * i_val).real
+    return 2.0 * (params.kappa * i_val).real
 
 
 def covariance_matrix(spec, params):
     """Symmetric covariance matrix of Gamma(eps) on the spec grid.
 
-    Entry (i, j) is normalization * 2 Re(kappa I), with
+    Entry (i, j) is 2 Re(kappa I), with
     I = (D_ij - V_i - W_j) / (2a(2a-1)) as in `cov_eps`. kappa is real, so
     the build is real arithmetic on Re(I), in place, doing per element the
     steps of the complex form (the division as a product with the
@@ -115,7 +115,7 @@ def covariance_matrix(spec, params):
     cov -= v_t
     cov *= 1.0 / denom
     cov *= params.kappa
-    cov *= params.normalization * 2.0
+    cov *= 2.0
     sym = cov + cov.T
     sym *= 0.5
     return sym
@@ -177,7 +177,7 @@ def l2_error_law(t, eps, params):
 # sup-norm approximation experiment
 # ---------------------------------------------------------------------------
 
-def sup_error_experiment(params, eps_list, n_mc, n_terms, seed, grid=None):
+def sup_error_experiment(params, eps_list, n_mc, n_terms, seed, grid):
     """Monte Carlo E[sup_grid |Gamma_t - Gamma(eps)_t|] for each eps.
 
     Each replicate couples the boundary path and every shifted path through
@@ -185,8 +185,6 @@ def sup_error_experiment(params, eps_list, n_mc, n_terms, seed, grid=None):
     Returns (rows, slope): rows are (eps, e_sup) pairs, slope the fitted
     log-log slope (expected about alpha; nan when unfittable).
     """
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 256)
     grid = np.asarray(grid, dtype=float)
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list):

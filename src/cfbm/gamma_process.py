@@ -8,10 +8,9 @@ the unit disk the basis is a weighted power basis, so partial sums and
 kernels reduce to geometric-type series, and the integrals F_k to a
 three-term recurrence, plus principal-branch power prefactors.
 
-Normalization: the coefficient components xi_k^1, xi_k^2 have variance
-``sigma_component`` (default 1/2, i.e. E|xi_k^+|^2 = 1), which makes the
-boundary process match the standard FBM covariance
-(|s|^2a + |t|^2a - |t-s|^2a)/2 with Var B_1 = 1.
+Normalization: the coefficient components xi_k^1, xi_k^2 have the fixed
+variance 1/2 (E|xi_k^+|^2 = 1), which makes the boundary process match the
+standard FBM covariance (|s|^2a + |t|^2a - |t-s|^2a)/2 with Var B_1 = 1.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "PathSample",
     "gaussian_draw",
     "cayley",
-    "cayley_inv",
     "f_k",
     "F_k",
     "fk_table",
@@ -56,7 +54,7 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Hurst exponent and coefficient normalization.
+    """Hurst exponent; the coefficient components have the fixed variance 1/2.
 
     alpha must lie in (0,1) and differ from 1/2 exactly (the kernel prefactor
     degenerates to 0/0 there); values within 1e-6 of 1/2 trigger a warning
@@ -64,7 +62,6 @@ class ModelParams:
     """
 
     alpha: float
-    sigma_component: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -77,18 +74,11 @@ class ModelParams:
                 "amplifies rounding error",
                 stacklevel=2,
             )
-        if self.sigma_component <= 0:
-            raise ValueError(f"sigma_component must be > 0, got {self.sigma_component}")
 
     @property
     def kappa(self):
         """Kernel prefactor alpha(1-2 alpha) / (2 cos(pi alpha)); positive on (0,1)\\{1/2}."""
         return self.alpha * (1.0 - 2.0 * self.alpha) / (2.0 * math.cos(math.pi * self.alpha))
-
-    @property
-    def normalization(self):
-        """E|xi_k^+|^2 = 2 * sigma_component."""
-        return 2.0 * self.sigma_component
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +122,7 @@ def gaussian_draw(seed, n_terms, params, stream=0):
         raise ValueError("seed and stream must be non-negative integers")
     # interleaved (re, im) normals read as complex and scaled in place
     xi = _philox(seed, stream).standard_normal(2 * n_terms).view(complex)
-    xi *= math.sqrt(params.sigma_component)
+    xi *= math.sqrt(0.5)
     return GaussianDraw(seed=int(seed), n_terms=int(n_terms), xi_plus=xi)
 
 
@@ -160,14 +150,6 @@ def cayley(t):
     if t == -1j:
         raise PoleError("cayley has a pole at t = -i")
     return (t - 1j) / (t + 1j)
-
-
-def cayley_inv(z):
-    """Inverse Cayley map z -> i(1+z)/(1-z)."""
-    z = complex(z)
-    if z == 1:
-        raise PoleError("cayley_inv has a pole at z = 1")
-    return 1j * (1.0 + z) / (1.0 - z)
 
 
 def _poch_ratio(alpha, n):
@@ -332,8 +314,8 @@ def cov_C(s, t, params):
 
 
 def cov_fbm(s, t, params):
-    """Boundary covariance E[B_s B_t] = normalization * 2 Re cov_C(s, t)."""
-    return params.normalization * 2.0 * cov_C(s, t, params).real
+    """Boundary covariance E[B_s B_t] = 2 Re cov_C(s, t)."""
+    return 2.0 * cov_C(s, t, params).real
 
 
 # ---------------------------------------------------------------------------

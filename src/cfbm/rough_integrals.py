@@ -1,7 +1,7 @@
 """Iterated-integral analytics and Monte Carlo for the regularized process.
 
 Covers the closed-form power-integral family (hypergeometric antiderivatives
-in two equivalent forms), the Levy-area second moment and its small-shift
+and the integrals they give), the Levy-area second moment and its small-shift
 limit constant, path-level discretized iterated integrals, Monte Carlo
 estimators with deterministic per-path random streams, divergence
 diagnostics below the 1/4 threshold, and the dyadic q-variation machinery.
@@ -34,10 +34,8 @@ __all__ = [
     "LevyAreaSpec",
     "MCEstimate",
     "F1",
-    "Phi1",
     "I1",
     "F2",
-    "Phi2",
     "I2",
     "levy_area_variance",
     "levy_area_sign_sum",
@@ -110,21 +108,6 @@ def F1(p, t):
     )
 
 
-def Phi1(p, t):
-    """Alternative antiderivative of the first family; F1 - Phi1 is constant in t."""
-    p.require_first_family()
-    b1, b2 = complex(p.beta1), complex(p.beta2)
-    u = 2.0 * p.eps2 - 1j * (t - p.b)
-    v = 2.0 * (p.eps1 - p.eps2) - 1j * (p.b - p.a)
-    g = b1 + b2 + 1
-    return (
-        1j
-        * principal_pow(u, g)
-        / g
-        * hyp2f1(-b1, -g, -b1 - b2, -v / u)
-    )
-
-
 def I1(p):
     """First-family integral int_s^t (-i(u-a)+2e1)^b1 (-i(u-b)+2e2)^b2 du."""
     return F1(p, p.t) - F1(p, p.s)
@@ -141,28 +124,6 @@ def F2(p, t):
         / (b2 + 1)
         * principal_pow(v, b1)
         * hyp2f1(-b1, b2 + 1, b2 + 2, u / v)
-    )
-
-
-def Phi2(p, t):
-    """Second-family antiderivative with the explicit phase factor.
-
-    Only valid for a = b = 0 and t > 0, where the connection step that
-    produces it keeps the hypergeometric argument off the cut.
-    """
-    if p.a != 0 or p.b != 0:
-        raise DomainError("Phi2 requires a = b = 0")
-    if t <= 0:
-        raise DomainError("Phi2 requires t > 0")
-    b1, b2 = complex(p.beta1), complex(p.beta2)
-    g = b1 + b2 + 1
-    u = 2.0 * p.eps2 - 1j * t
-    return (
-        1j
-        * np.exp(1j * math.pi * b1)
-        * principal_pow(u, g)
-        / g
-        * hyp2f1(-b1, -g, -b1 - b2, 2.0 * (p.eps1 + p.eps2) / u)
     )
 
 

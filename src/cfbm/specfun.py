@@ -1,7 +1,7 @@
 """Complex special functions for the analytic-FBM toolkit.
 
 Self-contained principal-branch powers, a Gamma function (``math.gamma`` on
-the real axis, Lanczos off it), Pochhammer symbols, and a Gauss 2F1 engine.
+the real axis, Lanczos off it) and a Gauss 2F1 engine.
 
 ``hyp2f1`` evaluates whichever of seven convergent expansions is cheapest at
 its argument: three expansions (the power series and the connection
@@ -37,16 +37,11 @@ __all__ = [
     "PoleError",
     "NonConvergenceError",
     "DegenerateParameterError",
-    "EULER_GAMMA",
     "principal_pow",
     "gamma_fn",
-    "log_pochhammer",
-    "pochhammer",
     "hyp2f1",
     "hyp2f1_at_one",
 ]
-
-EULER_GAMMA = 0.57721566490153286
 
 
 class SpecFunError(ValueError):
@@ -157,45 +152,6 @@ def _rgamma(z):
         return 1.0 / gamma_fn(z)
     except PoleError:
         return 0j
-
-
-# ---------------------------------------------------------------------------
-# Pochhammer
-# ---------------------------------------------------------------------------
-
-_POCH_PRODUCT_MAX = 128
-
-
-def log_pochhammer(x, k):
-    """log (x)_k for real x > 0, via log-Gamma (no overflow)."""
-    if x <= 0:
-        raise ValueError(f"log_pochhammer requires x > 0, got x={x}")
-    if k < 0 or k != int(k):
-        raise ValueError(f"k must be a non-negative integer, got {k}")
-    if k == 0:
-        return 0.0
-    return math.lgamma(x + k) - math.lgamma(x)
-
-
-def pochhammer(x, k):
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1).
-
-    Uses the literal product for small k (and whenever x <= 0, where the
-    result may be an exact 0); for large k with x > 0 it switches to the
-    Gamma-ratio form through log-Gamma so intermediate factors cannot
-    overflow before the final exponentiation.
-    """
-    if k < 0 or k != int(k):
-        raise ValueError(f"k must be a non-negative integer, got {k}")
-    k = int(k)
-    if k == 0:
-        return 1.0
-    if k <= _POCH_PRODUCT_MAX or x <= 0:
-        out = 1.0
-        for j in range(k):
-            out *= x + j
-        return out
-    return math.exp(log_pochhammer(x, k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Shared test oracles: brute-force and quadrature routes kept independent
 of the library code paths they check."""
 
+import math
+
 import numpy as np
 from scipy import integrate
+
+from cfbm.gamma_process import DomainError
+from cfbm.specfun import hyp2f1, principal_pow
 
 
 def quad_complex(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=500):
@@ -28,6 +33,43 @@ def i2_integrand(p):
     return lambda u: (
         np.exp(p.beta1 * np.log(1j * (u - p.a) + 2 * p.eps1))
         * np.exp(p.beta2 * np.log(-1j * (u - p.b) + 2 * p.eps2))
+    )
+
+
+def Phi1(p, t):
+    """Alternative antiderivative of the first family; F1 - Phi1 is constant in t."""
+    p.require_first_family()
+    b1, b2 = complex(p.beta1), complex(p.beta2)
+    u = 2.0 * p.eps2 - 1j * (t - p.b)
+    v = 2.0 * (p.eps1 - p.eps2) - 1j * (p.b - p.a)
+    g = b1 + b2 + 1
+    return (
+        1j
+        * principal_pow(u, g)
+        / g
+        * hyp2f1(-b1, -g, -b1 - b2, -v / u)
+    )
+
+
+def Phi2(p, t):
+    """Second-family antiderivative with the explicit phase factor.
+
+    Only valid for a = b = 0 and t > 0, where the connection step that
+    produces it keeps the hypergeometric argument off the cut.
+    """
+    if p.a != 0 or p.b != 0:
+        raise DomainError("Phi2 requires a = b = 0")
+    if t <= 0:
+        raise DomainError("Phi2 requires t > 0")
+    b1, b2 = complex(p.beta1), complex(p.beta2)
+    g = b1 + b2 + 1
+    u = 2.0 * p.eps2 - 1j * t
+    return (
+        1j
+        * np.exp(1j * math.pi * b1)
+        * principal_pow(u, g)
+        / g
+        * hyp2f1(-b1, -g, -b1 - b2, 2.0 * (p.eps1 + p.eps2) / u)
     )
 
 
@@ -77,9 +119,9 @@ def coupled_sup_by_replicate(params, ref_table, variants, n_mc, seed):
 def covariance_by_complex_broadcast(spec, params):
     """Grid covariance of Gamma(eps) by complex broadcasting of the formula.
 
-    Every entry normalization * 2 Re(kappa I) with I evaluated in complex
-    arithmetic on n x n arrays; Toeplitz difference powers are gathered
-    through an index array. The library builds the same matrix in real
+    Every entry 2 Re(kappa I) with I evaluated in complex arithmetic on
+    n x n arrays; Toeplitz difference powers are gathered through an index
+    array. The library builds the same matrix in real
     arithmetic with no n x n complex temporaries.
     """
     from cfbm.specfun import _pow
@@ -100,14 +142,12 @@ def covariance_by_complex_broadcast(spec, params):
     else:
         diff_term = _pow(2.0 * e - 1j * np.subtract.outer(g, g), a2)
     i_val = (diff_term - v_s[:, None] - v_t[None, :]) / denom
-    cov = params.normalization * 2.0 * (params.kappa * i_val).real
+    cov = 2.0 * (params.kappa * i_val).real
     return 0.5 * (cov + cov.T)
 
 
 def levy_area_variance_dblquad(alpha, e1, e2, t):
     """Second Levy-area moment by 2-d quadrature of the inner-integrated forms."""
-    import math
-
     a2 = 2 * alpha
     kappa = alpha * (1 - 2 * alpha) / (2 * math.cos(math.pi * alpha))
 

@@ -38,8 +38,6 @@ from cfbm.rough_integrals import (
     I1,
     I2,
     LevyAreaSpec,
-    Phi1,
-    Phi2,
     PowerIntegralParams,
     divergence_slope,
     levy_area_sign_sum,
@@ -53,7 +51,7 @@ from cfbm.rough_integrals import (
 from cfbm.oracles import hyp2f1_euler_integral
 from cfbm.specfun import gamma_fn, hyp2f1
 
-from helpers import dblquad_complex, i1_integrand, i2_integrand, quad_complex
+from helpers import Phi1, Phi2, dblquad_complex, i1_integrand, i2_integrand, quad_complex
 
 
 def _report(num, ok, detail):

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import os
 import subprocess
 import sys
@@ -152,6 +153,15 @@ class TestParsingAndConfig:
         assert res.stdout.splitlines() == [
             "[] False False", "[] False", "[0, 0, 0, 0, 0]", "[]", "[]"
         ]
+
+    def test_public_names_are_defined_once(self):
+        # every name a module exports exists in it and is listed only once
+        for name in ("specfun", "gamma_process", "eps_approx", "rough_integrals",
+                     "oracles", "cli"):
+            module = importlib.import_module(f"cfbm.{name}")
+            exported = module.__all__
+            assert len(set(exported)) == len(exported), name
+            assert [n for n in exported if not hasattr(module, n)] == [], name
 
     def test_specfun_test_without_mpmath_names_the_extra(self, tmp_path):
         # mpmath is the optional `oracle` extra: without it specfun-test
@@ -434,26 +444,15 @@ class TestSpecfunAndVolumeCommands:
         assert {r[0] for r in rows[1:]} >= {"series", "inv", "near_one", "at_one"}
 
     def test_levy_volume_gate(self, tmp_path):
-        out = tmp_path / "lv.csv"
-        code = main(
-            [
-                "levy-volume",
-                "--alpha",
-                "0.3",
-                "--eps",
-                "0.05",
-                "--grid-n",
-                "512",
-                "--n-mc",
-                "150",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+        argv = ["levy-volume", "--alpha", "0.3", "--eps", "0.05", "--grid-n", "512"]
+        out, again = tmp_path / "lv.csv", tmp_path / "lv_again.csv"
+        assert main(argv + ["--n-mc", "150", "--out", str(out)]) == 0
         rows = {r[0]: r for r in read_rows(out)[1:]}
         assert float(rows["w1_identity_rel_err"][1]) <= 1e-8
         assert float(rows["mc_second_moment"][1]) > 0
+        # a second run at the same seed writes the same bytes
+        assert main(argv + ["--n-mc", "150", "--out", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("alpha, eps", [("0.3", "0.02"), ("0.2", "0.01")])
     def test_levy_volume_inner_check_is_exact(self, alpha, eps, tmp_path):

@@ -274,7 +274,7 @@ class TestSupErrorExperiment:
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(DomainError):
-            sup_error_experiment(ModelParams(0.35), [0.1, 0.0], 1, 32, 0)
+            sup_error_experiment(ModelParams(0.35), [0.1, 0.0], 1, 32, 0, np.linspace(0, 1, 33))
 
     @pytest.mark.parametrize("n_mc", [1, BLOCK - 1, BLOCK, BLOCK + 1, 200])
     def test_matches_per_replicate_oracle(self, n_mc):

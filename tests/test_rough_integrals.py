@@ -12,8 +12,6 @@ from cfbm.rough_integrals import (
     I2,
     LevyAreaSpec,
     MCEstimate,
-    Phi1,
-    Phi2,
     PowerIntegralParams,
     area_path,
     divergence_slope,
@@ -35,6 +33,8 @@ from cfbm.rough_integrals import (
 from cfbm.rough_integrals import _areas_batch, _path_normals, _volumes_batch
 
 from helpers import (
+    Phi1,
+    Phi2,
     dblquad_complex,
     i1_integrand,
     i2_integrand,
