@@ -92,8 +92,11 @@ def covariance_matrix(spec, params):
     numpy 2.4 it equals the complex broadcast bit for bit. D is Toeplitz on
     uniform grids: its 2n-1 distinct powers are read through a strided
     view, and the peak is about two real n x n arrays. Non-uniform grids
-    evaluate D as an n x n complex power.
+    evaluate D as an n x n complex power. ValueError if spec.alpha and
+    params.alpha differ.
     """
+    if spec.alpha != params.alpha:
+        raise ValueError(f"spec.alpha={spec.alpha} differs from params.alpha={params.alpha}")
     g = np.asarray(spec.grid, dtype=float)
     n = len(g)
     a2 = 2.0 * params.alpha

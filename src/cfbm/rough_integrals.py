@@ -92,20 +92,19 @@ class PowerIntegralParams:
             )
 
 
+def _antiderivative(p, u, v, z):
+    # 1j u^(b2+1)/(b2+1) v^b1 2F1(-b1, b2+1; b2+2; z), z = -u/v (F1) or u/v (F2)
+    b1, b2 = complex(p.beta1), complex(p.beta2)
+    w = 1j * principal_pow(u, b2 + 1) / (b2 + 1) * principal_pow(v, b1)
+    return w * hyp2f1(-b1, b2 + 1, b2 + 2, z)
+
+
 def F1(p, t):
     """Antiderivative of the first family at time t (hypergeometric form)."""
     p.require_first_family()
-    b1, b2 = complex(p.beta1), complex(p.beta2)
     u = 2.0 * p.eps2 - 1j * (t - p.b)
     v = 2.0 * (p.eps1 - p.eps2) - 1j * (p.b - p.a)
-    z = -u / v
-    return (
-        1j
-        * principal_pow(u, b2 + 1)
-        / (b2 + 1)
-        * principal_pow(v, b1)
-        * hyp2f1(-b1, b2 + 1, b2 + 2, z)
-    )
+    return _antiderivative(p, u, v, -u / v)
 
 
 def I1(p):
@@ -115,16 +114,9 @@ def I1(p):
 
 def F2(p, t):
     """Antiderivative of the second family at time t."""
-    b1, b2 = complex(p.beta1), complex(p.beta2)
     u = 2.0 * p.eps2 - 1j * (t - p.b)
     v = 2.0 * (p.eps1 + p.eps2) + 1j * (p.b - p.a)
-    return (
-        1j
-        * principal_pow(u, b2 + 1)
-        / (b2 + 1)
-        * principal_pow(v, b1)
-        * hyp2f1(-b1, b2 + 1, b2 + 2, u / v)
-    )
+    return _antiderivative(p, u, v, u / v)
 
 
 def I2(p):
@@ -146,8 +138,7 @@ class LevyAreaSpec:
     eps2: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0 or self.alpha == 0.5:
-            raise ValueError(f"alpha must be in (0,1) and != 1/2, got {self.alpha}")
+        ModelParams(self.alpha)  # the alpha rule of the model
         if self.t <= 0:
             raise ValueError(f"t must be > 0, got {self.t}")
         if self.eps1 <= 0 or self.eps2 <= 0:

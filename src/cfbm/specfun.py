@@ -1,7 +1,7 @@
 """Complex special functions for the analytic-FBM toolkit.
 
-Self-contained principal-branch powers, a Gamma function (``math.gamma`` on
-the real axis, Lanczos off it) and a Gauss 2F1 engine.
+Principal-branch powers, a Gamma function (``math.gamma`` on the real axis,
+``scipy.special.gamma`` off it) and a Gauss 2F1 engine.
 
 ``hyp2f1`` evaluates whichever of seven convergent expansions is cheapest at
 its argument: three expansions (the power series and the connection
@@ -96,24 +96,6 @@ def _pow(z, beta):
 # Gamma
 # ---------------------------------------------------------------------------
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy is a few
-# ulps times 1e-15 over the right half-plane, comfortably inside the 1e-12
-# target on |z| <= 50.
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
 def _is_nonpositive_integer(z, tol=1e-12):
     z = complex(z)
     if abs(z.imag) > tol:
@@ -123,8 +105,7 @@ def _is_nonpositive_integer(z, tol=1e-12):
 
 
 def gamma_fn(z):
-    """Gamma function: ``math.gamma`` on the real axis, elsewhere Lanczos
-    with reflection for Re z < 0.5.
+    """Gamma function: ``math.gamma`` on the real axis, scipy's complex one off it.
 
     Raises PoleError at the non-positive integers.
     """
@@ -134,15 +115,10 @@ def gamma_fn(z):
         if x <= 0 and x.is_integer():
             raise PoleError(f"Gamma pole at z={z}")
         return math.gamma(x)
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma_fn(1.0 - z))
-    zz = z - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, coeff in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += coeff / (zz + i)
-    t = zz + 7.5
-    return _SQRT_TWO_PI * t ** (zz + 0.5) * cmath.exp(-t) * acc
+    # on use: importing cfbm loads no scipy
+    from scipy.special import gamma
+
+    return complex(gamma(z))
 
 
 def _rgamma(z):

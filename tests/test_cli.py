@@ -120,8 +120,10 @@ class TestParsingAndConfig:
         assert res.stdout.strip() == "False"
 
     def test_import_leaves_scipy_unloaded(self, tmp_path):
-        # scipy backs only the adaptive quadrature routes and the MC path
-        # product, which import it on use, so neither the import nor the
+        # scipy backs only the adaptive quadrature routes, the MC path
+        # product and the Gamma function off the real axis (the Gamma
+        # coefficients of hyp2f1's connection formulas at complex
+        # parameters), which import it on use, so neither the import nor the
         # sampling and closed-form commands load it, nor the Levy-area
         # variance and its callers; the Gauss-Legendre nodes are built on
         # first use, so the import loads no numpy.polynomial either; the

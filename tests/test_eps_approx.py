@@ -99,6 +99,14 @@ class TestCovarianceMatrix:
                 grid = np.linspace(0.0, 2.0, 33)
                 cholesky_factor(covariance_matrix(EpsApproxSpec(alpha, eps, tuple(grid)), p))
 
+    def test_alpha_mismatch_rejected(self):
+        # the spec's alpha must be the model's: the build reads only params.alpha
+        grid = tuple(np.linspace(0.0, 1.0, 9))
+        with pytest.raises(ValueError, match="alpha"):
+            covariance_matrix(EpsApproxSpec(0.2, 0.1, grid), ModelParams(0.4))
+        with pytest.raises(ValueError, match="alpha"):
+            sample_gamma_eps_exact(0, EpsApproxSpec(0.2, 0.1, grid), ModelParams(0.4))
+
     def test_jitter_then_hard_error(self):
         # the jitter factors a rank-deficient Gram matrix; an indefinite one raises
         g = np.array([[1.0, 1.0], [1.0, 1.0]])

@@ -103,6 +103,17 @@ class TestGamma:
             assert abs(gamma_fn(x) - ref) <= 1e-14 * abs(ref), x
             assert abs(gamma_fn(complex(x, 0.0)) - ref) <= 1e-14 * abs(ref), x
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("d", (1e-12, 1e-8, 1e-3))
+    def test_near_poles_off_axis(self, k, d):
+        # just off a pole, where a reflection through sin(pi z) of the
+        # rounded pi z would lose about k 4e-17 / d of relative accuracy
+        import mpmath
+
+        z = complex(-k, d)
+        ref = complex(mpmath.gamma(z))
+        assert abs(gamma_fn(z) - ref) <= 1e-13 * abs(ref)
+
     @given(re=st.floats(min_value=-4.7, max_value=5), im=st.floats(min_value=0.1, max_value=5))
     @settings(max_examples=60, deadline=None)
     def test_recurrence(self, re, im):
@@ -154,6 +165,35 @@ class TestHyp2F1:
         for args in ((0.3, 1.3, 1.9, 3.5 + 0.1j), (0.3, 0.8, 2.1, 1.05 + 0.1j), *near):
             ref = complex(mpmath.hyp2f1(*args))
             assert abs(hyp2f1(*args) - ref) <= 1e-12 * abs(ref), args
+
+    @pytest.mark.parametrize(
+        "a, b_minus_a, c, z",
+        [
+            # b - a within 2e-8 of -4: the connection in 1/z
+            (0.25 + 0.2j, -4 + 2e-8j, 2.1 + 0.07j, 0.5 - 1.5j),
+            # b - a within 1e-8 of -1: the Pfaff connection in 1/(1-z)
+            (-0.5 - 0.25j, -1 + 1e-8j, 1.95 - 0.04j, 0.45 - 2.8j),
+        ],
+    )
+    def test_connection_near_gamma_pole(self, a, b_minus_a, c, z):
+        # the Gamma coefficients are evaluated next to their poles, where the
+        # cancellation of the two terms leaves about eps/|b - a + k| of error
+        import mpmath
+
+        b = a + b_minus_a
+        with mpmath.workdps(40):
+            ref = complex(mpmath.hyp2f1(a, b, c, z))
+        assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-6 * abs(ref)
+
+    def test_quadrature_oracle_at_one(self):
+        # the Euler integral converges at z = 1 when Re(c-a-b) > 0 and gives
+        # the Gauss Gamma ratio; without that it diverges, as beyond 1
+        a, b, c = 0.3 + 0.2j, 0.7 - 0.1j, 2.4 + 0.15j
+        oracle = hyp2f1_euler_integral(a, b, c, 1.0)
+        assert abs(hyp2f1(a, b, c, 1.0) - oracle) <= 1e-12 * abs(oracle)
+        for z in (1.0, 1.5):
+            with pytest.raises(BranchCutError):
+                hyp2f1_euler_integral(0.9, 0.7, 1.5, z)
 
     def test_quadrature_oracle_fixed_point(self):
         val = hyp2f1(0.3, 0.7, 1.1, 0.4 + 0.2j)
