@@ -134,17 +134,24 @@ def cholesky_factor(cov):
     Grid covariances of Gamma(eps) are numerically rank-deficient, so every
     input, positive definite or not, is factored once, with no unjittered
     attempt, as a private copy whose diagonal carries the jitter
-    1e-12 trace/n; ``cov`` itself is never modified. The trailing columns of
-    the factor are rounding noise of size sqrt(jitter), so samples drawn
-    through it depend on the BLAS build and thread count. A failure signals
-    a covariance bug (wrong branch or formula), not statistical noise, and
-    raises.
+    1e-12 trace/n; ``cov`` itself is never modified. The Monte Carlo
+    estimators and `sample_gamma_eps_exact` skip that copy: they jitter and
+    factor in place the covariance they have just built, with bit-identical
+    results. The trailing columns of the factor are rounding noise of size
+    sqrt(jitter), so samples drawn through it depend on the BLAS build and
+    thread count. A failure signals a covariance bug (wrong branch or
+    formula), not statistical noise, and raises.
     """
+    return _jittered_cholesky(cov.copy())
+
+
+def _jittered_cholesky(cov):
+    # cholesky_factor on cov itself: the jitter goes onto cov's own diagonal,
+    # so the peak is cov, LAPACK's work copy and the factor (3 n^2 doubles)
     n = cov.shape[0]
-    work = cov.copy()
-    work.flat[:: n + 1] += 1e-12 * np.trace(cov) / n
+    cov.flat[:: n + 1] += 1e-12 * np.trace(cov) / n
     try:
-        return np.linalg.cholesky(work)
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             "covariance matrix not positive semidefinite after jitter; "
@@ -154,8 +161,7 @@ def cholesky_factor(cov):
 
 def sample_gamma_eps_exact(seed, spec, params, stream=0):
     """Exact Gaussian sample of Gamma(eps) on the grid (Cholesky transport)."""
-    cov = covariance_matrix(spec, params)
-    factor = cholesky_factor(cov)
+    factor = _jittered_cholesky(covariance_matrix(spec, params))
     values = factor @ _philox(seed, stream).standard_normal(len(spec.grid))
     return PathSample(
         grid=np.asarray(spec.grid, dtype=float),

@@ -1,7 +1,8 @@
 """Independent reference evaluations, kept off the runtime path.
 
 Slow, extended-precision routes that check the fast engines: the test suite
-and the ``specfun-test`` command use them, nothing else does.  They import
+uses them, nothing else does (``specfun-test`` takes its reference from
+``mpmath.hyp2f1`` itself).  They import
 mpmath (the ``oracle`` extra) on use, so importing this module loads nothing
 beyond cfbm.
 """

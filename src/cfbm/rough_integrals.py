@@ -18,6 +18,7 @@ quadrature as an independent route.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eps_approx import EpsApproxSpec, cholesky_factor, covariance_matrix
+from .eps_approx import EpsApproxSpec, _jittered_cholesky, covariance_matrix
 from .gamma_process import DomainError, ModelParams, _loglog_slope, _philox
 from .specfun import NonConvergenceError, _pow, hyp2f1, principal_pow
 
@@ -42,6 +43,7 @@ __all__ = [
     "levy_const",
     "area_path",
     "mc_levy_area_moment",
+    "mc_levy_area_moments",
     "divergence_slope",
     "volume_path",
     "mc_levy_volume_moment",
@@ -355,7 +357,7 @@ class MCEstimate:
             raise ValueError("n_samples must be >= 2")
 
 
-_MC_BATCH = 256
+_MC_BATCH = 128  # paths per batch
 
 
 def _path_normals(seed, path_index, n, n_components, out=None, gen=None):
@@ -364,25 +366,83 @@ def _path_normals(seed, path_index, n, n_components, out=None, gen=None):
     return _philox(seed, path_index, gen).standard_normal((n, n_components), out=out)
 
 
-def _mc_second_moment(alpha, shifts, t, grid_n, n_paths, seed, n_threads, functional):
-    # Second moment of functional(components), component c being an exact
-    # Gamma(shifts[c]) path on the uniform grid_n-grid of [0, t]; one factor
-    # per distinct shift.  Deterministic Monte Carlo: path p draws its
-    # normals from a Philox stream keyed (seed, p), batches are fixed-size
-    # and reduced in path order, so the result is independent of n_threads.
-    # Each batch rewinds one generator of its own from path to path, and
-    # draws path p's normals straight into its (n, n_comp) slot of the batch
-    # buffer.  Component c's paths are the triangular product L_c Z_c (BLAS
-    # dtrmm, half the flops of a dense product): Z_c, the strided
-    # w[:, :, c].T, is copied once to Fortran order and overwritten by the
-    # result, and the C-order lower factor is read as its Fortran-order
-    # transpose, an upper factor, without a copy.
+@functools.cache
+def _malloc_trim():
+    # glibc's malloc_trim, or None where the C library has none
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+def _release_freed_heap():
+    # Once glibc has freed one mmap-served block, it serves blocks up to that
+    # size (at most 32 MiB) from the heap, so the factors and batch buffers
+    # of grids up to 1024 land there.  The heap returns freed pages to the
+    # system only from its top, and whether a small live block was placed
+    # above them depends on the interpreter's allocation order (its hash
+    # seed); untrimmed, about three factors' worth of freed memory would
+    # stay resident after some runs and not others.
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+def _shift_groups(shift_sets):
+    # consecutive runs of shift sets whose distinct shifts, each one n x n
+    # factor held through the paths, number at most one more than the most a
+    # single set needs
+    cap = 1 + max(len(set(s)) for s in shift_sets)
+    groups, held = [], set()
+    for i, s in enumerate(shift_sets):
+        if not groups or len(held | set(s)) > cap:
+            groups.append([])
+            held = set()
+        groups[-1].append(i)
+        held |= set(s)
+    return groups
+
+
+def _factor_chain(alpha, shifts, grid, params):
+    # The jittered lower factor of each shift's grid covariance, each as an
+    # (n + 1, n) C-order array whose rows 1..n hold the factor in their lower
+    # triangle.  Rows 0..n-1 on and above the diagonal take the next shift's
+    # covariance, which is factored there: numpy's factorization holds its
+    # input, a work copy and its result, so the chain peaks at one n x n
+    # array more than the factors it keeps, where separate covariances would
+    # take two.  The factors are bit-identical to cholesky_factor's.
+    n = len(grid)
+    chain = []
+    for e in shifts:
+        cov = covariance_matrix(EpsApproxSpec(alpha, e, grid), params)
+        if chain:
+            for i in range(n):
+                chain[-1][i, i:] = cov[i, i:]
+            cov = chain[-1][:n].T  # lower triangle: this covariance (symmetric)
+        factor = _jittered_cholesky(cov)
+        del cov
+        chain.append(np.empty((n + 1, n)))
+        chain[-1][1:] = factor
+        del factor
+    return chain
+
+
+def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, functional):
+    # Second moments of functional(components), one MCEstimate per shift set:
+    # in set s, component c is an exact Gamma(s[c]) path on the uniform
+    # grid_n-grid of [0, t]; every set has the same number of components.
+    # Deterministic Monte Carlo: path p draws its normals from a Philox
+    # stream keyed (seed, p), for every set alike (common random numbers),
+    # batches are fixed-size and reduced in path order, so the result is
+    # independent of n_threads, and of the batch size up to the BLAS
+    # product's rounding.  Sets run in the groups of _shift_groups, each
+    # group drawing every path once.
     from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
 
     if grid_n < 2 or grid_n & (grid_n - 1):
         raise ValueError(f"grid_n must be a power of two, got {grid_n}")
     finest = 4.0 * t / grid_n
-    for e in shifts:
+    for e in (e for s in shift_sets for e in s):
         if e < finest:
             raise DomainError(
                 f"grid too coarse for eps={e}: need eps >= 4 t / grid_n = {finest}"
@@ -390,36 +450,58 @@ def _mc_second_moment(alpha, shifts, t, grid_n, n_paths, seed, n_threads, functi
     params = ModelParams(alpha)
     n = grid_n + 1
     grid = tuple(np.linspace(0.0, t, n))
-    distinct = {
-        e: cholesky_factor(covariance_matrix(EpsApproxSpec(alpha, e, grid), params))
-        for e in dict.fromkeys(shifts)
-    }
-    factors = [distinct[e] for e in shifts]
-    n_comp = len(factors)
+    n_comp = len(shift_sets[0])
     starts = list(range(0, n_paths, _MC_BATCH))
+    values = np.empty((len(shift_sets), n_paths))
 
-    def run_batch(p0):
-        p1 = min(p0 + _MC_BATCH, n_paths)
-        w = np.empty((p1 - p0, n, n_comp))
-        gen = _philox(seed, p0)
-        for j, p in enumerate(range(p0, p1)):
-            _path_normals(seed, p, n, n_comp, out=w[j], gen=gen)
-        return functional([
-            dtrmm(1.0, factors[c].T, np.asfortranarray(w[:, :, c].T),
-                  lower=0, trans_a=1, overwrite_b=1)
-            for c in range(n_comp)
-        ])
+    def run_group(group):
+        # one factor per distinct shift of the group, and the components it
+        # multiplies
+        sets = [shift_sets[i] for i in group]
+        distinct = list(dict.fromkeys(e for s in sets for e in s))
+        factors = dict(zip(distinct, _factor_chain(alpha, distinct, grid, params)))
+        uses = {e: sorted({c for s in sets for c, ec in enumerate(s) if ec == e})
+                for e in factors}
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            chunks = list(pool.map(run_batch, starts))
-    else:
-        chunks = [run_batch(p0) for p0 in starts]
-    values = np.concatenate(chunks)
-    sq = values * values
-    mean = float(np.mean(sq))
-    stderr = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
-    return MCEstimate(mean=mean, stderr=stderr, n_samples=n_paths, seed=seed)
+        def run_batch(p0):
+            # One generator, rewound from path to path, draws path p's normals
+            # into its (n, n_comp) slot of w; one copy makes them
+            # component-major, z[c].T being component c's Fortran (n, m)
+            # block.  Each factor L multiplies all its components' blocks in
+            # one BLAS dtrmm (half the flops of a dense product), L read as
+            # the Fortran transpose of its C-order rows, without a copy.
+            m = min(p0 + _MC_BATCH, n_paths) - p0
+            w = np.empty((m, n, n_comp))
+            gen = _philox(seed, p0)
+            for j in range(m):
+                _path_normals(seed, p0 + j, n, n_comp, out=w[j], gen=gen)
+            z = np.ascontiguousarray(w.transpose(2, 0, 1))
+            paths = {}
+            for e, comps in uses.items():
+                prod = dtrmm(1.0, factors[e][1:].T, z[comps].reshape(-1, n).T,
+                             lower=0, trans_a=1, overwrite_b=1)
+                for i, c in enumerate(comps):
+                    paths[e, c] = prod[:, i * m:(i + 1) * m]
+            for i, s in zip(group, sets):
+                values[i, p0:p0 + m] = functional([paths[e, c] for c, e in enumerate(s)])
+
+        if n_threads > 1:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                list(pool.map(run_batch, starts))
+        else:
+            for p0 in starts:
+                run_batch(p0)
+
+    for group in _shift_groups(shift_sets):
+        run_group(group)
+        _release_freed_heap()  # the group's factors and buffers are freed now
+    estimates = []
+    for v in values:
+        sq = v * v
+        mean = float(np.mean(sq))
+        stderr = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
+        estimates.append(MCEstimate(mean=mean, stderr=stderr, n_samples=n_paths, seed=seed))
+    return estimates
 
 
 def _areas_batch(comps):
@@ -436,33 +518,49 @@ def _volumes_batch(comps):
     return np.sum(0.5 * (mid[:-1] + mid[1:]) * np.diff(x1, axis=0), axis=0)
 
 
+def mc_levy_area_moments(alpha, eps_list, t, n_paths, grid_n, seed, n_threads=1):
+    """Sample second moments of the Levy area, one MCEstimate per shift.
+
+    For each eps, two independent components are drawn from the exact
+    Gamma(eps) grid covariance.  Path p of every shift reads the Philox
+    stream (seed, p), drawn once per pair of shifts (at most two n x n
+    factors are held), so the estimates of different shifts have correlated
+    errors (common random numbers), and each equals `mc_levy_area_moment`
+    for its shift alone.  For a given numpy/scipy/BLAS set-up the estimates
+    are deterministic in (seed, n_paths, grid_n) and do not change with
+    n_threads; the batch size moves them only as far as OpenBLAS rounds a
+    path's last entries differently in products of different widths (about
+    4e-16 relative).  They change with the BLAS builds and the BLAS thread
+    count, by about 1e-5 relative, because each covariance is factored once
+    with a diagonal jitter (in place, see `cholesky_factor`) and the
+    factor's trailing columns carry rounding noise into every path.  The
+    factor runs on numpy's BLAS and the path product on scipy's.
+    """
+    return _mc_second_moment(
+        alpha, [(e, e) for e in eps_list], t, grid_n, n_paths, seed, n_threads, _areas_batch
+    )
+
+
 def mc_levy_area_moment(alpha, eps, t, n_paths, grid_n, seed, n_threads=1):
     """Sample second moment of the Levy area over exact Gamma(eps) pairs.
 
-    Two independent components are drawn from the exact grid covariance.
-    For a given numpy/scipy/BLAS set-up the estimate is deterministic in
-    (seed, n_paths, grid_n) and does not change with n_threads. It does
-    change with the BLAS builds and the BLAS thread count, by about 1e-5
-    relative, because each covariance is factored once with a diagonal
-    jitter (see `cholesky_factor`) and the factor's trailing columns carry
-    rounding noise into every path. The factor runs on numpy's BLAS and the
-    path product on scipy's.
+    The one-shift case of `mc_levy_area_moments`, with its determinism,
+    thread and batch invariance, and BLAS caveat.
     """
-    return _mc_second_moment(
-        alpha, (eps, eps), t, grid_n, n_paths, seed, n_threads, _areas_batch
-    )
+    return mc_levy_area_moments(alpha, [eps], t, n_paths, grid_n, seed, n_threads)[0]
 
 
 def mc_levy_volume_moment(alpha, eps1, eps2, eps3, t, n_paths, grid_n, seed, n_threads=1):
     """Sample second moment of the third iterated integral (Levy volume).
 
-    Three independent components, component c an exact Gamma(eps_c) path.
-    Deterministic and n_threads-invariant with the same BLAS caveat as
-    `mc_levy_area_moment`.
+    Three independent components, component c an exact Gamma(eps_c) path;
+    equal shifts share one factor and one path product.  Deterministic,
+    thread and batch invariant, with the same BLAS caveat as
+    `mc_levy_area_moments`.
     """
     return _mc_second_moment(
-        alpha, (eps1, eps2, eps3), t, grid_n, n_paths, seed, n_threads, _volumes_batch
-    )
+        alpha, [(eps1, eps2, eps3)], t, grid_n, n_paths, seed, n_threads, _volumes_batch
+    )[0]
 
 
 # ---------------------------------------------------------------------------

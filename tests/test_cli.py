@@ -322,6 +322,27 @@ class TestLevyArea:
         rows = read_rows(out)
         assert rows[1][2] == ""  # no MC columns for the unresolved row
 
+    def test_four_shifts_last_unresolved(self, tmp_path, capsys):
+        # one Monte Carlo run serves the three resolved shifts: the rows keep
+        # the schedule's order, each carries its one-shift estimate, and the
+        # unresolved last row stays blank and fails the command
+        from cfbm.rough_integrals import mc_levy_area_moment
+
+        eps = ["0.25", "0.125", "0.0625", "0.03125"]
+        out = tmp_path / "la.csv"
+        argv = ["levy-area", "--alpha", "0.4", "--grid-n", "64", "--n-mc", "60", "--seed", "3"]
+        code = main([*argv, *(a for e in eps for a in ("--eps", e)), "--out", str(out)])
+        assert code == 1
+        rows = read_rows(out)[1:]
+        assert [r[0] for r in rows] == eps
+        for e, row in zip(eps[:3], rows):
+            est = mc_levy_area_moment(0.4, float(e), 1.0, 60, 64, seed=3)
+            assert row[2:4] == [f"{est.mean:.17g}", f"{est.stderr:.17g}"]
+        assert rows[3][2:4] == ["", ""]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "levy-area: eps=0.03125: grid_n=64 too coarse to resolve"
+        )
+
     def test_volume_unresolved_eps_flagged(self, tmp_path, capsys):
         out = tmp_path / "lv.csv"
         code = main(
@@ -444,6 +465,15 @@ class TestSpecfunAndVolumeCommands:
         rows = read_rows(out)
         assert rows[0][0] == "region"
         assert {r[0] for r in rows[1:]} >= {"series", "inv", "near_one", "at_one"}
+
+    def test_specfun_default_run_measures_the_engine(self, tmp_path):
+        # the reference is mpmath.hyp2f1 at 30 digits, so rel_error is the
+        # engine's own error, not that of a quadrature oracle (~1e-9)
+        out = tmp_path / "sf.csv"
+        assert main(["specfun-test", "--out", str(out)]) == 0
+        rows = read_rows(out)[1:]
+        assert len(rows) == 210
+        assert max(float(r[7]) for r in rows) <= 1e-12
 
     def test_levy_volume_gate(self, tmp_path):
         argv = ["levy-volume", "--alpha", "0.3", "--eps", "0.05", "--grid-n", "512"]

@@ -5,6 +5,7 @@ import pytest
 
 from cfbm.eps_approx import (
     EpsApproxSpec,
+    _jittered_cholesky,
     cholesky_factor,
     contour_kernel_integral,
     contour_kernel_pieces,
@@ -161,6 +162,17 @@ class TestCovarianceMatrix:
         work = cov.copy()
         work.flat[:: len(cov) + 1] += 1e-12 * np.trace(cov) / len(cov)
         assert np.array_equal(cholesky_factor(cov), np.linalg.cholesky(work))
+
+    def test_in_place_core_matches_factor(self):
+        # the Monte Carlo factors its own covariance in place: same bits,
+        # and only the argument's diagonal changes
+        grid = tuple(np.linspace(0.0, 1.0, 257))
+        cov = covariance_matrix(EpsApproxSpec(0.4, 0.1, grid), ModelParams(0.4))
+        work = cov.copy()
+        assert np.array_equal(_jittered_cholesky(work), cholesky_factor(cov))
+        off = ~np.eye(len(cov), dtype=bool)
+        assert np.array_equal(work[off], cov[off])
+        assert np.all(np.diag(work) > np.diag(cov))
 
     def test_factor_leaves_argument_unchanged(self):
         p = ModelParams(0.4)

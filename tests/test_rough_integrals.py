@@ -25,12 +25,14 @@ from cfbm.rough_integrals import (
     levy_const,
     levy_volume_w1,
     mc_levy_area_moment,
+    mc_levy_area_moments,
     mc_levy_volume_moment,
     volume_inner_closed,
     volume_path,
 )
 
-from cfbm.rough_integrals import _areas_batch, _path_normals, _volumes_batch
+import cfbm.rough_integrals as rough_integrals
+from cfbm.rough_integrals import _areas_batch, _path_normals, _shift_groups, _volumes_batch
 
 from helpers import (
     Phi1,
@@ -362,11 +364,102 @@ class TestMonteCarloArea:
         assert abs(fwd.mean() - swp.mean()) <= 3 * joint_se
 
     def test_triangular_product_matches_dense_per_path(self):
-        # 300 paths span two batches; each path is rebuilt from a fresh
+        # 300 paths span three batches; each path is rebuilt from a fresh
         # stream through the dense factor product
         est = mc_levy_area_moment(0.4, 0.1, 1.0, 300, 256, seed=13)
         mean = _dense_second_moment(0.4, (0.1, 0.1), 256, 300, 13, _areas_batch)
         assert est.mean == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("n_threads", [1, 3])
+    def test_shifts_of_one_run_match_one_shift_calls(self, n_threads):
+        # the shifts of one call share each path's normals; each estimate is
+        # bit for bit its own one-shift call
+        eps = [0.1, 0.05, 0.025]
+        ests = mc_levy_area_moments(0.4, eps, 1.0, 300, 256, seed=5, n_threads=n_threads)
+        assert len(ests) == len(eps)
+        for e, est in zip(eps, ests):
+            one = mc_levy_area_moment(0.4, e, 1.0, 300, 256, seed=5, n_threads=n_threads)
+            assert (est.mean, est.stderr, est.n_samples) == (one.mean, one.stderr, one.n_samples)
+
+    def test_four_shifts_hold_two_factors_and_draw_twice(self, monkeypatch):
+        # at most one factor beyond the one a shift needs is alive, so four
+        # shifts run as two pairs, each drawing every path's normals once
+        import weakref
+
+        chain, normals = rough_integrals._factor_chain, rough_integrals._path_normals
+        made, sizes, draws = [], [], [0]
+
+        def counting_chain(*args):
+            assert all(r() is None for r in made)  # the last pair's factors are freed
+            factors = chain(*args)
+            made.extend(weakref.ref(f) for f in factors)
+            sizes.append(len(factors))
+            return factors
+
+        def counting_normals(*args, **kwargs):
+            draws[0] += 1
+            return normals(*args, **kwargs)
+
+        monkeypatch.setattr(rough_integrals, "_factor_chain", counting_chain)
+        monkeypatch.setattr(rough_integrals, "_path_normals", counting_normals)
+        mc_levy_area_moments(0.4, [0.2, 0.1, 0.05, 0.025], 1.0, 50, 256, seed=1)
+        assert (sizes, draws[0]) == ([2, 2], 2 * 50)
+
+    def test_heap_released_after_each_pair_frees_its_factors(self, monkeypatch):
+        # the freed heap goes back to the system once per pair of shifts,
+        # when that pair's factors are gone
+        import platform
+        import weakref
+
+        chain = rough_integrals._factor_chain
+        made, releases = [], []
+
+        def tracking_chain(*args):
+            factors = chain(*args)
+            made.extend(weakref.ref(f) for f in factors)
+            return factors
+
+        monkeypatch.setattr(rough_integrals, "_factor_chain", tracking_chain)
+        monkeypatch.setattr(rough_integrals, "_release_freed_heap",
+                            lambda: releases.append(all(r() is None for r in made)))
+        mc_levy_area_moments(0.4, [0.2, 0.1, 0.05, 0.025], 1.0, 50, 256, seed=1)
+        assert releases == [True, True]
+        if platform.libc_ver()[0] == "glibc":
+            assert rough_integrals._malloc_trim() is not None
+
+    def test_factor_chain_matches_cholesky_factor(self):
+        # each factor sits below the diagonal of rows 1..n, bit for bit the
+        # copying factor, although the next covariance was factored above it
+        from cfbm.eps_approx import EpsApproxSpec, cholesky_factor, covariance_matrix
+
+        grid = tuple(np.linspace(0.0, 1.0, 257))
+        shifts = [0.1, 0.05, 0.2]
+        chain = rough_integrals._factor_chain(0.4, shifts, grid, ModelParams(0.4))
+        for e, packed in zip(shifts, chain):
+            ref = cholesky_factor(covariance_matrix(EpsApproxSpec(0.4, e, grid), ModelParams(0.4)))
+            assert np.array_equal(np.tril(packed[1:]), ref)
+
+    def test_shift_groups(self):
+        pair = [(0.1, 0.1), (0.05, 0.05), (0.02, 0.02), (0.01, 0.01)]
+        assert _shift_groups(pair) == [[0, 1], [2, 3]]
+        assert _shift_groups(pair[:3]) == [[0, 1], [2]]
+        assert _shift_groups([(0.1, 0.1), (0.1, 0.1), (0.05, 0.05)]) == [[0, 1, 2]]
+        assert _shift_groups([(0.08, 0.05, 0.04)]) == [[0]]
+
+    @pytest.mark.parametrize("batch", [64, 256])
+    def test_batch_size_moves_estimates_only_by_rounding(self, batch, monkeypatch):
+        # the streams are keyed by path and reduced in path order; only the
+        # BLAS product's rounding of a column can depend on the batch width
+        def run():
+            area = mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 300, 256, seed=5)
+            volume = mc_levy_volume_moment(0.3, 0.08, 0.05, 0.08, 1.0, 300, 128, seed=8)
+            return [*area, volume]
+
+        ref = run()
+        monkeypatch.setattr(rough_integrals, "_MC_BATCH", batch)
+        for got, want in zip(run(), ref):
+            assert got.mean == pytest.approx(want.mean, rel=1e-12)
+            assert got.stderr == pytest.approx(want.stderr, rel=1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -442,7 +535,7 @@ class TestVolumeMoments:
         assert math.isfinite(est.mean) and est.mean > 0
 
     def test_mc_volume_thread_invariant(self):
-        # 600 paths run as three batches
+        # 600 paths run as five batches
         a = mc_levy_volume_moment(0.3, 0.08, 0.05, 0.04, 1.0, 600, 128, seed=8, n_threads=1)
         b = mc_levy_volume_moment(0.3, 0.08, 0.05, 0.04, 1.0, 600, 128, seed=8, n_threads=3)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
