@@ -165,8 +165,7 @@ def _resolve_config(args):
         cfg = replace(cfg, **load_config_file(args.config))
     overrides = {}
     for name in _FIELD_TYPES:
-        flag = "eps" if name == "eps_list" else name
-        val = getattr(args, flag, None)
+        val = getattr(args, name)
         if val is not None:
             overrides[name] = tuple(val) if name == "eps_list" else val
     if overrides:
@@ -439,30 +438,23 @@ def build_parser():
         prog="cfbm",
         description="Analytic-FBM verification experiments (CSV output).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--alpha", type=float, help="Hurst exponent in (0,1), != 1/2")
-        p.add_argument("--seed", type=int, help="non-negative RNG seed")
-        p.add_argument("--n-terms", dest="n_terms", type=int, help="series truncation")
-        p.add_argument("--grid-n", dest="grid_n", type=int, help="grid resolution")
-        p.add_argument("--t-max", dest="t_max", type=float, help="time horizon")
-        p.add_argument(
-            "--eps",
-            action="append",
-            type=float,
-            help="imaginary shift; repeat for a decreasing schedule",
-        )
-        p.add_argument("--n-mc", dest="n_mc", type=int, help="Monte Carlo replicates/paths")
-        p.add_argument("--out", type=str, help="output CSV path")
-        p.add_argument("--threads", type=int, help="max worker threads (output-invariant)")
-        p.add_argument("--config", type=str, help="key=value config file")
+    parser.add_argument("command", choices=_COMMANDS, help="the experiment to run")
+    parser.add_argument("--alpha", type=float, help="Hurst exponent in (0,1), != 1/2")
+    parser.add_argument("--seed", type=int, help="non-negative RNG seed")
+    parser.add_argument("--n-terms", type=int, help="series truncation")
+    parser.add_argument("--grid-n", type=int, help="grid resolution")
+    parser.add_argument("--t-max", type=float, help="time horizon")
+    parser.add_argument("--eps", dest="eps_list", metavar="EPS", action="append", type=float,
+                        help="imaginary shift; repeat for a decreasing schedule")
+    parser.add_argument("--n-mc", type=int, help="Monte Carlo replicates/paths")
+    parser.add_argument("--out", type=str, help="output CSV path")
+    parser.add_argument("--threads", type=int, help="max worker threads (output-invariant)")
+    parser.add_argument("--config", type=str, help="key=value config file")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
     except ConfigError as exc:

@@ -191,6 +191,7 @@ def sup_error_experiment(params, eps_list, n_mc, n_terms, seed, grid):
 
     Each replicate couples the boundary path and every shifted path through
     one coefficient stream (identical xi arrays evaluated at t and t+i eps).
+    One F_k table and one product per block of replicates cover all grids.
     Returns (rows, slope): rows are (eps, e_sup) pairs, slope the fitted
     log-log slope (expected about alpha; nan when unfittable).
     """
@@ -198,9 +199,12 @@ def sup_error_experiment(params, eps_list, n_mc, n_terms, seed, grid):
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list):
         raise DomainError("all eps must be > 0")
-    table_real = fk_table(n_terms, grid.astype(complex), params)
-    variants = [(n_terms, fk_table(n_terms, grid + 1j * e, params)) for e in eps_list]
-    return _coupled_sup_experiment(params, eps_list, table_real, variants, n_mc, seed)
+    # block 0 is the grid, block b the grid + i eps_list[b-1]; the recurrence
+    # runs point by point, so each block equals its own table bit for bit
+    pts = np.concatenate([grid] + [grid + 1j * e for e in eps_list])
+    table = fk_table(n_terms, pts, params).reshape(n_terms, 1 + len(eps_list), len(grid))
+    variants = [(n_terms, b) for b in range(1, 1 + len(eps_list))]
+    return _coupled_sup_experiment(eps_list, table, variants, n_mc, seed)
 
 
 # ---------------------------------------------------------------------------

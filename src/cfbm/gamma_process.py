@@ -95,6 +95,8 @@ def _philox(seed, stream, gen=None):
     # Given a generator from here, rewind it in place to the fresh state of
     # that key (zero counter, empty buffers) instead of building a new one,
     # which would draw OS entropy for a seed sequence that the key overrides.
+    if seed < 0 or stream < 0:
+        raise ValueError("seed and stream must be non-negative integers")
     key = np.array([seed, stream], dtype=np.uint64)
     if gen is None:
         return np.random.Generator(np.random.Philox(key=key))
@@ -109,6 +111,26 @@ def _philox(seed, stream, gen=None):
     return gen
 
 
+# replicates per block of the coupled experiments: one matrix-matrix product
+# per block and row cut, without holding every replicate's paths at once
+_REPLICATE_BLOCK = 32
+
+
+def _coefficient_blocks(seed, n_terms, streams):
+    # yields (j, xi) per block of streams, xi[i] being stream streams[j + i]'s
+    # interleaved (re, im) normals read as complex, scaled in place; blocks
+    # overwrite one buffer, drawn by one generator rewound per stream
+    buf = np.empty((min(_REPLICATE_BLOCK, len(streams)), n_terms), dtype=complex)
+    gen = None
+    for j in range(0, len(streams), _REPLICATE_BLOCK):
+        xi = buf[:min(_REPLICATE_BLOCK, len(streams) - j)]
+        for stream, row in zip(streams[j:], xi):
+            gen = _philox(seed, stream, gen)
+            gen.standard_normal(out=row.view(float))
+        xi *= math.sqrt(0.5)
+        yield j, xi
+
+
 def gaussian_draw(seed, n_terms, params, stream=0):
     """Draw the first ``n_terms`` complex coefficients of a seeded stream.
 
@@ -118,12 +140,8 @@ def gaussian_draw(seed, n_terms, params, stream=0):
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be non-negative integers")
-    # interleaved (re, im) normals read as complex and scaled in place
-    xi = _philox(seed, stream).standard_normal(2 * n_terms).view(complex)
-    xi *= math.sqrt(0.5)
-    return GaussianDraw(seed=int(seed), n_terms=int(n_terms), xi_plus=xi)
+    ((_, xi),) = _coefficient_blocks(seed, n_terms, [stream])
+    return GaussianDraw(seed=int(seed), n_terms=int(n_terms), xi_plus=xi[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +271,10 @@ def _fk_columns(n_terms, pts, params):
     J[0] = (tail - head) / (2.0 * a - 1.0)
     for k in range(n_terms - 1):
         tail *= w
-        J[k + 1] = ((k + 1) * J[k] - tail + (-1) ** (k + 1) * head) / (k + 2 - 2.0 * a)
+        row = np.multiply(J[k], k + 1, out=J[k + 1])  # the recurrence, in place
+        row -= tail
+        row += (-1) ** (k + 1) * head
+        row /= k + 2 - 2.0 * a
     scale = 2j * _fk_prefactor(params) * _sqrt_poch_ratio(a, np.arange(n_terms))
     J *= scale[:, None]  # in place: a second table would double peak memory
     # the two powers of 2 can differ in the last bit, so z = 0 would leave
@@ -364,28 +385,26 @@ def _loglog_slope(xs, ys):
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-# replicates per block of the coupled experiments: one matrix-matrix product
-# per block and variant, without holding every replicate's paths at once
-_REPLICATE_BLOCK = 32
-
-
-def _coupled_sup_experiment(params, labels, ref_table, variants, n_mc, seed):
-    # Monte Carlo E[sup_grid |B_variant - B_ref|] per (n, table) variant, the
-    # variant path being 2 Re(xi[:n] @ table[:n]).  Replicate r draws stream
-    # r once and reuses it for the reference and every variant, so the
-    # differences isolate what the variants change.  The replicates go in
-    # blocks, one coefficient row each.  Returns (rows, slope) with rows
-    # (label, e_sup) and the log-log slope of e_sup against label.
+def _coupled_sup_experiment(labels, table, variants, n_mc, seed):
+    # Monte Carlo E[sup_grid |B_variant - B_ref|] per variant (n, b): paths
+    # 2 Re(xi[:n] @ table[:n, b]) against 2 Re(xi @ table[:, 0]), one stream
+    # per replicate for all, so the differences isolate what the variants
+    # change.  Per replicate block, the products over the row ranges between
+    # cuts are summed cut by cut, reading each row of the (n_ref, n_blocks,
+    # n_points) table once.  Returns ([(label, e_sup)], log-log slope).
+    n_ref = table.shape[0]
+    flat = table.reshape(n_ref, -1)
+    cuts = sorted({n for n, _ in variants} | {n_ref})
     sups = np.empty((len(variants), n_mc))
-    for start in range(0, n_mc, _REPLICATE_BLOCK):
-        block = range(start, min(start + _REPLICATE_BLOCK, n_mc))
-        xi = np.array(
-            [gaussian_draw(seed, ref_table.shape[0], params, stream=r).xi_plus for r in block]
-        )
-        ref = 2.0 * (xi @ ref_table).real
-        for i, (n, table) in enumerate(variants):
-            path = 2.0 * (xi[:, :n] @ table[:n]).real
-            sups[i, block.start:block.stop] = np.abs(path - ref).max(axis=1)
+    for start, xi in _coefficient_blocks(seed, n_ref, range(n_mc)):
+        acc = np.zeros((len(xi), flat.shape[1]), dtype=complex)
+        paths = {}
+        for lo, hi in zip([0] + cuts, cuts):
+            acc += xi[:, lo:hi] @ flat[lo:hi]
+            paths[hi] = 2.0 * acc.real.reshape(len(xi), *table.shape[1:])
+        ref = paths[n_ref][:, 0]
+        for i, (n, b) in enumerate(variants):
+            sups[i, start:start + len(xi)] = np.abs(paths[n][:, b] - ref).max(axis=1)
     esup = sups.mean(axis=1)
     return list(zip(labels, esup)), _loglog_slope(labels, esup)
 
@@ -403,5 +422,5 @@ def series_truncation_experiment(params, n_list, n_ref, n_mc, grid, seed):
         raise ValueError("every N must be < n_ref")
     grid = np.asarray(grid, dtype=float)
     table = fk_table(n_ref, grid.astype(complex), params)
-    variants = [(n, table) for n in n_list]
-    return _coupled_sup_experiment(params, n_list, table, variants, n_mc, seed)
+    variants = [(n, 0) for n in n_list]
+    return _coupled_sup_experiment(n_list, table[:, None], variants, n_mc, seed)

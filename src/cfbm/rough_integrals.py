@@ -465,20 +465,19 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
 
         def run_batch(p0):
             # One generator, rewound from path to path, draws path p's normals
-            # into its (n, n_comp) slot of w; one copy makes them
-            # component-major, z[c].T being component c's Fortran (n, m)
-            # block.  Each factor L multiplies all its components' blocks in
-            # one BLAS dtrmm (half the flops of a dense product), L read as
-            # the Fortran transpose of its C-order rows, without a copy.
+            # into its (n, n_comp) slot of w.  Each factor L copies its
+            # components once into a C-order (k, m, n) array, whose transpose
+            # one BLAS dtrmm (half the flops of a dense product) overwrites;
+            # L is read as the Fortran transpose of its C-order rows.
             m = min(p0 + _MC_BATCH, n_paths) - p0
             w = np.empty((m, n, n_comp))
             gen = _philox(seed, p0)
             for j in range(m):
                 _path_normals(seed, p0 + j, n, n_comp, out=w[j], gen=gen)
-            z = np.ascontiguousarray(w.transpose(2, 0, 1))
             paths = {}
             for e, comps in uses.items():
-                prod = dtrmm(1.0, factors[e][1:].T, z[comps].reshape(-1, n).T,
+                z = w.transpose(2, 0, 1)[comps]
+                prod = dtrmm(1.0, factors[e][1:].T, z.reshape(-1, n).T,
                              lower=0, trans_a=1, overwrite_b=1)
                 for i, c in enumerate(comps):
                     paths[e, c] = prod[:, i * m:(i + 1) * m]

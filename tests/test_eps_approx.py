@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cfbm.eps_approx as ea
 from cfbm.eps_approx import (
     EpsApproxSpec,
     _jittered_cholesky,
@@ -295,6 +296,26 @@ class TestSupErrorExperiment:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(DomainError):
             sup_error_experiment(ModelParams(0.35), [0.1, 0.0], 1, 32, 0, np.linspace(0, 1, 33))
+
+    def test_one_table_equals_the_table_of_each_shift(self, monkeypatch):
+        # the one table over the grid and every shifted grid holds, column
+        # block by column block, each grid's own fk_table bit for bit
+        p = ModelParams(0.35)
+        grid = np.linspace(0, 1, 33)
+        eps_list = [0.1, 0.05, 0.025]
+        tables = []
+
+        def recording_fk_table(*args):
+            tables.append(fk_table(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(ea, "fk_table", recording_fk_table)
+        sup_error_experiment(p, eps_list, 1, 96, 7, grid)
+        (table,) = tables
+        blocks = np.split(table, 1 + len(eps_list), axis=1)
+        assert blocks[0].tobytes() == fk_table(96, grid.astype(complex), p).tobytes()
+        for block, e in zip(blocks[1:], eps_list):
+            assert block.tobytes() == fk_table(96, grid + 1j * e, p).tobytes()
 
     @pytest.mark.parametrize("n_mc", [1, BLOCK - 1, BLOCK, BLOCK + 1, 200])
     def test_matches_per_replicate_oracle(self, n_mc):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbm.gamma_process import _REPLICATE_BLOCK as BLOCK
-from cfbm.gamma_process import _philox
+from cfbm.gamma_process import _coefficient_blocks, _philox
 from cfbm.gamma_process import (
     DomainError,
     ModelParams,
@@ -355,6 +355,20 @@ class TestDraws:
                 for g in (gen, fresh)
             )
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("n_replicates", [1, BLOCK, 2 * BLOCK + 5])
+    def test_coefficient_blocks_match_gaussian_draw(self, n_replicates):
+        # the blocks, including one after a block boundary and a partial last
+        # block, hold each stream's gaussian_draw coefficients bit for bit
+        p = ModelParams(0.35)
+        streams = range(3, 3 + n_replicates)
+        rows = {}
+        for j, xi in _coefficient_blocks(11, 96, streams):
+            assert xi.shape == (min(BLOCK, n_replicates - j), 96)
+            rows.update((streams[j + i], row.copy()) for i, row in enumerate(xi))
+        assert sorted(rows) == list(streams)
+        for r, row in rows.items():
+            assert row.tobytes() == gaussian_draw(11, 96, p, stream=r).xi_plus.tobytes()
 
 
 class TestSamplers:
