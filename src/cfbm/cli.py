@@ -29,8 +29,6 @@ from .gamma_process import (
 )
 from .rough_integrals import (
     LevyAreaSpec,
-    _gauss_legendre,
-    _graded_edges,
     divergence_slope,
     levy_area_sign_sum,
     levy_area_variance,
@@ -40,7 +38,7 @@ from .rough_integrals import (
     mc_levy_volume_moment,
     volume_inner_closed,
 )
-from .specfun import _pow, hyp2f1
+from .specfun import _graded_edges, _graded_quad, _pow, hyp2f1
 
 __all__ = ["main", "ConfigError", "ExperimentConfig"]
 
@@ -293,7 +291,6 @@ def cmd_levy_volume(cfg):
     # closed inner kernel integral vs quadrature of its 1-d reduction
     rng = np.random.default_rng(cfg.seed)
     worst_inner = 0.0
-    nodes, weights = _gauss_legendre(20)
     for _ in range(20):
         x2, y2 = rng.uniform(0.05, 1.0, 2)
         sigma3 = 1 if rng.random() < 0.5 else -1
@@ -301,11 +298,12 @@ def cmd_levy_volume(cfg):
         # the kernel depends on d = x3 - y3 only, of weight min(x2, y2 + d) - max(0, d)
         # on [-y2, x2]: panels graded toward its branch point 2e off d = 0, and an edge
         # at the weight's kink x2 - y2
-        edges = np.union1d(np.union1d(-_graded_edges(e, y2), _graded_edges(e, x2)), x2 - y2)
-        half = 0.5 * np.diff(edges)
-        d = (edges[:-1] + half)[:, None] + half[:, None] * nodes
-        kern = _pow(-1j * sigma3 * d + 2.0 * e, 2.0 * cfg.alpha - 2.0)
-        quad = half @ ((np.minimum(x2, y2 + d) - np.maximum(0.0, d)) * kern) @ weights
+        quad = _graded_quad(
+            lambda d: (np.minimum(x2, y2 + d) - np.maximum(0.0, d))
+            * _pow(-1j * sigma3 * d + 2.0 * e, 2.0 * cfg.alpha - 2.0),
+            np.union1d(np.union1d(-_graded_edges(e, y2), _graded_edges(e, x2)), x2 - y2),
+            "levy-volume inner integral",
+        )
         worst_inner = max(worst_inner, abs(closed - quad))
     rows.append(("inner_integral_max_abs_err", worst_inner, 0.0, worst_inner))
     if worst_inner > 1e-4:  # graded 20-point Gauss-Legendre on d = x3 - y3

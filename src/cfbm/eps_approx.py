@@ -21,7 +21,7 @@ from .gamma_process import (
     _philox,
     fk_table,
 )
-from .specfun import _pow
+from .specfun import _graded_edges, _graded_quad, _pow
 
 __all__ = [
     "EpsApproxSpec",
@@ -225,59 +225,53 @@ def contour_kernel_pieces(s, t, params):
     only, so each piece is either elementary (the two vertical self-pairs),
     reducible to one dimension (the horizontal pair and the opposite
     verticals), or, for the four vertical x horizontal pieces, one smooth
-    2-d integral (equal for all four by reflection) evaluated adaptively.
+    2-d integral (equal for all four by reflection).  The integrals are
+    20-point Gauss-Legendre rules on panels graded toward each piece's
+    near-singularity, each guarded by a 12-point rule on the same panels:
+    NonConvergenceError if the two differ by more than
+    max(1e-12, 3e-10 |integral|).
 
     Returns a dict keyed by (i, j) piece indices, 0 = vertical at 0,
     1 = horizontal, 2 = vertical at t.
     """
-    from scipy import integrate  # on use: the sampling commands never load scipy
-
     if s <= 0 or t <= 0:
         raise DomainError(f"contour integral needs s, t > 0 (s={s}, t={t})")
     am2 = 2.0 * params.alpha - 2.0
-    pieces = {}
-    pieces[(0, 0)] = contour_vv_piece(s, params)
-    pieces[(2, 2)] = pieces[(0, 0)]
-
-    # horizontal x horizontal: |z - conj w| = sqrt((x1-x2)^2 + 4 s^2)
-    hh, _ = integrate.quad(
+    # horizontal x horizontal: |z - conj w| = sqrt((x1-x2)^2 + 4 s^2), of
+    # weight 2(t - u) in u = |x1 - x2|; panels graded from u = 0 at scale s
+    hh = _graded_quad(
         lambda u: 2.0 * (t - u) * (u * u + 4.0 * s * s) ** (am2 / 2.0),
-        0.0,
-        t,
-        epsabs=1e-13,
-        epsrel=1e-11,
-        limit=200,
+        _graded_edges(s, t),
+        "contour piece (1, 1)",
     )
-    pieces[(1, 1)] = hh
-
     # vertical(0) x horizontal: z = i rho, conj w = rho' - i s; horizontal x
     # vertical(t), z = rho + i s and conj w = t - i(s - rho'), is the same
-    # integral after rho -> t - rho, rho' -> s - rho'
-    vh, _ = integrate.dblquad(
-        lambda rp, rho: (rp * rp + (rho + s) ** 2) ** (am2 / 2.0),
-        0.0,
-        s,
-        0.0,
-        t,
-        epsabs=1e-12,
-        epsrel=1e-10,
+    # integral after rho -> t - rho, rho' -> s - rho'.  The outer rule runs
+    # over rho', graded from 0 at scale s, the inner one over y = rho + s on
+    # the one panel [s, 2s], where the kernel is smooth
+    vh = _graded_quad(
+        lambda rp: _graded_quad(
+            lambda y: (rp * rp + y[:, None] ** 2) ** (am2 / 2.0),
+            np.array([s, 2.0 * s]),
+            "contour piece (0, 1), inner rule",
+        ),
+        _graded_edges(s, t),
+        "contour piece (0, 1)",
     )
-    for key in ((0, 1), (1, 0), (1, 2), (2, 1)):
-        pieces[key] = vh
     # vertical(0) x vertical(t): z = i rho, conj w = t - i(s - rho'); the
-    # integrand depends on d = rho - rho' only, of weight s - |d| on [-s, s]
-    vv, _ = integrate.quad(
-        lambda d: (s - abs(d)) * (t * t + (d + s) ** 2) ** (am2 / 2.0),
-        -s,
-        s,
-        points=(0.0,),
-        epsabs=1e-13,
-        epsrel=1e-11,
-        limit=200,
+    # integrand depends on x = rho - rho' + s only, of weight min(x, 2s - x) on
+    # [0, 2s].  Panels graded from x = 0 (the kernel's ridge, at distance t)
+    # at scale min(s, t), and the middle edge at the weight's kink x = s; in x
+    # rather than rho - rho' the nodes near the ridge carry no cancellation
+    vv = _graded_quad(
+        lambda x: np.minimum(x, 2.0 * s - x) * (t * t + x * x) ** (am2 / 2.0),
+        _graded_edges(min(s, t), 2.0 * s),
+        "contour piece (0, 2)",
     )
-    pieces[(0, 2)] = vv
-    pieces[(2, 0)] = vv
-    return pieces
+    v = contour_vv_piece(s, params)
+    hh, vh, vv = float(hh), float(vh), float(vv)
+    return {(0, 0): v, (2, 2): v, (1, 1): hh, (0, 1): vh, (1, 0): vh, (1, 2): vh, (2, 1): vh,
+            (0, 2): vv, (2, 0): vv}
 
 
 def contour_kernel_integral(s, t, params):

@@ -8,12 +8,12 @@ diagnostics below the 1/4 threshold, and the dyadic q-variation machinery.
 
 The Levy-area second moment is reduced analytically to a one-dimensional
 integral of elementary power kernels (the inner time integrals are exact),
-then evaluated by composite Gauss-Legendre quadrature on panels graded
-geometrically toward both ends of the window, guarded by a lower-order rule
-on the same panels; the hypergeometric closed forms are kept as
-independently tested operations rather than re-assembled term by term.  The
-sign-resolved assembly of the same moment stays on adaptive QUADPACK
-quadrature as an independent route.
+then evaluated by the guarded graded Gauss-Legendre rule of ``specfun`` on
+panels graded geometrically toward both ends of the window; the
+hypergeometric closed forms are kept as independently tested operations
+rather than re-assembled term by term.  The sign-resolved assembly of the
+same moment stays on adaptive QUADPACK quadrature as an independent route,
+the only scipy quadrature left on the runtime path.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ import numpy as np
 
 from .eps_approx import EpsApproxSpec, _jittered_cholesky, covariance_matrix
 from .gamma_process import DomainError, ModelParams, _loglog_slope, _philox
-from .specfun import NonConvergenceError, _pow, hyp2f1, principal_pow
+from .specfun import (
+    _EPSABS, _EPSREL, NonConvergenceError, _graded_edges, _graded_quad, _pow, hyp2f1, principal_pow,
+)
 
 __all__ = [
     "PowerIntegralParams",
@@ -147,40 +149,6 @@ class LevyAreaSpec:
             raise ValueError("eps1 and eps2 must be > 0")
 
 
-# error tolerances of every 1-d quadrature here: the QUADPACK calls of the
-# sign-resolved sum, and the guard of the graded Gauss-Legendre rule
-_EPSABS = 1e-12
-_EPSREL = 3e-10
-
-# Gauss-Legendre orders of the Levy-area variance rule and of its guard rule
-_LEVY_ORDER = 20
-_LEVY_GUARD_ORDER = 12
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n):
-    # nodes and weights on [-1, 1], built on first use: importing cfbm loads
-    # no numpy.polynomial
-    from numpy.polynomial.legendre import leggauss
-
-    rule = leggauss(n)
-    for arr in rule:
-        arr.flags.writeable = False  # shared by every call
-    return rule
-
-
-def _graded_edges(h, t):
-    # panel edges of [0, t] graded geometrically (ratio 2) toward both ends:
-    # 0, h, 2h, 4h, ... below t/2, then t/2 and the mirror images about it
-    left = [0.0]
-    x = h
-    while x < 0.5 * t:
-        left.append(x)
-        x *= 2.0
-    left = np.array(left)
-    return np.concatenate((left, [0.5 * t], (t - left)[::-1]))
-
-
 def levy_area_variance(spec):
     """Second moment of the Levy area of the regularized two-component path.
 
@@ -191,37 +159,26 @@ def levy_area_variance(spec):
     carries both.  Its branch points lie 2 eps off the real axis above x = 0
     and x = t, so it is integrated by a 20-point Gauss-Legendre rule on
     panels that double in width from both ends, starting at
-    min(eps1, eps2), which converges geometrically.  A 12-point rule on the
-    same panels is the guard: NonConvergenceError if the two differ by more
-    than max(1e-12, 3e-10 |integral|).  Uses the unit normalization
-    (Var B_1 = 1), matching the exact samplers.
+    min(eps1, eps2), which converges geometrically; NonConvergenceError if
+    the 12-point guard rule differs by more than max(1e-12, 3e-10 |integral|).
+    Uses the unit normalization (Var B_1 = 1), matching the exact samplers.
     """
     a2 = 2.0 * spec.alpha
     e1, e2, t = spec.eps1, spec.eps2, spec.t
-    edges = _graded_edges(min(e1, e2), t)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    (xv, wv), (xg, wg) = (_gauss_legendre(n) for n in (_LEVY_ORDER, _LEVY_GUARD_ORDER))
-    # both rules' nodes on every panel, one evaluation of the integrand
-    x = (mid[:, None] + half[:, None] * np.concatenate((xv, xg))).ravel()
-    # the sum over both signs of (term1 - term2 + term4), with
-    # A = (-ix + 2e1)^(2a-2), B = 2 Re (-ix + 2e2)^2a (the two signs' inner
-    # kernels) and C = (-i(x-t) + 2e1)^(2a-1) - (-ix + 2e1)^(2a-1):
-    #   f = 2 [(t - x) Re A (B + 2 (2e2)^2a) - B Im C / (2a-1)]
-    # (the factor 2 is applied with the normalization below)
-    z1 = -1j * x + 2.0 * e1
-    a = _pow(z1, a2 - 2.0).real
-    b = 2.0 * _pow(-1j * x + 2.0 * e2, a2).real
-    c = (_pow(-1j * (x - t) + 2.0 * e1, a2 - 1.0) - _pow(z1, a2 - 1.0)).imag
-    f = (t - x) * a * (b + 2.0 * (2.0 * e2) ** a2) - b * c / (a2 - 1.0)
-    sums = half @ f.reshape(len(half), -1)
-    val = wv @ sums[: len(wv)]
-    guard = wg @ sums[len(wv):]
-    if not abs(val - guard) <= max(_EPSABS, _EPSREL * abs(val)):
-        raise NonConvergenceError(
-            f"Levy-area variance: {_LEVY_ORDER}- and {_LEVY_GUARD_ORDER}-point rules "
-            f"differ by {abs(val - guard):.3e} (integral {val:.6e})"
-        )
+
+    def f(x):
+        # the sum over both signs of (term1 - term2 + term4), with
+        # A = (-ix + 2e1)^(2a-2), B = 2 Re (-ix + 2e2)^2a (the two signs' inner
+        # kernels) and C = (-i(x-t) + 2e1)^(2a-1) - (-ix + 2e1)^(2a-1):
+        #   f = 2 [(t - x) Re A (B + 2 (2e2)^2a) - B Im C / (2a-1)]
+        # (the factor 2 is applied with the normalization below)
+        z1 = -1j * x + 2.0 * e1
+        a = _pow(z1, a2 - 2.0).real
+        b = 2.0 * _pow(-1j * x + 2.0 * e2, a2).real
+        c = (_pow(-1j * (x - t) + 2.0 * e1, a2 - 1.0) - _pow(z1, a2 - 1.0)).imag
+        return (t - x) * a * (b + 2.0 * (2.0 * e2) ** a2) - b * c / (a2 - 1.0)
+
+    val = _graded_quad(f, _graded_edges(min(e1, e2), t), "Levy-area variance")
     kappa = ModelParams(spec.alpha).kappa
     return float(kappa * kappa * 4.0 * val / (a2 * (a2 - 1.0)))
 

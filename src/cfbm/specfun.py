@@ -1,32 +1,25 @@
-"""Complex special functions for the analytic-FBM toolkit.
+"""Complex special functions and the quadrature rule of the analytic-FBM toolkit.
 
 Principal-branch powers, a Gamma function (``math.gamma`` on the real axis,
-``scipy.special.gamma`` off it) and a Gauss 2F1 engine.
-
-``hyp2f1`` evaluates whichever of seven convergent expansions is cheapest at
-its argument: three expansions (the power series and the connection
-formulas in 1-v and 1/v, DLMF 15.8(i)), each summed in v = z and, after the
-Pfaff transformation, in v = z/(z-1), and a Taylor re-expansion of the
-hypergeometric ODE about 0.7 z/|z| that covers the neighbourhood of
-exp(+-i pi/3), where all six Kummer variables have modulus near 1.  The cost
-of a route is the number of series it sums times the terms one needs at its
-modulus, ln(1e-17)/ln|v|, plus a fixed charge for the Gamma coefficients of
-a connection (and for the start values of the Taylor route); a connection
-whose coefficients lie near a Gamma pole is also charged for the digits
-their cancellation loses.  Routes with |v| >= 1, and connections whose
-coefficients hit a Gamma pole, are skipped.
+``scipy.special.gamma`` off it), a Gauss 2F1 engine that evaluates whichever
+of seven convergent expansions is cheapest at its argument (see ``hyp2f1``),
+and the guarded graded Gauss-Legendre rule behind every runtime quadrature
+(the Levy-area variance, the contour-kernel pieces and the ``levy-volume``
+inner check): 20-point panels, checked against the 12-point rule on the same
+panels.
 
 All functions are pure and stateless.  Domain violations raise SpecFunError
 subclasses instead of returning NaN, so callers cannot silently continue
 across a branch cut or a Gamma pole: BranchCutError on [1, oo), PoleError at
 non-positive integer c, DegenerateParameterError when every convergent route
 is a connection with an integer b-a or c-a-b, and NonConvergenceError when a
-series trips its 6000-term guard.
+series trips its 6000-term guard or the two quadrature rules disagree.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -90,6 +83,63 @@ def _pow(z, beta):
     # cut and nonzero (typically Re z > 0).  Works on numpy arrays as well as
     # scalars.
     return np.exp(beta * np.log(z))
+
+
+# ---------------------------------------------------------------------------
+# guarded graded Gauss-Legendre quadrature
+# ---------------------------------------------------------------------------
+
+# Gauss-Legendre orders of the graded rule and of its guard, and the guard's
+# tolerances (shared with the QUADPACK calls of the sign-resolved Levy sum)
+_GL_ORDER, _GL_GUARD_ORDER = 20, 12
+_EPSABS, _EPSREL = 1e-12, 3e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    # nodes and weights on [-1, 1], built on first use: importing cfbm loads
+    # no numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(n)
+    for arr in rule:
+        arr.flags.writeable = False  # shared by every call
+    return rule
+
+
+def _graded_edges(h, t):
+    # panel edges of [0, t] graded geometrically (ratio 2) toward both ends:
+    # 0, h, 2h, 4h, ... below t/2, then t/2 and the mirror images about it
+    left = [0.0]
+    while h < 0.5 * t:
+        left.append(h)
+        h *= 2.0
+    left = np.array(left)
+    return np.concatenate((left, [0.5 * t], (t - left)[::-1]))
+
+
+def _graded_quad(f, edges, what):
+    # Integral of f over [edges[0], edges[-1]]: the 20-point Gauss-Legendre
+    # rule on each panel between consecutive edges.  f maps the 1-d array of
+    # nodes to their values, or to a 2-d array whose columns are integrated
+    # one by one, so a vectorised inner rule nests inside an outer one.  The
+    # 12-point rule on the same panels, from the same call of f, is the guard:
+    # NonConvergenceError, naming `what`, where the two differ by more than
+    # max(1e-12, 3e-10 |integral|) in any column.
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    (xv, wv), (xg, wg) = (_gauss_legendre(n) for n in (_GL_ORDER, _GL_GUARD_ORDER))
+    fx = f((mid[:, None] + half[:, None] * np.concatenate((xv, xg))).ravel())
+    # panel sums first, then the node weights
+    sums = (half @ fx.reshape(len(half), -1)).reshape(len(xv) + len(xg), *fx.shape[1:])
+    val = wv @ sums[: len(wv)]
+    gap = np.abs(val - wg @ sums[len(wv):])
+    if not np.all(gap <= np.maximum(_EPSABS, _EPSREL * np.abs(val))):
+        raise NonConvergenceError(
+            f"{what}: {_GL_ORDER}- and {_GL_GUARD_ORDER}-point rules differ by "
+            f"{np.max(gap):.3e} (integral {np.ravel(val)[np.argmax(gap)]:.6e})"
+        )
+    return val
 
 
 # ---------------------------------------------------------------------------

@@ -259,3 +259,42 @@ def levy_area_variance_by_mpmath(alpha, e1, e2, t, dps=20):
         val = mpmath.quad(f, pts) / (a2 * (a2 - 1))
         kappa = ModelParams(alpha).kappa
         return float(kappa * kappa * 2 * val)
+
+
+def contour_pieces_by_quadpack(s, t, alpha):
+    """The three non-elementary contour-kernel pieces by adaptive QUADPACK.
+
+    Returns the horizontal pair (1, 1), vertical x horizontal (0, 1) and
+    opposite verticals (0, 2) with the integrands and ranges of
+    `contour_kernel_pieces`, by `quad`, `dblquad` and `quad`.  `dblquad`
+    calls its integrand as f(y, x) with x over the first range: here rho'
+    over [0, t] is the inner variable and rho over [0, s] the outer one.
+    """
+    am2 = 2.0 * alpha - 2.0
+    hh, _ = integrate.quad(
+        lambda u: 2.0 * (t - u) * (u * u + 4.0 * s * s) ** (am2 / 2.0),
+        0.0,
+        t,
+        epsabs=1e-13,
+        epsrel=1e-11,
+        limit=200,
+    )
+    vh, _ = integrate.dblquad(
+        lambda rp, rho: (rp * rp + (rho + s) ** 2) ** (am2 / 2.0),
+        0.0,
+        s,
+        0.0,
+        t,
+        epsabs=1e-12,
+        epsrel=1e-10,
+    )
+    vv, _ = integrate.quad(
+        lambda d: (s - abs(d)) * (t * t + (d + s) ** 2) ** (am2 / 2.0),
+        -s,
+        s,
+        points=(0.0,),
+        epsabs=1e-13,
+        epsrel=1e-11,
+        limit=200,
+    )
+    return {(1, 1): hh, (0, 1): vh, (0, 2): vv}

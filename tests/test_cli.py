@@ -120,14 +120,16 @@ class TestParsingAndConfig:
         assert res.stdout.strip() == "False"
 
     def test_import_leaves_scipy_unloaded(self, tmp_path):
-        # scipy backs only the adaptive quadrature routes, the MC path
-        # product and the Gamma function off the real axis (the Gamma
-        # coefficients of hyp2f1's connection formulas at complex
-        # parameters), which import it on use, so neither the import nor the
-        # sampling and closed-form commands load it, nor the Levy-area
-        # variance and its callers; the Gauss-Legendre nodes are built on
-        # first use, so the import loads no numpy.polynomial either; the
-        # import loads no mpmath, and neither does importing the oracles
+        # scipy backs only the adaptive quadrature of the sign-resolved
+        # Levy-area sum, the MC path product and the Gamma function off the
+        # real axis (the Gamma coefficients of hyp2f1's connection formulas
+        # at complex parameters), which import it on use, so neither the
+        # import nor the sampling and closed-form commands load it, nor the
+        # graded Gauss-Legendre rule's callers: the Levy-area variance and
+        # its callers and the contour kernel integral; the Gauss-Legendre
+        # nodes are built on first use, so the import loads no
+        # numpy.polynomial either; the import loads no mpmath, and neither
+        # does importing the oracles
         commands = [
             ["sample", "--n-terms", "64", "--grid-n", "16"],
             ["converge-series", "--n-terms", "256", "--n-mc", "4", "--grid-n", "16"],
@@ -148,6 +150,9 @@ class TestParsingAndConfig:
             "ri.levy_area_variance(ri.LevyAreaSpec(0.4, 1.0, 1e-3, 2e-3))\n"
             "ri.divergence_slope(0.2, (1e-3, 1e-4), 1.0)\n"
             "ri.levy_volume_w1(0.3, 0.05, 0.05, 0.05, 1.0)\n"
+            "from cfbm.eps_approx import contour_kernel_integral\n"
+            "from cfbm.gamma_process import ModelParams\n"
+            "contour_kernel_integral(0.5, 1.0, ModelParams(0.3))\n"
             "print(scipy_modules())\n"
         )
         res = run_python(["-c", code], tmp_path)
@@ -485,6 +490,15 @@ class TestSpecfunAndVolumeCommands:
         # a second run at the same seed writes the same bytes
         assert main(argv + ["--n-mc", "150", "--out", str(again)]) == 0
         assert again.read_bytes() == out.read_bytes()
+
+    def test_levy_volume_inner_check_is_guarded(self, monkeypatch, tmp_path):
+        # the inner check's quadrature raises where its guard rule disagrees
+        import cfbm.specfun as specfun
+        from cfbm.specfun import NonConvergenceError
+
+        monkeypatch.setattr(specfun, "_GL_GUARD_ORDER", 2)
+        with pytest.raises(NonConvergenceError, match="levy-volume inner integral"):
+            main(["levy-volume", "--n-mc", "50", "--out", str(tmp_path / "lv.csv")])
 
     @pytest.mark.parametrize("alpha, eps", [("0.3", "0.02"), ("0.2", "0.01")])
     def test_levy_volume_inner_check_is_exact(self, alpha, eps, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cfbm.eps_approx as ea
+import cfbm.specfun as specfun
 from cfbm.eps_approx import (
     EpsApproxSpec,
     _jittered_cholesky,
@@ -19,8 +20,14 @@ from cfbm.eps_approx import (
 )
 from cfbm.gamma_process import DomainError, ModelParams, fk_table, gaussian_draw
 from cfbm.gamma_process import _REPLICATE_BLOCK as BLOCK
+from cfbm.specfun import NonConvergenceError
 
-from helpers import covariance_by_complex_broadcast, coupled_sup_by_replicate, dblquad_complex
+from helpers import (
+    contour_pieces_by_quadpack,
+    coupled_sup_by_replicate,
+    covariance_by_complex_broadcast,
+    dblquad_complex,
+)
 
 
 class TestCovEps:
@@ -366,6 +373,58 @@ class TestContourKernelIntegral:
             lambda x, y: (t * t + (x + s - y) ** 2 + 0j) ** (a2 / 2 - 1), 0, s, 0, s
         ).real
         assert pieces[(0, 2)] == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 0.9])
+    def test_pieces_match_quadpack_oracle(self, alpha):
+        # every piece, by the reflections and symmetries of the contour, at
+        # shifts and widths three decades below and five times above 1
+        p = ModelParams(alpha)
+        for s in (1e-3, 0.1, 1.0, 5.0):
+            for t in (1e-3, 0.1, 1.0, 5.0):
+                pieces = contour_kernel_pieces(s, t, p)
+                ref = contour_pieces_by_quadpack(s, t, alpha)
+                ref[(0, 0)] = ref[(2, 2)] = contour_vv_piece(s, p)
+                for key in ((1, 0), (1, 2), (2, 1)):
+                    ref[key] = ref[(0, 1)]
+                ref[(2, 0)] = ref[(0, 2)]
+                assert sorted(pieces) == sorted(ref)
+                for key, value in pieces.items():
+                    assert value == pytest.approx(ref[key], rel=1e-11, abs=0), (s, t, key)
+
+    @pytest.mark.parametrize("alpha, s, t", [(0.02, 1000.0, 1e-8), (0.3, 1e-8, 1000.0)])
+    def test_extreme_ratios_match_mpmath(self, alpha, s, t):
+        # s/t = 1e11 and 1e-11: the opposite verticals' ridge and the
+        # horizontal pair's both sit eleven decades below the range
+        import mpmath as mp
+
+        pieces = contour_kernel_pieces(s, t, ModelParams(alpha))
+        with mp.workdps(30):
+            a, s_, t_ = mp.mpf(alpha), mp.mpf(s), mp.mpf(t)
+            vv = mp.quad(lambda x: min(x, 2 * s_ - x) * (t_ * t_ + x * x) ** (a - 1),
+                         [0] + [t_ * 2 ** j for j in range(40) if t_ * 2 ** j < s_] + [s_, 2 * s_])
+            hh = mp.quad(lambda u: 2 * (t_ - u) * (u * u + 4 * s_ * s_) ** (a - 1),
+                         [0] + [s_ * 2 ** j for j in range(40) if s_ * 2 ** j < t_] + [t_])
+        assert pieces[(0, 2)] == pytest.approx(float(vv), rel=1e-13, abs=0)
+        assert pieces[(1, 1)] == pytest.approx(float(hh), rel=1e-13, abs=0)
+
+    def test_guard_raises_when_rules_disagree(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_GL_GUARD_ORDER", 2)
+        with pytest.raises(NonConvergenceError, match="contour piece"):
+            contour_kernel_pieces(0.4, 0.9, ModelParams(0.3))
+
+    def test_every_piece_goes_through_the_guarded_rule(self, monkeypatch):
+        seen = []
+
+        def spy(f, edges, what):
+            seen.append(what)
+            return specfun._graded_quad(f, edges, what)
+
+        monkeypatch.setattr(ea, "_graded_quad", spy)
+        contour_kernel_pieces(0.4, 0.9, ModelParams(0.3))
+        assert sorted(set(seen)) == [
+            "contour piece (0, 1)", "contour piece (0, 1), inner rule",
+            "contour piece (0, 2)", "contour piece (1, 1)",
+        ]
 
     def test_piece_bounds(self):
         # horizontal x vertical <= t s^(2a-1); opposite verticals <=

@@ -194,10 +194,10 @@ class TestLevyAreaVariance:
         assert mine == pytest.approx(levy_area_variance_by_mpmath(alpha, e1, e2, t), rel=1e-11)
 
     def test_guard_raises_when_rules_disagree(self, monkeypatch):
-        from cfbm import rough_integrals
+        from cfbm import specfun
         from cfbm.specfun import NonConvergenceError
 
-        monkeypatch.setattr(rough_integrals, "_LEVY_GUARD_ORDER", 2)
+        monkeypatch.setattr(specfun, "_GL_GUARD_ORDER", 2)
         with pytest.raises(NonConvergenceError):
             levy_area_variance(LevyAreaSpec(0.4, 1.0, 1e-3, 1e-3))
 

@@ -123,6 +123,51 @@ class TestGamma:
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
+class TestGradedQuad:
+    def test_exact_on_polynomials_of_the_guard_degree(self):
+        # both rules integrate degree <= 23 exactly, so the guard is quiet and
+        # the value is the integral, here on 18 panels of widths 1e-3 to 0.26
+        coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, 24)
+        edges = specfun._graded_edges(1e-3, 2.0)
+        val = specfun._graded_quad(lambda x: np.polyval(coeffs, x), edges, "poly")
+        exact = np.polyval(np.polyint(coeffs), 2.0)
+        assert val == pytest.approx(exact, rel=1e-14, abs=0)
+
+    def test_returns_the_20_point_value(self):
+        # on two panels x^39 is exact under the 20-point rule only; the
+        # 12-point guard is 2.7e-12 off, inside its tolerance
+        val = specfun._graded_quad(lambda x: x ** 39, np.array([0.0, 0.5, 1.0]), "x^39")
+        assert val == pytest.approx(1.0 / 40.0, rel=1e-13, abs=0)
+
+    def test_trailing_axes_are_integrated_elementwise(self):
+        edges = np.array([0.0, 0.5, 1.5])
+        val = specfun._graded_quad(
+            lambda x: np.stack([np.ones_like(x), x ** 23, 1j * x ** 5], axis=-1), edges, "cols"
+        )
+        assert val.shape == (3,)
+        assert val == pytest.approx([1.5, 1.5 ** 24 / 24, 1j * 1.5 ** 6 / 6], rel=1e-13, abs=0)
+
+    def test_raises_on_a_jump_inside_a_panel(self):
+        edges = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(NonConvergenceError, match="step"):
+            specfun._graded_quad(lambda x: (x > 0.3).astype(float), edges, "step")
+        # with the jump on an edge both rules are exact
+        assert specfun._graded_quad(
+            lambda x: (x > 0.5).astype(float), edges, "step"
+        ) == pytest.approx(0.5, rel=1e-15, abs=0)
+
+    def test_raises_when_one_trailing_column_disagrees(self):
+        edges = np.array([0.0, 0.5, 1.0])
+
+        def f(x):
+            out = np.stack([x ** 2, x ** 3, x ** 4], axis=-1)
+            out[:, 1] = x > 0.3
+            return out
+
+        with pytest.raises(NonConvergenceError, match="one column"):
+            specfun._graded_quad(f, edges, "one column")
+
+
 class TestHyp2F1:
     def test_unit_when_a_or_b_zero(self):
         assert hyp2f1(0, 0.7, 1.3, 0.9 + 0.4j) == 1
