@@ -29,6 +29,8 @@ from .gamma_process import (
 )
 from .rough_integrals import (
     LevyAreaSpec,
+    _finest_shift,
+    _volume_inner_max_error,
     divergence_slope,
     levy_area_sign_sum,
     levy_area_variance,
@@ -36,9 +38,8 @@ from .rough_integrals import (
     levy_volume_w1,
     mc_levy_area_moments,
     mc_levy_volume_moment,
-    volume_inner_closed,
 )
-from .specfun import _graded_edges, _graded_quad, _pow, hyp2f1
+from .specfun import hyp2f1
 
 __all__ = ["main", "ConfigError", "ExperimentConfig"]
 
@@ -240,8 +241,7 @@ _DIVERGENCE_EPS = (3e-4, 1e-4, 3e-5, 1e-5)
 
 
 def _unresolved(cfg, e):
-    # the Monte Carlo grid resolves shifts down to 4 t / grid_n
-    if e < 4.0 * cfg.t_max / cfg.grid_n:
+    if e < _finest_shift(cfg.t_max, cfg.grid_n):
         return f"eps={e}: grid_n={cfg.grid_n} too coarse to resolve"
     return None
 
@@ -289,22 +289,7 @@ def cmd_levy_volume(cfg):
     failures = []
 
     # closed inner kernel integral vs quadrature of its 1-d reduction
-    rng = np.random.default_rng(cfg.seed)
-    worst_inner = 0.0
-    for _ in range(20):
-        x2, y2 = rng.uniform(0.05, 1.0, 2)
-        sigma3 = 1 if rng.random() < 0.5 else -1
-        closed = volume_inner_closed(x2, y2, sigma3, e, cfg.alpha)
-        # the kernel depends on d = x3 - y3 only, of weight min(x2, y2 + d) - max(0, d)
-        # on [-y2, x2]: panels graded toward its branch point 2e off d = 0, and an edge
-        # at the weight's kink x2 - y2
-        quad = _graded_quad(
-            lambda d: (np.minimum(x2, y2 + d) - np.maximum(0.0, d))
-            * _pow(-1j * sigma3 * d + 2.0 * e, 2.0 * cfg.alpha - 2.0),
-            np.union1d(np.union1d(-_graded_edges(e, y2), _graded_edges(e, x2)), x2 - y2),
-            "levy-volume inner integral",
-        )
-        worst_inner = max(worst_inner, abs(closed - quad))
+    worst_inner = _volume_inner_max_error(cfg.alpha, e, cfg.seed)
     rows.append(("inner_integral_max_abs_err", worst_inner, 0.0, worst_inner))
     if worst_inner > 1e-4:  # graded 20-point Gauss-Legendre on d = x3 - y3
         failures.append(f"inner closed form off quadrature by {worst_inner:.3e}")

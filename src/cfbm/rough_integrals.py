@@ -12,8 +12,7 @@ then evaluated by the guarded graded Gauss-Legendre rule of ``specfun`` on
 panels graded geometrically toward both ends of the window; the
 hypergeometric closed forms are kept as independently tested operations
 rather than re-assembled term by term.  The sign-resolved assembly of the
-same moment stays on adaptive QUADPACK quadrature as an independent route,
-the only scipy quadrature left on the runtime path.
+same moment, an independent route, runs on the same rule.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ import numpy as np
 
 from .eps_approx import EpsApproxSpec, _jittered_cholesky, covariance_matrix
 from .gamma_process import DomainError, ModelParams, _loglog_slope, _philox
-from .specfun import (
-    _EPSABS, _EPSREL, NonConvergenceError, _graded_edges, _graded_quad, _pow, hyp2f1, principal_pow,
-)
+from .specfun import NonConvergenceError, _graded_edges, _graded_quad, _pow, hyp2f1, principal_pow
 
 __all__ = [
     "PowerIntegralParams",
@@ -183,73 +180,55 @@ def levy_area_variance(spec):
     return float(kappa * kappa * 4.0 * val / (a2 * (a2 - 1.0)))
 
 
-def _quad(f, lo, hi, scale=None):
-    # breakpoints at multiples of the kernel ridge scale keep the adaptive
-    # rule honest when the regularization is many orders below the window
-    from scipy import integrate  # on use: the sampling commands never load scipy
-
-    pts = []
-    if lo < 0.0 < hi:
-        pts.append(0.0)
-    if scale is not None and scale > 0:
-        for m in (1.0, 1e1, 1e2, 1e3, 1e4, 1e5):
-            for p in (m * scale, -m * scale):
-                if lo < p < hi:
-                    pts.append(p)
-    val, _ = integrate.quad(
-        f, lo, hi, points=sorted(pts) or None, epsabs=_EPSABS, epsrel=_EPSREL, limit=1500
-    )
-    return val
-
-
-def _quad_c(f, lo, hi, scale):
-    return _quad(lambda x: f(x).real, lo, hi, scale) + 1j * _quad(
-        lambda x: f(x).imag, lo, hi, scale
-    )
+def _ridge_step(c, u, p):
+    # (c - i u)^p - c^p for c > 0 and real u, as c^p expm1(p Log(1 - i u/c)):
+    # it keeps its relative accuracy where |u| << c, where the two powers
+    # would cancel
+    v = u / c
+    return c ** p * np.expm1(p * (0.5 * np.log1p(v * v) - 1j * np.arctan(v)))
 
 
 def levy_area_sign_sum(alpha, eps1, eps2, t):
     """Kernel-sign-resolved assembly of the Levy-area quadruple integral.
 
     Sums the four (sigma1, sigma2) contributions as explicit complex
-    quadratures without the conjugation shortcuts of levy_area_variance;
-    kappa^2 times the (real) result reproduces it.  Kept on adaptive
-    QUADPACK quadrature (scipy) as the independent route that the
-    levy-volume w1 identity gate compares against.
+    integrals without the conjugation shortcuts of levy_area_variance;
+    kappa^2 times the (real) result reproduces it, as the levy-volume w1
+    gate checks.  A pair's terms t1 - t2 - t3 + (2 eps2)^2a t4 integrate
+    the outer kernel (-i sigma1 x + 2 eps1)^(2a-2) against the inner one,
+    k(x) = (-i sigma2 x + 2 eps2)^2a.  k(0) puts k(0) t4 into each of t1, t2
+    and t3, which with their signs cancel the fourth term exactly, so k
+    enters as k - k(0) (`_ridge_step`): t1 and t4 would otherwise each cancel
+    a lump of size (2 eps1)^(2a-1) at the ridge x = 0, losing digits for
+    small alpha and eps1 << t.  [-t, t] is folded onto [0, t/2], where x and
+    t - x both keep their digits, and the twelve terms are integrated by the
+    guarded graded rule of ``specfun``, which raises NonConvergenceError
+    where its guard fails.  The QUADPACK version is in ``tests/helpers``.
     """
     a2 = 2.0 * alpha
-    ridge = 2.0 * (eps1 + eps2)
-    total = 0j
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            def t1(x):
-                return (t - abs(x)) * _pow(-1j * s1 * x + 2 * eps1, a2 - 2) * _pow(
-                    -1j * s2 * x + 2 * eps2, a2
-                )
+    c1, c2 = 2.0 * eps1, 2.0 * eps2
+    s1 = np.array([1.0, 1.0, -1.0, -1.0])
+    s2 = np.array([1.0, -1.0, 1.0, -1.0])
 
-            def t2(x):
-                bracket = _pow(-1j * s1 * (x - t) + 2 * eps1, a2 - 1) - _pow(
-                    -1j * s1 * x + 2 * eps1, a2 - 1
-                )
-                return _pow(-1j * s2 * x + 2 * eps2, a2) * bracket / (1j * s1 * (a2 - 1))
+    def terms_at(x, r):
+        # the columns t1, -t2, -t3 of the four pairs at x, where r = t - x;
+        # k_pos and k_neg are k - k(0) at x and -x
+        k_pos, k_neg = _ridge_step(c2, s2 * x, a2), _ridge_step(c2, -s2 * x, a2)
+        z_pos, z_neg, w = -1j * s1 * x + c1, 1j * s1 * x + c1, 1j * s1 * (a2 - 1.0)
+        t1 = r * (_pow(z_pos, a2 - 2.0) * k_pos + _pow(z_neg, a2 - 2.0) * k_neg)
+        t2 = k_pos * (_pow(1j * s1 * r + c1, a2 - 1.0) - _pow(z_pos, a2 - 1.0)) / w
+        t3 = k_neg * (_pow(-1j * s1 * r + c1, a2 - 1.0) - _pow(z_neg, a2 - 1.0)) / -w
+        return np.concatenate((t1, -t2, -t3), axis=1)
 
-            def t3(y):
-                bracket = _pow(-1j * s1 * (t - y) + 2 * eps1, a2 - 1) - _pow(
-                    1j * s1 * y + 2 * eps1, a2 - 1
-                )
-                return _pow(1j * s2 * y + 2 * eps2, a2) * bracket / (-1j * s1 * (a2 - 1))
+    def f(u):
+        # u in [0, t/2] stands for x = u and x = t - u, so each node's
+        # distance from its nearer end of the window, u, is exact
+        u = u[:, None]
+        return terms_at(u, t - u) + terms_at(t - u, u)
 
-            def t4(x):
-                return (t - abs(x)) * _pow(-1j * s1 * x + 2 * eps1, a2 - 2)
-
-            part = (
-                _quad_c(t1, -t, t, ridge)
-                - _quad_c(t2, 0.0, t, ridge)
-                - _quad_c(t3, 0.0, t, ridge)
-                + (2.0 * eps2) ** a2 * _quad_c(t4, -t, t, ridge)
-            )
-            total += part / (a2 * (a2 - 1.0))
-    return total
+    edges = _graded_edges(min(eps1, eps2), t)
+    terms = _graded_quad(f, edges[edges <= 0.5 * t], "Levy-area sign sum")
+    return complex(np.sum(terms)) / (a2 * (a2 - 1.0))
 
 
 def levy_const(alpha):
@@ -384,6 +363,12 @@ def _factor_chain(alpha, shifts, grid, params):
     return chain
 
 
+def _finest_shift(t, grid_n):
+    # the smallest shift the Monte Carlo resolves on the uniform grid_n-grid
+    # of [0, t]
+    return 4.0 * t / grid_n
+
+
 def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, functional):
     # Second moments of functional(components), one MCEstimate per shift set:
     # in set s, component c is an exact Gamma(s[c]) path on the uniform
@@ -398,7 +383,7 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
 
     if grid_n < 2 or grid_n & (grid_n - 1):
         raise ValueError(f"grid_n must be a power of two, got {grid_n}")
-    finest = 4.0 * t / grid_n
+    finest = _finest_shift(t, grid_n)
     for e in (e for s in shift_sets for e in s):
         if e < finest:
             raise DomainError(
@@ -556,6 +541,29 @@ def volume_inner_closed(x2, y2, sigma3, eps3, alpha):
         - _pow(1j * sigma3 * y2 + e, a2)
         + _pow(-1j * sigma3 * (x2 - y2) + e, a2)
     ) / (a2 * (a2 - 1.0))
+
+
+def _volume_inner_max_error(alpha, eps3, seed):
+    # The levy-volume check of volume_inner_closed: its largest deviation from
+    # the guarded graded rule over 20 rectangles [0, x2] x [0, y2] and kernel
+    # signs drawn from default_rng(seed).
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(20):
+        x2, y2 = rng.uniform(0.05, 1.0, 2)
+        sigma3 = 1 if rng.random() < 0.5 else -1
+        closed = volume_inner_closed(x2, y2, sigma3, eps3, alpha)
+        # the kernel depends on d = x3 - y3 only, of weight min(x2, y2 + d) - max(0, d)
+        # on [-y2, x2]: panels graded toward its branch point 2 eps3 off d = 0, and an
+        # edge at the weight's kink x2 - y2
+        quad = _graded_quad(
+            lambda d: (np.minimum(x2, y2 + d) - np.maximum(0.0, d))
+            * _pow(-1j * sigma3 * d + 2.0 * eps3, 2.0 * alpha - 2.0),
+            np.union1d(np.union1d(-_graded_edges(eps3, y2), _graded_edges(eps3, x2)), x2 - y2),
+            "levy-volume inner integral",
+        )
+        worst = max(worst, abs(closed - quad))
+    return worst
 
 
 def levy_volume_w1(alpha, eps1, eps2, eps3, t):

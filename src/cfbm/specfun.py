@@ -4,9 +4,9 @@ Principal-branch powers, a Gamma function (``math.gamma`` on the real axis,
 ``scipy.special.gamma`` off it), a Gauss 2F1 engine that evaluates whichever
 of seven convergent expansions is cheapest at its argument (see ``hyp2f1``),
 and the guarded graded Gauss-Legendre rule behind every runtime quadrature
-(the Levy-area variance, the contour-kernel pieces and the ``levy-volume``
-inner check): 20-point panels, checked against the 12-point rule on the same
-panels.
+(the Levy-area variance and its sign-resolved sum, the contour-kernel pieces
+and the ``levy-volume`` inner check): 20-point panels, checked against the
+12-point rule on the same panels.
 
 All functions are pure and stateless.  Domain violations raise SpecFunError
 subclasses instead of returning NaN, so callers cannot silently continue
@@ -90,7 +90,7 @@ def _pow(z, beta):
 # ---------------------------------------------------------------------------
 
 # Gauss-Legendre orders of the graded rule and of its guard, and the guard's
-# tolerances (shared with the QUADPACK calls of the sign-resolved Levy sum)
+# tolerances
 _GL_ORDER, _GL_GUARD_ORDER = 20, 12
 _EPSABS, _EPSREL = 1e-12, 3e-10
 

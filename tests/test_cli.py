@@ -120,14 +120,15 @@ class TestParsingAndConfig:
         assert res.stdout.strip() == "False"
 
     def test_import_leaves_scipy_unloaded(self, tmp_path):
-        # scipy backs only the adaptive quadrature of the sign-resolved
-        # Levy-area sum, the MC path product and the Gamma function off the
-        # real axis (the Gamma coefficients of hyp2f1's connection formulas
-        # at complex parameters), which import it on use, so neither the
-        # import nor the sampling and closed-form commands load it, nor the
-        # graded Gauss-Legendre rule's callers: the Levy-area variance and
-        # its callers and the contour kernel integral; the Gauss-Legendre
-        # nodes are built on first use, so the import loads no
+        # scipy backs only the MC path product (BLAS dtrmm, scipy.linalg) and
+        # the Gamma function off the real axis (the Gamma coefficients of
+        # hyp2f1's connection formulas at complex parameters), which import it
+        # on use.  So neither the import nor the sampling and closed-form
+        # commands load it, nor the graded Gauss-Legendre rule's callers: the
+        # Levy-area variance and its callers, the sign-resolved Levy-area sum
+        # and the contour kernel integral.  levy-volume may load scipy.linalg
+        # for its Monte Carlo, but no command loads scipy.integrate.  The
+        # Gauss-Legendre nodes are built on first use, so the import loads no
         # numpy.polynomial either; the import loads no mpmath, and neither
         # does importing the oracles
         commands = [
@@ -137,6 +138,7 @@ class TestParsingAndConfig:
             ["kernel-check"],
             ["cov-check"],
         ]
+        volume = ["levy-volume", "--n-mc", "4", "--grid-n", "64", "--out", "out.csv"]
         code = (
             "import sys; from cfbm.cli import main\n"
             "import cfbm.rough_integrals as ri\n"
@@ -150,15 +152,18 @@ class TestParsingAndConfig:
             "ri.levy_area_variance(ri.LevyAreaSpec(0.4, 1.0, 1e-3, 2e-3))\n"
             "ri.divergence_slope(0.2, (1e-3, 1e-4), 1.0)\n"
             "ri.levy_volume_w1(0.3, 0.05, 0.05, 0.05, 1.0)\n"
+            "ri.levy_area_sign_sum(0.3, 0.05, 0.04, 1.0)\n"
             "from cfbm.eps_approx import contour_kernel_integral\n"
             "from cfbm.gamma_process import ModelParams\n"
             "contour_kernel_integral(0.5, 1.0, ModelParams(0.3))\n"
             "print(scipy_modules())\n"
+            f"print(main({volume!r}),\n"
+            "      [m for m in scipy_modules() if m.startswith('scipy.integrate')])\n"
         )
         res = run_python(["-c", code], tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == [
-            "[] False False", "[] False", "[0, 0, 0, 0, 0]", "[]", "[]"
+            "[] False False", "[] False", "[0, 0, 0, 0, 0]", "[]", "[]", "0 []"
         ]
 
     def test_public_names_are_defined_once(self):

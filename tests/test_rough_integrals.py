@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -40,11 +41,16 @@ from helpers import (
     dblquad_complex,
     i1_integrand,
     i2_integrand,
+    levy_area_sign_sum_by_quadpack,
     levy_area_variance_by_mpmath,
     levy_area_variance_by_quadpack,
     levy_area_variance_dblquad,
     quad_complex,
 )
+
+
+# the mpmath reference values are slow; the variance and the sign sum share them
+_variance_by_mpmath = functools.cache(levy_area_variance_by_mpmath)
 
 
 def _example_params(alpha=0.4, s=0.0, t=1.0):
@@ -191,7 +197,7 @@ class TestLevyAreaVariance:
         # returns values off by 1e-3 and 4e-5 relative, raising nothing
         # (an IntegrationWarning at most)
         mine = levy_area_variance(LevyAreaSpec(alpha, t, e1, e2))
-        assert mine == pytest.approx(levy_area_variance_by_mpmath(alpha, e1, e2, t), rel=1e-11)
+        assert mine == pytest.approx(_variance_by_mpmath(alpha, e1, e2, t), rel=1e-11)
 
     def test_guard_raises_when_rules_disagree(self, monkeypatch):
         from cfbm import specfun
@@ -247,6 +253,44 @@ class TestLevyAreaVariance:
             LevyAreaSpec(0.4, -1.0, 0.1, 0.1)
         with pytest.raises(ValueError):
             LevyAreaSpec(0.4, 1.0, 0.0, 0.1)
+
+
+class TestLevyAreaSignSum:
+    # (alpha, eps1, eps2) on the unit window where the QUADPACK oracle meets
+    # its tolerance
+    ORACLE_CASES = (
+        [(a, e1, e2) for a in (0.15, 0.3, 0.45, 0.7, 0.9)
+         for e1, e2 in ((0.1, 0.05), (0.02, 0.04), (0.01, 0.01), (4e-3, 2e-3))]
+        + [(a, 1e-3, 5e-4) for a in (0.3, 0.45, 0.7, 0.9)]
+    )
+
+    def test_matches_quadpack_oracle(self):
+        for alpha, e1, e2 in self.ORACLE_CASES:
+            mine = levy_area_sign_sum(alpha, e1, e2, 1.0)
+            oracle = levy_area_sign_sum_by_quadpack(alpha, e1, e2, 1.0)
+            assert mine.real == pytest.approx(oracle.real, rel=1e-11, abs=0.0)
+            assert abs(mine.imag) <= 1e-11 * abs(mine.real)
+
+    @pytest.mark.parametrize(
+        "alpha, e1, e2, t",
+        [(0.05, 1e-4, 2e-4, 50.0), (0.26, 1e-8, 1e-8, 1.0), (0.02, 1e-8, 1.0, 1.0)],
+    )
+    def test_extreme_shift_ratio_matches_mpmath(self, alpha, e1, e2, t):
+        # where the QUADPACK oracle is off by 1e-3, 4e-5 and a factor 230,
+        # raising nothing (an IntegrationWarning at most); the last case needs
+        # the ridge value taken out of the inner kernel and the nodes near
+        # x = t placed from that end
+        kappa = ModelParams(alpha).kappa
+        mine = kappa * kappa * levy_area_sign_sum(alpha, e1, e2, t).real
+        assert mine == pytest.approx(_variance_by_mpmath(alpha, e1, e2, t), rel=1e-11, abs=0.0)
+
+    def test_guard_raises_when_rules_disagree(self, monkeypatch):
+        from cfbm import specfun
+        from cfbm.specfun import NonConvergenceError
+
+        monkeypatch.setattr(specfun, "_GL_GUARD_ORDER", 2)
+        with pytest.raises(NonConvergenceError, match="Levy-area sign sum"):
+            levy_area_sign_sum(0.4, 0.05, 0.04, 1.0)
 
 
 class TestLevyConst:
