@@ -5,8 +5,9 @@ covariance kernel (partial sums and closed form), the boundary covariance
 function, and the seeded series samplers.  The engine behind everything is a
 Karhunen-Loeve-type expansion in the Cayley variable zeta = (z-i)/(z+i): on
 the unit disk the basis is a weighted power basis, so partial sums and
-kernels reduce to geometric-type series, and the integrals F_k to a
-three-term recurrence, plus principal-branch power prefactors.
+kernels reduce to geometric-type series, and the integrals F_k to an
+integration-by-parts recurrence summed as a running sum, plus
+principal-branch power prefactors.
 
 Normalization: the coefficient components xi_k^1, xi_k^2 have the fixed
 variance 1/2 (E|xi_k^+|^2 = 1), which makes the boundary process match the
@@ -186,6 +187,14 @@ def _sqrt_poch_ratio(alpha, ks):
     return np.sqrt(_poch_ratio(alpha, int(ks.max(initial=-1)) + 1)[ks])
 
 
+def _term_index(k):
+    # the index k of f_k or F_k, as a Python int; rejects negative and
+    # non-integer values rather than truncating them
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    return int(k)
+
+
 def _fk_prefactor(params):
     return 2.0 ** (params.alpha - 1.0) * math.sqrt(params.kappa)
 
@@ -196,6 +205,7 @@ def f_k(k, z, params):
     2^(a-1) sqrt(kappa) sqrt((2-2a)_k/k!) ((z+i)/(2i))^(2a-2) ((z-i)/(z+i))^k
     with every fractional power on the principal branch.
     """
+    k = _term_index(k)
     z = complex(z)
     if z.imag <= -1.0:
         raise BranchCutError(
@@ -205,7 +215,7 @@ def f_k(k, z, params):
     pref = principal_pow(base, 2.0 * params.alpha - 2.0)
     zeta = (z - 1j) / (z + 1j)
     spr = float(_sqrt_poch_ratio(params.alpha, [k])[0])
-    return _fk_prefactor(params) * spr * pref * zeta ** int(k)
+    return _fk_prefactor(params) * spr * pref * zeta ** k
 
 
 # ---------------------------------------------------------------------------
@@ -257,55 +267,81 @@ def kernel_terms_needed(z, w, params, tol=1e-9):
 # integrated basis functions F_k
 # ---------------------------------------------------------------------------
 
+# rows per block of the F_k table: the recurrence advances a block by a few
+# passes over a (block, points) array, and the coupled experiments rewrite
+# the table into real rows a block at a time.  From 32 rows on, the per-block
+# call overhead no longer shows in the table's time at 256-2560 points;
+# larger blocks only grow the work arrays
+_ROW_BLOCK = 32
+
+
 def _fk_columns(n_terms, pts, params):
     # F_k(z) for k < n_terms at every point, by integration by parts in the
     # disk variable: with w = cayley(z) and J_k = int_(-1)^w u^k (1-u)^(-2a) du,
-    #   (k+2-2a) J_(k+1) = (k+1) J_k - w^(k+1) (1-w)^(1-2a) + (-1)^(k+1) 2^(1-2a)
-    # and F_k = prefactor * sqrt((2-2a)_k/k!) * 2i * J_k.  1 - w = 2i/(z+i) has
-    # positive real part for Im z > -1, so the power stays off its cut.
+    #   (k+2-2a) J_(k+1) = (k+1) J_k - w^(k+1) (1-w)^(1-2a) + (-1)^(k+1) 2^(1-2a).
+    # With r_k = (2-2a)_k/k! and r_(k+1)/(k+2-2a) = r_k/(k+1), the scaled
+    # S_k = r_k J_k is a running sum,
+    #   S_(k+1) = S_k + r_k/(k+1) (-w^(k+1) (1-w)^(1-2a) + (-1)^(k+1) 2^(1-2a)),
+    # taken a block of rows at a time by cumsum, and
+    # F_k = prefactor * sqrt(r_k) * 2i * J_k = 2i prefactor S_k / sqrt(r_k).
+    # Every step is elementwise or a cumsum along k, so each point's column
+    # is independent of the other points.  1 - w = 2i/(z+i) has positive real
+    # part for Im z > -1, so the power stays off its cut.
     a = params.alpha
     w = (pts - 1j) / (pts + 1j)
-    tail = _pow(1.0 - w, 1.0 - 2.0 * a)  # w^k (1-w)^(1-2a), advanced per row
+    tail = _pow(1.0 - w, 1.0 - 2.0 * a)  # w^k0 (1-w)^(1-2a) at each block's start
     head = 2.0 ** (1.0 - 2.0 * a)
-    J = np.empty((n_terms, len(pts)), dtype=complex)
-    J[0] = (tail - head) / (2.0 * a - 1.0)
-    for k in range(n_terms - 1):
-        tail *= w
-        row = np.multiply(J[k], k + 1, out=J[k + 1])  # the recurrence, in place
-        row -= tail
-        row += (-1) ** (k + 1) * head
-        row /= k + 2 - 2.0 * a
-    scale = 2j * _fk_prefactor(params) * _sqrt_poch_ratio(a, np.arange(n_terms))
-    J *= scale[:, None]  # in place: a second table would double peak memory
+    r = _poch_ratio(a, n_terms)
+    g = r[:-1] / np.arange(1, n_terms)  # r_k/(k+1) for k < n_terms - 1
+    neg_g = -g[:, None]
+    heads = (head * g * np.resize([-1.0, 1.0], n_terms - 1))[:, None]
+    powers = np.cumprod(np.broadcast_to(w, (min(_ROW_BLOCK, n_terms), len(pts))), axis=0)
+    S = np.empty((n_terms, len(pts)), dtype=complex)
+    S[0] = (tail - head) / (2.0 * a - 1.0)
+    for k0 in range(0, n_terms - 1, _ROW_BLOCK):
+        k1 = min(k0 + _ROW_BLOCK, n_terms - 1)
+        blk = np.multiply(powers[:k1 - k0], tail, out=S[k0 + 1:k1 + 1])
+        blk *= neg_g[k0:k1]
+        blk += heads[k0:k1]
+        blk[0] += S[k0]
+        np.cumsum(blk, axis=0, out=blk)
+        tail *= powers[-1]
+    # in place: a second table would double peak memory
+    S *= (2j * _fk_prefactor(params) / np.sqrt(r))[:, None]
     # the two powers of 2 can differ in the last bit, so z = 0 would leave
     # rounding residue instead of F_k(0) = 0
-    J[:, pts == 0] = 0.0
-    return J
+    S[:, pts == 0] = 0.0
+    return S
 
 
 def F_k(k, z, params):
     """F_k(z) = integral of f_k from 0 to z, for Im z > -1.
 
-    Computed by the closed-form integration-by-parts recurrence over
-    0..k.  Near z = 0 the recurrence cancels, so the accuracy there is
-    absolute (about 1e-16 per term), not relative.
+    The last row of ``fk_table(k + 1, [z], params)``.  Near z = 0 the
+    recurrence cancels, so the accuracy there is absolute (about 1e-16 per
+    term), not relative.  k must be a non-negative integer.
     """
+    k = _term_index(k)
     z = complex(z)
     if z.imag <= -1.0:
         raise BranchCutError(f"F_k requires Im z > -1 along [0, z] (z={z})")
-    return complex(_fk_columns(int(k) + 1, np.array([z]), params)[-1, 0])
+    return complex(_fk_columns(k + 1, np.array([z]), params)[-1, 0])
 
 
 def fk_table(n_terms, points, params):
     """F_k(z) for every k < n_terms at every point z (Im z > -1).
 
-    One closed-form recurrence over k, vectorised across the points, so the
-    points may come in any order.  F_k(0) = 0 exactly.  Near z = 0 the
-    recurrence cancels, so the accuracy there is absolute (about 1e-16 per
-    term), not relative.
+    The closed-form integration-by-parts recurrence over k, taken as a
+    running sum 32 rows at a time (a few elementwise passes and a cumsum
+    along k per block), vectorised across the points.  Each point's column
+    is computed independently of the others, so the points may come in any
+    order.  F_k(0) = 0 exactly.  Near z = 0 the recurrence cancels, so the
+    accuracy there is absolute (about 1e-16 per term), not relative.
 
-    Returns a complex array of shape (n_terms, len(points)).
+    Returns a complex array of shape (n_terms, len(points)); n_terms >= 1.
     """
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or len(pts) == 0:
         raise ValueError("points must be a non-empty 1-d sequence")
@@ -385,23 +421,38 @@ def _loglog_slope(xs, ys):
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
+def _stack_real_rows(flat):
+    # rewrites the complex (n, m) table in place, a block of rows at a time,
+    # into the real (2n, m) rows (Re F_0; -Im F_0; Re F_1; ...), so that
+    # Re(xi @ flat) = xi.view(float) @ rows: one real product of half the flops
+    rows = flat.view(float).reshape(2 * len(flat), -1)
+    for lo in range(0, len(flat), _ROW_BLOCK):
+        chunk = flat[lo:lo + _ROW_BLOCK].copy()
+        pairs = rows[2 * lo:2 * (lo + len(chunk))].reshape(len(chunk), 2, -1)
+        pairs[:, 0] = chunk.real
+        np.negative(chunk.imag, out=pairs[:, 1])
+    return rows
+
+
 def _coupled_sup_experiment(labels, table, variants, n_mc, seed):
     # Monte Carlo E[sup_grid |B_variant - B_ref|] per variant (n, b): paths
     # 2 Re(xi[:n] @ table[:n, b]) against 2 Re(xi @ table[:, 0]), one stream
     # per replicate for all, so the differences isolate what the variants
     # change.  Per replicate block, the products over the row ranges between
     # cuts are summed cut by cut, reading each row of the (n_ref, n_blocks,
-    # n_points) table once.  Returns ([(label, e_sup)], log-log slope).
-    n_ref = table.shape[0]
-    flat = table.reshape(n_ref, -1)
+    # n_points) table once.  The table is the caller's to give up: it is
+    # overwritten by its real rows.  Returns ([(label, e_sup)], log-log slope).
+    n_ref, *path_shape = table.shape
+    rows = _stack_real_rows(table.reshape(n_ref, -1))
     cuts = sorted({n for n, _ in variants} | {n_ref})
     sups = np.empty((len(variants), n_mc))
     for start, xi in _coefficient_blocks(seed, n_ref, range(n_mc)):
-        acc = np.zeros((len(xi), flat.shape[1]), dtype=complex)
+        pairs = xi.view(float)  # (Re xi_k, Im xi_k) along each row
+        acc = np.zeros((len(xi), rows.shape[1]))
         paths = {}
         for lo, hi in zip([0] + cuts, cuts):
-            acc += xi[:, lo:hi] @ flat[lo:hi]
-            paths[hi] = 2.0 * acc.real.reshape(len(xi), *table.shape[1:])
+            acc += pairs[:, 2 * lo:2 * hi] @ rows[2 * lo:2 * hi]
+            paths[hi] = 2.0 * acc.reshape(len(xi), *path_shape)
         ref = paths[n_ref][:, 0]
         for i, (n, b) in enumerate(variants):
             sups[i, start:start + len(xi)] = np.abs(paths[n][:, b] - ref).max(axis=1)
@@ -420,6 +471,8 @@ def series_truncation_experiment(params, n_list, n_ref, n_mc, grid, seed):
     n_list = [int(n) for n in n_list]
     if any(n >= n_ref for n in n_list):
         raise ValueError("every N must be < n_ref")
+    if any(n < 1 for n in n_list):
+        raise ValueError(f"every N must be >= 1, got {min(n_list)}")
     grid = np.asarray(grid, dtype=float)
     table = fk_table(n_ref, grid.astype(complex), params)
     variants = [(n, 0) for n in n_list]

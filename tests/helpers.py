@@ -95,6 +95,73 @@ def fk_by_quadrature(ks, z, params, panels):
     return _fk_prefactor(params) * _sqrt_poch_ratio(a, ks) * (powers @ (weights * base))
 
 
+def fk_table_by_row_recurrence(n_terms, pts, params):
+    """F_k(z) for k < n_terms at every point by the row-by-row recurrence.
+
+    The library's former ``_fk_columns``, kept verbatim as the oracle for
+    the blocked running sum: one step of the recurrence per row k, dividing
+    by (k + 2 - 2a) as it goes, then one scale pass.
+    """
+    from cfbm.gamma_process import _fk_prefactor, _pow, _sqrt_poch_ratio
+
+    # F_k(z) for k < n_terms at every point, by integration by parts in the
+    # disk variable: with w = cayley(z) and J_k = int_(-1)^w u^k (1-u)^(-2a) du,
+    #   (k+2-2a) J_(k+1) = (k+1) J_k - w^(k+1) (1-w)^(1-2a) + (-1)^(k+1) 2^(1-2a)
+    # and F_k = prefactor * sqrt((2-2a)_k/k!) * 2i * J_k.  1 - w = 2i/(z+i) has
+    # positive real part for Im z > -1, so the power stays off its cut.
+    a = params.alpha
+    w = (pts - 1j) / (pts + 1j)
+    tail = _pow(1.0 - w, 1.0 - 2.0 * a)  # w^k (1-w)^(1-2a), advanced per row
+    head = 2.0 ** (1.0 - 2.0 * a)
+    J = np.empty((n_terms, len(pts)), dtype=complex)
+    J[0] = (tail - head) / (2.0 * a - 1.0)
+    for k in range(n_terms - 1):
+        tail *= w
+        row = np.multiply(J[k], k + 1, out=J[k + 1])  # the recurrence, in place
+        row -= tail
+        row += (-1) ** (k + 1) * head
+        row /= k + 2 - 2.0 * a
+    scale = 2j * _fk_prefactor(params) * _sqrt_poch_ratio(a, np.arange(n_terms))
+    J *= scale[:, None]  # in place: a second table would double peak memory
+    # the two powers of 2 can differ in the last bit, so z = 0 would leave
+    # rounding residue instead of F_k(0) = 0
+    J[:, pts == 0] = 0.0
+    return J
+
+
+def coupled_sup_by_complex_products(labels, table, variants, n_mc, seed):
+    """The coupled sup-error experiment by complex products of the table.
+
+    The library's former ``_coupled_sup_experiment``, kept verbatim as the
+    oracle for the real-row products: each cut's product is the complex
+    ``xi @ table`` of which only the real part is used.  Leaves ``table``
+    unchanged.
+    """
+    from cfbm.gamma_process import _coefficient_blocks, _loglog_slope
+
+    # Monte Carlo E[sup_grid |B_variant - B_ref|] per variant (n, b): paths
+    # 2 Re(xi[:n] @ table[:n, b]) against 2 Re(xi @ table[:, 0]), one stream
+    # per replicate for all, so the differences isolate what the variants
+    # change.  Per replicate block, the products over the row ranges between
+    # cuts are summed cut by cut, reading each row of the (n_ref, n_blocks,
+    # n_points) table once.  Returns ([(label, e_sup)], log-log slope).
+    n_ref = table.shape[0]
+    flat = table.reshape(n_ref, -1)
+    cuts = sorted({n for n, _ in variants} | {n_ref})
+    sups = np.empty((len(variants), n_mc))
+    for start, xi in _coefficient_blocks(seed, n_ref, range(n_mc)):
+        acc = np.zeros((len(xi), flat.shape[1]), dtype=complex)
+        paths = {}
+        for lo, hi in zip([0] + cuts, cuts):
+            acc += xi[:, lo:hi] @ flat[lo:hi]
+            paths[hi] = 2.0 * acc.real.reshape(len(xi), *table.shape[1:])
+        ref = paths[n_ref][:, 0]
+        for i, (n, b) in enumerate(variants):
+            sups[i, start:start + len(xi)] = np.abs(paths[n][:, b] - ref).max(axis=1)
+    esup = sups.mean(axis=1)
+    return list(zip(labels, esup)), _loglog_slope(labels, esup)
+
+
 def coupled_sup_by_replicate(params, ref_table, variants, n_mc, seed):
     """The coupled sup-error experiment one replicate at a time.
 

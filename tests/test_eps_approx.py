@@ -313,8 +313,10 @@ class TestSupErrorExperiment:
         tables = []
 
         def recording_fk_table(*args):
-            tables.append(fk_table(*args))
-            return tables[-1]
+            # the experiment overwrites the table it is given, so record a copy
+            table = fk_table(*args)
+            tables.append(table.copy())
+            return table
 
         monkeypatch.setattr(ea, "fk_table", recording_fk_table)
         sup_error_experiment(p, eps_list, 1, 96, 7, grid)

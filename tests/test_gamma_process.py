@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbm.gamma_process import _REPLICATE_BLOCK as BLOCK
-from cfbm.gamma_process import _coefficient_blocks, _philox
+from cfbm.gamma_process import _coefficient_blocks, _coupled_sup_experiment, _philox
 from cfbm.gamma_process import (
     DomainError,
     ModelParams,
@@ -26,7 +26,12 @@ from cfbm.gamma_process import (
 )
 from cfbm.specfun import BranchCutError, PoleError
 
-from helpers import coupled_sup_by_replicate, fk_by_quadrature
+from helpers import (
+    coupled_sup_by_complex_products,
+    coupled_sup_by_replicate,
+    fk_by_quadrature,
+    fk_table_by_row_recurrence,
+)
 
 ALPHAS = (0.3, 0.45, 0.7)
 
@@ -168,6 +173,32 @@ class TestIntegratedBasis:
             assert F_k(0, 0.0, p) == 0
             assert F_k(17, 0.0, p) == 0
             assert np.all(fk_table(40, np.array([-0.5, 0.0, 0.5]), p)[:, 1] == 0)
+
+    @pytest.mark.parametrize("fn", [f_k, F_k])
+    @pytest.mark.parametrize("k", [-1, 2.7, 3.0])
+    def test_rejects_bad_index(self, fn, k):
+        # a negative k used to fail with an IndexError, and F_k(2.7) gave F_2
+        with pytest.raises(ValueError, match="k must be a non-negative integer"):
+            fn(k, 0.5, ModelParams(0.3))
+
+    @pytest.mark.parametrize("n_terms", [0, -3])
+    def test_table_rejects_no_terms(self, n_terms):
+        with pytest.raises(ValueError, match=f"n_terms must be >= 1, got {n_terms}"):
+            fk_table(n_terms, np.array([0.5]), ModelParams(0.3))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.35, 0.7, 0.99])
+    def test_matches_row_recurrence_oracle(self, alpha):
+        # the blocked running sum against the row-by-row recurrence, across
+        # block edges (31, 32, 33) and out to N = 20000; the worst difference
+        # seen was 3.4e-14, at alpha 0.99 and N = 20000 (2.6e-15 at N <= 101)
+        p = ModelParams(alpha)
+        pts = np.array([-0.5, 0.0, 0.3, 2.5, 0.5 + 0.05j])
+        worst = 0.0
+        for n_terms in (1, 2, 31, 32, 33, 101, 20000):
+            table = fk_table(n_terms, pts, p)
+            assert table.shape == (n_terms, len(pts))
+            worst = max(worst, np.max(np.abs(table - fk_table_by_row_recurrence(n_terms, pts, p))))
+        assert worst < 1e-13, f"worst |difference| {worst:.3g}"
 
     def test_matches_quadrature_oracle(self):
         # includes a point right at the zero of cayley (z = i) and a long
@@ -495,6 +526,29 @@ class TestTruncationExperiment:
         p = ModelParams(0.35)
         with pytest.raises(ValueError):
             series_truncation_experiment(p, [128], 128, 2, np.linspace(0, 1, 8), seed=0)
+
+    def test_rejects_empty_level(self):
+        # N = 0 used to reach the slope fit and fail there on log(0)
+        p = ModelParams(0.35)
+        with pytest.raises(ValueError, match="every N must be >= 1, got 0"):
+            series_truncation_experiment(p, [0, 16], 128, 2, np.linspace(0, 1, 8), seed=0)
+
+    def test_real_products_match_complex_products(self):
+        # two column blocks, a partial last block of replicates (45 = 32 + 13)
+        # and of table rows (100), and cuts that are not multiples of 32
+        p = ModelParams(0.35)
+        grid = np.linspace(0, 1, 33)
+        pts = np.concatenate([grid, grid + 0.05j])
+        table = fk_table(100, pts, p).reshape(100, 2, len(grid))
+        variants = [(5, 0), (33, 1), (70, 0), (70, 1), (100, 1)]
+        labels = [1.0, 2.0, 3.0, 4.0, 5.0]
+        ref_rows, ref_slope = coupled_sup_by_complex_products(labels, table, variants, 45, 3)
+        rows, slope = _coupled_sup_experiment(labels, table.copy(), variants, 45, 3)
+        assert [x for x, _ in rows] == labels
+        np.testing.assert_allclose(
+            [e for _, e in rows], [e for _, e in ref_rows], rtol=1e-13, atol=0
+        )
+        assert slope == pytest.approx(ref_slope, rel=1e-12)
 
     @pytest.mark.parametrize("n_mc", [1, BLOCK - 1, BLOCK, BLOCK + 1, 200])
     def test_matches_per_replicate_oracle(self, n_mc):
