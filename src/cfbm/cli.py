@@ -12,7 +12,8 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,19 +104,16 @@ class ExperimentConfig:
         return self
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)  # field name -> its type
 
 
 def _parse_config_value(key, raw):
     raw = raw.strip()
+    kind = _FIELD_TYPES[key]
     try:
-        if key == "eps_list":
+        if kind is tuple:  # a comma-separated list of floats
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if key in ("alpha", "t_max"):
-            return float(raw)
-        if key in ("seed", "n_terms", "grid_n", "n_mc", "threads"):
-            return int(raw)
-        return raw  # out
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse value {raw!r}") from exc
 

@@ -172,14 +172,16 @@ def sample_gamma_eps_exact(seed, spec, params, stream=0):
 
 
 def l2_error_law(t, eps, params):
-    """Exact E|Gamma(eps)_t - Gamma_t|^2, assembled from cov_eps."""
+    """Exact E|Gamma(eps)_t - Gamma_t|^2, the same at every t.
+
+    Gamma(eps)_t - Gamma_t is the kernel's integral over the vertical segment
+    from t to t + i eps, so the law is 2 kappa times its self-pair,
+    `contour_vv_piece(eps)`; assembled from `cov_eps`, its t-dependent powers
+    would cancel in conjugate pairs.
+    """
     if eps <= 0:
         raise DomainError(f"eps must be > 0, got {eps}")
-    return (
-        cov_eps(t, eps, t, eps, params)
-        - 2.0 * cov_eps(t, eps, t, 0.0, params)
-        + cov_eps(t, 0.0, t, 0.0, params)
-    )
+    return 2.0 * params.kappa * contour_vv_piece(eps, params)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ estimators with deterministic per-path random streams, divergence
 diagnostics below the 1/4 threshold, and the dyadic q-variation machinery.
 
 The Levy-area second moment is reduced analytically to a one-dimensional
-integral of elementary power kernels (the inner time integrals are exact),
-then evaluated by the guarded graded Gauss-Legendre rule of ``specfun`` on
-panels graded geometrically toward both ends of the window; the
-hypergeometric closed forms are kept as independently tested operations
-rather than re-assembled term by term.  The sign-resolved assembly of the
-same moment, an independent route, runs on the same rule.
+integral of elementary power kernels (the inner time integrals are exact,
+the inner kernels enter less their ridge value), folded onto the first half
+of the window and evaluated by the guarded graded Gauss-Legendre rule of
+``specfun``; the hypergeometric closed forms are kept as independently
+tested operations rather than re-assembled term by term.  The sign-resolved
+assembly of the same moment, an independent route, shares both devices.
 """
 
 from __future__ import annotations
@@ -153,29 +153,30 @@ def levy_area_variance(spec):
     over the simplex product.  Their inner pair of time integrals is exact,
     which leaves one integral over [0, t] of elementary power kernels; the
     two signs' inner kernels are complex conjugates, so one real integrand
-    carries both.  Its branch points lie 2 eps off the real axis above x = 0
-    and x = t, so it is integrated by a 20-point Gauss-Legendre rule on
-    panels that double in width from both ends, starting at
-    min(eps1, eps2), which converges geometrically; NonConvergenceError if
-    the 12-point guard rule differs by more than max(1e-12, 3e-10 |integral|).
-    Uses the unit normalization (Var B_1 = 1), matching the exact samplers.
+    carries both.  They enter less their ridge value (2 eps2)^2a, whose
+    share of the integral is exactly zero (`_ridge_step`).  The branch
+    points lie 2 eps off the real axis above x = 0 and x = t, so the window
+    is folded onto [0, t/2] (`_folded_quad`) and integrated by a 20-point
+    Gauss-Legendre rule on panels that double in width from 0, starting at
+    min(eps1, eps2); NonConvergenceError if the 12-point guard rule differs
+    by more than max(1e-12, 3e-10 |integral|).  Uses the unit normalization
+    (Var B_1 = 1), matching the exact samplers.
     """
     a2 = 2.0 * spec.alpha
     e1, e2, t = spec.eps1, spec.eps2, spec.t
 
-    def f(x):
-        # the sum over both signs of (term1 - term2 + term4), with
-        # A = (-ix + 2e1)^(2a-2), B = 2 Re (-ix + 2e2)^2a (the two signs' inner
-        # kernels) and C = (-i(x-t) + 2e1)^(2a-1) - (-ix + 2e1)^(2a-1):
-        #   f = 2 [(t - x) Re A (B + 2 (2e2)^2a) - B Im C / (2a-1)]
+    def f(x, r):
+        # the sum over both signs of (term1 - term2 + term4), r = t - x, with
+        # A = (-ix + 2e1)^(2a-2), B = 2 Re (-ix + 2e2)^2a - 2 (2e2)^2a and
+        # C = (ir + 2e1)^(2a-1) - (-ix + 2e1)^(2a-1): f = 2 B [r Re A - Im C / (2a-1)]
         # (the factor 2 is applied with the normalization below)
         z1 = -1j * x + 2.0 * e1
         a = _pow(z1, a2 - 2.0).real
-        b = 2.0 * _pow(-1j * x + 2.0 * e2, a2).real
-        c = (_pow(-1j * (x - t) + 2.0 * e1, a2 - 1.0) - _pow(z1, a2 - 1.0)).imag
-        return (t - x) * a * (b + 2.0 * (2.0 * e2) ** a2) - b * c / (a2 - 1.0)
+        b = 2.0 * _ridge_step(2.0 * e2, x, a2).real
+        c = (_pow(1j * r + 2.0 * e1, a2 - 1.0) - _pow(z1, a2 - 1.0)).imag
+        return b * (r * a - c / (a2 - 1.0))
 
-    val = _graded_quad(f, _graded_edges(min(e1, e2), t), "Levy-area variance")
+    val = _folded_quad(f, min(e1, e2), t, "Levy-area variance")
     kappa = ModelParams(spec.alpha).kappa
     return float(kappa * kappa * 4.0 * val / (a2 * (a2 - 1.0)))
 
@@ -188,11 +189,19 @@ def _ridge_step(c, u, p):
     return c ** p * np.expm1(p * (0.5 * np.log1p(v * v) - 1j * np.arctan(v)))
 
 
+def _folded_quad(f, h, t, what):
+    # the integral over [0, t] of f(x, r), r = t - x, by the guarded graded
+    # rule on [0, t/2], graded from 0 at scale h: node u stands for x = u and
+    # x = t - u, so its distance from the nearer end of the window is exact
+    edges = _graded_edges(h, t)
+    return _graded_quad(lambda u: f(u, t - u) + f(t - u, u), edges[edges <= 0.5 * t], what)
+
+
 def levy_area_sign_sum(alpha, eps1, eps2, t):
     """Kernel-sign-resolved assembly of the Levy-area quadruple integral.
 
-    Sums the four (sigma1, sigma2) contributions as explicit complex
-    integrals without the conjugation shortcuts of levy_area_variance;
+    Sums the four (sigma1, sigma2) contributions as four explicit complex
+    integrals, with none of the conjugation shortcuts of levy_area_variance;
     kappa^2 times the (real) result reproduces it, as the levy-volume w1
     gate checks.  A pair's terms t1 - t2 - t3 + (2 eps2)^2a t4 integrate
     the outer kernel (-i sigma1 x + 2 eps1)^(2a-2) against the inner one,
@@ -200,10 +209,10 @@ def levy_area_sign_sum(alpha, eps1, eps2, t):
     and t3, which with their signs cancel the fourth term exactly, so k
     enters as k - k(0) (`_ridge_step`): t1 and t4 would otherwise each cancel
     a lump of size (2 eps1)^(2a-1) at the ridge x = 0, losing digits for
-    small alpha and eps1 << t.  [-t, t] is folded onto [0, t/2], where x and
-    t - x both keep their digits, and the twelve terms are integrated by the
-    guarded graded rule of ``specfun``, which raises NonConvergenceError
-    where its guard fails.  The QUADPACK version is in ``tests/helpers``.
+    small alpha and eps1 << t.  The twelve terms are integrated on the fold
+    of levy_area_variance (`_folded_quad`), which raises
+    NonConvergenceError where its guard fails.  The QUADPACK version is in
+    ``tests/helpers``.
     """
     a2 = 2.0 * alpha
     c1, c2 = 2.0 * eps1, 2.0 * eps2
@@ -211,8 +220,9 @@ def levy_area_sign_sum(alpha, eps1, eps2, t):
     s2 = np.array([1.0, -1.0, 1.0, -1.0])
 
     def terms_at(x, r):
-        # the columns t1, -t2, -t3 of the four pairs at x, where r = t - x;
-        # k_pos and k_neg are k - k(0) at x and -x
+        # the columns t1, -t2, -t3 of the four pairs at the nodes x, where
+        # r = t - x; k_pos and k_neg are k - k(0) at x and -x
+        x, r = x[:, None], r[:, None]
         k_pos, k_neg = _ridge_step(c2, s2 * x, a2), _ridge_step(c2, -s2 * x, a2)
         z_pos, z_neg, w = -1j * s1 * x + c1, 1j * s1 * x + c1, 1j * s1 * (a2 - 1.0)
         t1 = r * (_pow(z_pos, a2 - 2.0) * k_pos + _pow(z_neg, a2 - 2.0) * k_neg)
@@ -220,14 +230,7 @@ def levy_area_sign_sum(alpha, eps1, eps2, t):
         t3 = k_neg * (_pow(-1j * s1 * r + c1, a2 - 1.0) - _pow(z_neg, a2 - 1.0)) / -w
         return np.concatenate((t1, -t2, -t3), axis=1)
 
-    def f(u):
-        # u in [0, t/2] stands for x = u and x = t - u, so each node's
-        # distance from its nearer end of the window, u, is exact
-        u = u[:, None]
-        return terms_at(u, t - u) + terms_at(t - u, u)
-
-    edges = _graded_edges(min(eps1, eps2), t)
-    terms = _graded_quad(f, edges[edges <= 0.5 * t], "Levy-area sign sum")
+    terms = _folded_quad(terms_at, min(eps1, eps2), t, "Levy-area sign sum")
     return complex(np.sum(terms)) / (a2 * (a2 - 1.0))
 
 
@@ -324,21 +327,6 @@ def _release_freed_heap():
         trim(0)
 
 
-def _shift_groups(shift_sets):
-    # consecutive runs of shift sets whose distinct shifts, each one n x n
-    # factor held through the paths, number at most one more than the most a
-    # single set needs
-    cap = 1 + max(len(set(s)) for s in shift_sets)
-    groups, held = [], set()
-    for i, s in enumerate(shift_sets):
-        if not groups or len(held | set(s)) > cap:
-            groups.append([])
-            held = set()
-        groups[-1].append(i)
-        held |= set(s)
-    return groups
-
-
 def _factor_chain(alpha, shifts, grid, params):
     # The jittered lower factor of each shift's grid covariance, each as an
     # (n + 1, n) C-order array whose rows 1..n hold the factor in their lower
@@ -377,8 +365,9 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
     # stream keyed (seed, p), for every set alike (common random numbers),
     # batches are fixed-size and reduced in path order, so the result is
     # independent of n_threads, and of the batch size up to the BLAS
-    # product's rounding.  Sets run in the groups of _shift_groups, each
-    # group drawing every path once.
+    # product's rounding.  Sets run two at a time, each pair drawing every
+    # path once: a levy-area set needs one n x n factor, so at most two are
+    # held; levy-volume passes a single set.
     from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
 
     if grid_n < 2 or grid_n & (grid_n - 1):
@@ -397,9 +386,9 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
     values = np.empty((len(shift_sets), n_paths))
 
     def run_group(group):
-        # one factor per distinct shift of the group, and the components it
-        # multiplies
-        sets = [shift_sets[i] for i in group]
+        # one factor per distinct shift of the slice `group` of the sets, and
+        # the components it multiplies
+        sets = shift_sets[group]
         distinct = list(dict.fromkeys(e for s in sets for e in s))
         factors = dict(zip(distinct, _factor_chain(alpha, distinct, grid, params)))
         uses = {e: sorted({c for s in sets for c, ec in enumerate(s) if ec == e})
@@ -423,8 +412,8 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
                              lower=0, trans_a=1, overwrite_b=1)
                 for i, c in enumerate(comps):
                     paths[e, c] = prod[:, i * m:(i + 1) * m]
-            for i, s in zip(group, sets):
-                values[i, p0:p0 + m] = functional([paths[e, c] for c, e in enumerate(s)])
+            for v, s in zip(values[group], sets):
+                v[p0:p0 + m] = functional([paths[e, c] for c, e in enumerate(s)])
 
         if n_threads > 1:
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -433,9 +422,9 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
             for p0 in starts:
                 run_batch(p0)
 
-    for group in _shift_groups(shift_sets):
-        run_group(group)
-        _release_freed_heap()  # the group's factors and buffers are freed now
+    for lo in range(0, len(shift_sets), 2):
+        run_group(slice(lo, lo + 2))
+        _release_freed_heap()  # the pair's factors and buffers are freed now
     estimates = []
     for v in values:
         sq = v * v
@@ -527,7 +516,9 @@ def volume_inner_closed(x2, y2, sigma3, eps3, alpha):
 
     int_0^x2 int_0^y2 (-i sigma3 (x3-y3) + 2 eps3)^(2a-2) dx3 dy3
       = [(2e3)^2a - (-i s3 x2 + 2e3)^2a - (i s3 y2 + 2e3)^2a
-         + (-i s3 (x2-y2) + 2e3)^2a] / (2a(2a-1)).
+         + (-i s3 (x2-y2) + 2e3)^2a] / (2a(2a-1)),
+    summed as R(s3 (x2-y2)) - R(s3 x2) - R(-s3 y2) with the ridge steps
+    R(u) = (2e3 - iu)^2a - (2e3)^2a, into which the constant cancels exactly.
     """
     if sigma3 not in (1, -1, 1.0, -1.0):
         raise ValueError(f"sigma3 must be +-1, got {sigma3}")
@@ -536,10 +527,9 @@ def volume_inner_closed(x2, y2, sigma3, eps3, alpha):
     a2 = 2.0 * alpha
     e = 2.0 * eps3
     return (
-        e ** a2
-        - _pow(-1j * sigma3 * x2 + e, a2)
-        - _pow(1j * sigma3 * y2 + e, a2)
-        + _pow(-1j * sigma3 * (x2 - y2) + e, a2)
+        _ridge_step(e, sigma3 * (x2 - y2), a2)
+        - _ridge_step(e, sigma3 * x2, a2)
+        - _ridge_step(e, -sigma3 * y2, a2)
     ) / (a2 * (a2 - 1.0))
 
 

@@ -435,3 +435,44 @@ def contour_pieces_by_quadpack(s, t, alpha):
         limit=200,
     )
     return {(1, 1): hh, (0, 1): vh, (0, 2): vv}
+
+
+def volume_inner_by_mpmath(x2, y2, sigma3, eps3, alpha, dps=50):
+    """The four-power closed form of `volume_inner_closed` in dps-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a2, e, s = 2 * mpmath.mpf(alpha), 2 * mpmath.mpf(eps3), int(sigma3)
+        x2, y2, j = mpmath.mpf(x2), mpmath.mpf(y2), mpmath.mpc(0, 1)
+        val = (
+            mpmath.power(e, a2)
+            - mpmath.power(-j * s * x2 + e, a2)
+            - mpmath.power(j * s * y2 + e, a2)
+            + mpmath.power(-j * s * (x2 - y2) + e, a2)
+        ) / (a2 * (a2 - 1))
+        return complex(val)
+
+
+def l2_error_by_mpmath(t, eps, alpha, dps=60):
+    """E|Gamma(eps)_t - Gamma_t|^2 as the `cov_eps` assembly
+    cov(t,eps; t,eps) - 2 cov(t,eps; t,0) + cov(t,0; t,0) in dps-digit
+    arithmetic."""
+    import mpmath
+
+    from cfbm.gamma_process import ModelParams
+
+    with mpmath.workdps(dps):
+        a2, j = 2 * mpmath.mpf(alpha), mpmath.mpc(0, 1)
+        t, eps = mpmath.mpf(t), mpmath.mpf(eps)
+        kappa = ModelParams(alpha).kappa
+
+        def cov(e1, e2):
+            # cov_eps(t, e1, t, e2) for a base that is never 0
+            i_val = (
+                mpmath.power(e1 + e2, a2)
+                - mpmath.power(e1 - j * t, a2)
+                - mpmath.power(e2 + j * t, a2)
+            ) / (a2 * (a2 - 1))
+            return 2 * mpmath.re(kappa * i_val)
+
+        return float(cov(eps, eps) - 2 * cov(eps, 0) + cov(0, 0))

@@ -27,6 +27,7 @@ from helpers import (
     coupled_sup_by_replicate,
     covariance_by_complex_broadcast,
     dblquad_complex,
+    l2_error_by_mpmath,
 )
 
 
@@ -259,6 +260,29 @@ class TestL2ErrorLaw:
         vals = np.array([l2_error_law(1.0, e, p) for e in eps])
         slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
         assert slope == pytest.approx(2 * p.alpha, abs=0.1)
+
+    def test_same_at_every_t(self):
+        p = ModelParams(0.35)
+        for e in (0.2, 1e-4):
+            vals = [l2_error_law(t, e, p) for t in (0.3, 1.0, 5.0)]
+            assert vals[0] == vals[1] == vals[2]
+
+    def test_matches_cov_eps_assembly(self):
+        for alpha in (0.3, 0.7):
+            p = ModelParams(alpha)
+            for t in (0.3, 1.0):
+                assembly = (
+                    cov_eps(t, 0.05, t, 0.05, p)
+                    - 2.0 * cov_eps(t, 0.05, t, 0.0, p)
+                    + cov_eps(t, 0.0, t, 0.0, p)
+                )
+                assert l2_error_law(t, 0.05, p) == pytest.approx(assembly, rel=1e-12, abs=0.0)
+
+    def test_matches_high_precision_assembly_at_tiny_eps(self):
+        # the double-precision assembly is off by a factor 4.6 here: its
+        # t-dependent powers, of size t^2a, cancel to eps^2a
+        want = l2_error_by_mpmath(5.0, 1e-8, 0.9)
+        assert l2_error_law(5.0, 1e-8, ModelParams(0.9)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_ratio_bounded(self):
         # l2(t, e) / e^2a bounded above uniformly on [1e-3, 1e-1]

@@ -33,7 +33,7 @@ from cfbm.rough_integrals import (
 )
 
 import cfbm.rough_integrals as rough_integrals
-from cfbm.rough_integrals import _areas_batch, _path_normals, _shift_groups, _volumes_batch
+from cfbm.rough_integrals import _areas_batch, _path_normals, _volumes_batch
 
 from helpers import (
     Phi1,
@@ -46,6 +46,7 @@ from helpers import (
     levy_area_variance_by_quadpack,
     levy_area_variance_dblquad,
     quad_complex,
+    volume_inner_by_mpmath,
 )
 
 
@@ -190,14 +191,32 @@ class TestLevyAreaVariance:
 
     @pytest.mark.parametrize(
         "alpha, e1, e2, t",
-        [(0.05, 1e-4, 2e-4, 50.0), (0.26, 1e-8, 1e-8, 1.0)],
+        [(0.05, 1e-4, 2e-4, 50.0), (0.26, 1e-8, 1e-8, 1.0),
+         (0.02, 1e-3, 1000.0, 1.0), (0.9, 3.0, 3.0, 1e-3), (0.9, 1.0, 3000.0, 1.0)],
     )
     def test_extreme_shift_ratio_matches_mpmath(self, alpha, e1, e2, t):
         # shifts many orders below the window, where the QUADPACK route
         # returns values off by 1e-3 and 4e-5 relative, raising nothing
-        # (an IntegrationWarning at most)
+        # (an IntegrationWarning at most); and shifts far above it, where an
+        # integrand carrying the ridge value (2 eps2)^2a of the inner kernels
+        # cancels terms of that size: off by 6.7e-6 and 7.6e-10, or raising
+        # NonConvergenceError
         mine = levy_area_variance(LevyAreaSpec(alpha, t, e1, e2))
-        assert mine == pytest.approx(_variance_by_mpmath(alpha, e1, e2, t), rel=1e-11)
+        assert mine == pytest.approx(_variance_by_mpmath(alpha, e1, e2, t), rel=1e-11, abs=0.0)
+
+    def test_matches_sign_sum_across_shift_scales(self):
+        # both shifts over eleven decades around the unit window, at the
+        # extreme alphas: where eps2 >> t an integrand that kept the ridge
+        # value (2 eps2)^2a would cancel terms of that size
+        worst = 0.0
+        for alpha in (0.02, 0.98):
+            kappa = ModelParams(alpha).kappa
+            for e1 in np.logspace(-8.0, 3.0, 12):
+                for e2 in np.logspace(-8.0, 3.0, 12):
+                    v = levy_area_variance(LevyAreaSpec(alpha, 1.0, e1, e2))
+                    ss = kappa * kappa * levy_area_sign_sum(alpha, e1, e2, 1.0).real
+                    worst = max(worst, abs(v / ss - 1.0))
+        assert worst <= 1e-10
 
     def test_guard_raises_when_rules_disagree(self, monkeypatch):
         from cfbm import specfun
@@ -483,13 +502,6 @@ class TestMonteCarloArea:
             ref = cholesky_factor(covariance_matrix(EpsApproxSpec(0.4, e, grid), ModelParams(0.4)))
             assert np.array_equal(np.tril(packed[1:]), ref)
 
-    def test_shift_groups(self):
-        pair = [(0.1, 0.1), (0.05, 0.05), (0.02, 0.02), (0.01, 0.01)]
-        assert _shift_groups(pair) == [[0, 1], [2, 3]]
-        assert _shift_groups(pair[:3]) == [[0, 1], [2]]
-        assert _shift_groups([(0.1, 0.1), (0.1, 0.1), (0.05, 0.05)]) == [[0, 1, 2]]
-        assert _shift_groups([(0.08, 0.05, 0.04)]) == [[0]]
-
     @pytest.mark.parametrize("batch", [64, 256])
     def test_batch_size_moves_estimates_only_by_rounding(self, batch, monkeypatch):
         # the streams are keyed by path and reduced in path order; only the
@@ -552,8 +564,19 @@ class TestVolumeMoments:
             )
             assert abs(closed - oracle) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "x2, y2, sig, e3, alpha",
+        [(0.5, 0.3, 1, 1000.0, 0.3), (0.9, 0.2, -1, 1e4, 0.7), (0.3, 0.9, 1, 1e6, 0.9)],
+    )
+    def test_inner_closed_form_large_shift_matches_mpmath(self, x2, y2, sig, e3, alpha):
+        # eps3 far above the rectangle: the four powers of size (2 eps3)^2a,
+        # summed as written, cancel and lose up to 5e-3 relative
+        closed = volume_inner_closed(x2, y2, sig, e3, alpha)
+        oracle = volume_inner_by_mpmath(x2, y2, sig, e3, alpha)
+        assert abs(closed - oracle) <= 1e-9 * abs(oracle)
+
     def test_inner_vanishes_on_degenerate_rectangle(self):
-        # exact cancellation of the four terms, up to rounding
+        # a zero side makes two ridge steps equal and the third zero
         assert abs(volume_inner_closed(0.0, 0.7, 1, 0.05, 0.3)) < 1e-14
         assert abs(volume_inner_closed(0.7, 0.0, -1, 0.05, 0.3)) < 1e-14
 
