@@ -88,8 +88,9 @@ def covariance_matrix(spec, params):
     I = (D_ij - V_i - W_j) / (2a(2a-1)) as in `cov_eps`. kappa is real, so
     the build is real arithmetic on Re(I), in place, doing per element the
     steps of the complex form (the division as a product with the
-    reciprocal, as numpy divides a complex array by a real scalar); with
-    numpy 2.4 it equals the complex broadcast bit for bit. D is Toeplitz on
+    reciprocal, as numpy divides a complex array by a real scalar). W is
+    conj V, so Re W = Re V bit for bit and is computed once; the result is
+    C + C^T for C = Re(kappa I), exactly symmetric. D is Toeplitz on
     uniform grids: its 2n-1 distinct powers are read through a strided
     view, and the peak is about two real n x n arrays. Non-uniform grids
     evaluate D as an n x n complex power. ValueError if spec.alpha and
@@ -103,8 +104,7 @@ def covariance_matrix(spec, params):
     denom = a2 * (a2 - 1.0)
     e = spec.eps
     # every base has Re >= eps > 0: off the cut and never zero
-    v_s = _pow(e - 1j * g, a2).real
-    v_t = _pow(e + 1j * g, a2).real
+    v = _pow(e - 1j * g, a2).real
     steps = np.diff(g)
     if n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
         d = np.arange(-(n - 1), n) * steps[0]
@@ -113,15 +113,12 @@ def covariance_matrix(spec, params):
         diff_term = sliding_window_view(pv, n)[:, ::-1]
     else:
         diff_term = _pow(2.0 * e - 1j * np.subtract.outer(g, g), a2).real
-    cov = diff_term - v_s[:, None]
+    cov = diff_term - v[:, None]
     del diff_term  # on non-uniform grids, frees the n x n complex powers
-    cov -= v_t
+    cov -= v
     cov *= 1.0 / denom
     cov *= params.kappa
-    cov *= 2.0
-    sym = cov + cov.T
-    sym *= 0.5
-    return sym
+    return cov + cov.T
 
 
 def cholesky_factor(cov):

@@ -247,8 +247,8 @@ def kernel_partial_sum(z, w, N, params):
     return pref * np.sum(_poch_ratio(a, N) * r ** np.arange(N))
 
 
-def kernel_terms_needed(z, w, params, tol=1e-9):
-    """Number of series terms for a partial-sum error below tol.
+def kernel_terms_needed(z, w, params):
+    """Number of series terms for a partial-sum error below 1e-9.
 
     Geometric-tail estimate at ratio r = |cayley(z) cayley(w)| with a safety
     factor absorbing the polynomial Pochhammer growth.
@@ -259,7 +259,7 @@ def kernel_terms_needed(z, w, params, tol=1e-9):
     if r == 0.0:
         return 8
     lead = abs(kernel_closed(z, w, params)) + 1.0
-    n = math.log(tol * (1.0 - r) / (500.0 * lead)) / math.log(r)
+    n = math.log(1e-9 * (1.0 - r) / (500.0 * lead)) / math.log(r)
     return max(8, int(math.ceil(n)) + 64)
 
 
@@ -358,16 +358,15 @@ def cov_C(s, t, params):
     """Complex covariance sum_k F_k(s) conj(F_k(t)) in closed form.
 
     (e^(-i pi a sgn s)|s|^2a + e^(i pi a sgn t)|t|^2a
-     - e^(i pi a sgn(t-s))|t-s|^2a) / (4 cos pi a).
+     - e^(i pi a sgn(t-s))|t-s|^2a) / (4 cos pi a),
+
+    where e^(i pi a sgn x)|x|^2a is the principal power (ix)^2a, 0 at x = 0.
     """
-    a = params.alpha
-
-    def phased(x):
-        if x == 0.0:
-            return 0j
-        return abs(x) ** (2 * a) * np.exp(1j * math.pi * a * math.copysign(1.0, x))
-
-    return (np.conj(phased(s)) + phased(t) - phased(t - s)) / (4.0 * math.cos(math.pi * a))
+    a2 = 2.0 * params.alpha
+    return (
+        np.conj(principal_pow(1j * s, a2)) + principal_pow(1j * t, a2)
+        - principal_pow(1j * (t - s), a2)
+    ) / (4.0 * math.cos(math.pi * params.alpha))
 
 
 def cov_fbm(s, t, params):

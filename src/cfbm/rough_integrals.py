@@ -385,46 +385,43 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
     starts = list(range(0, n_paths, _MC_BATCH))
     values = np.empty((len(shift_sets), n_paths))
 
-    def run_group(group):
-        # one factor per distinct shift of the slice `group` of the sets, and
-        # the components it multiplies
-        sets = shift_sets[group]
+    def run_batch(p0):
+        # Batch p0 of the loop's pair of sets.  One generator, rewound from
+        # path to path, draws path p's normals into its (n, n_comp) slot of
+        # w.  Each factor L copies its components once into a C-order
+        # (k, m, n) array, whose transpose one BLAS dtrmm (half the flops of
+        # a dense product) overwrites; L is read as the Fortran transpose of
+        # its C-order rows.
+        m = min(p0 + _MC_BATCH, n_paths) - p0
+        w = np.empty((m, n, n_comp))
+        gen = _philox(seed, p0)
+        for j in range(m):
+            _path_normals(seed, p0 + j, n, n_comp, out=w[j], gen=gen)
+        paths = {}
+        for e, comps in uses.items():
+            z = w.transpose(2, 0, 1)[comps]
+            prod = dtrmm(1.0, factors[e][1:].T, z.reshape(-1, n).T,
+                         lower=0, trans_a=1, overwrite_b=1)
+            for i, c in enumerate(comps):
+                paths[e, c] = prod[:, i * m:(i + 1) * m]
+        for v, s in zip(out, sets):
+            v[p0:p0 + m] = functional([paths[e, c] for c, e in enumerate(s)])
+
+    for lo in range(0, len(shift_sets), 2):
+        # one factor per distinct shift of the pair, and the components it reads
+        sets, out = shift_sets[lo:lo + 2], values[lo:lo + 2]
         distinct = list(dict.fromkeys(e for s in sets for e in s))
         factors = dict(zip(distinct, _factor_chain(alpha, distinct, grid, params)))
         uses = {e: sorted({c for s in sets for c, ec in enumerate(s) if ec == e})
                 for e in factors}
-
-        def run_batch(p0):
-            # One generator, rewound from path to path, draws path p's normals
-            # into its (n, n_comp) slot of w.  Each factor L copies its
-            # components once into a C-order (k, m, n) array, whose transpose
-            # one BLAS dtrmm (half the flops of a dense product) overwrites;
-            # L is read as the Fortran transpose of its C-order rows.
-            m = min(p0 + _MC_BATCH, n_paths) - p0
-            w = np.empty((m, n, n_comp))
-            gen = _philox(seed, p0)
-            for j in range(m):
-                _path_normals(seed, p0 + j, n, n_comp, out=w[j], gen=gen)
-            paths = {}
-            for e, comps in uses.items():
-                z = w.transpose(2, 0, 1)[comps]
-                prod = dtrmm(1.0, factors[e][1:].T, z.reshape(-1, n).T,
-                             lower=0, trans_a=1, overwrite_b=1)
-                for i, c in enumerate(comps):
-                    paths[e, c] = prod[:, i * m:(i + 1) * m]
-            for v, s in zip(values[group], sets):
-                v[p0:p0 + m] = functional([paths[e, c] for c, e in enumerate(s)])
-
         if n_threads > 1:
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
                 list(pool.map(run_batch, starts))
         else:
             for p0 in starts:
                 run_batch(p0)
-
-    for lo in range(0, len(shift_sets), 2):
-        run_group(slice(lo, lo + 2))
-        _release_freed_heap()  # the pair's factors and buffers are freed now
+        del factors  # freed before the heap is trimmed and the next pair is built
+        _release_freed_heap()
     estimates = []
     for v in values:
         sq = v * v
@@ -654,11 +651,11 @@ def dyadic_scale_sum(kappa, eps, alpha1, alpha2, q):
     return total ** (2.0 / q)
 
 
-def dyadic_tail_sum(kappa, d, eps, eta, q, level_norms, rel_tol=1e-14, max_levels=400):
+def dyadic_tail_sum(kappa, d, eps, eta, q, level_norms, max_levels=400):
     """Tail sum over fine dyadic levels of block-difference norms.
 
     [sum_(n >= E(|log2 eta|)) n^kappa sum_blocks ||.||^(q/d)]^(d/q), with the
-    level loop truncated once a level contributes less than rel_tol of the
+    level loop truncated once a level contributes at most 1e-14 of the
     running total.  ``level_norms(n)`` must return the block norms at level n.
     """
     if not eps > eta > 0:
@@ -670,7 +667,7 @@ def dyadic_tail_sum(kappa, d, eps, eta, q, level_norms, rel_tol=1e-14, max_level
     for n in range(n0, n0 + max_levels):
         contrib = n ** kappa * float(np.sum(np.asarray(level_norms(n)) ** (q / d)))
         total += contrib
-        if total > 0.0 and contrib <= rel_tol * total:
+        if total > 0.0 and contrib <= 1e-14 * total:
             return total ** (d / q)
     raise NonConvergenceError(
         f"dyadic tail sum did not settle within {max_levels} levels"

@@ -10,10 +10,11 @@ and the ``levy-volume`` inner check): 20-point panels, checked against the
 
 All functions are pure and stateless.  Domain violations raise SpecFunError
 subclasses instead of returning NaN, so callers cannot silently continue
-across a branch cut or a Gamma pole: BranchCutError on [1, oo), PoleError at
-non-positive integer c, DegenerateParameterError when every convergent route
-is a connection with an integer b-a or c-a-b, and NonConvergenceError when a
-series trips its 6000-term guard or the two quadrature rules disagree.
+across a branch cut or a Gamma pole: BranchCutError on [1, oo) unless 2F1 is
+a polynomial, PoleError at non-positive integer c, DegenerateParameterError
+when every convergent route is a connection with an integer b-a or c-a-b, and
+NonConvergenceError when a series trips its 6000-term guard or the two
+quadrature rules disagree.
 """
 
 from __future__ import annotations
@@ -374,28 +375,26 @@ def hyp2f1(a, b, c, z):
     skipped, and within delta < 1e-2 it pays 1000 terms per digit of
     log10(1e-2/delta), the digits its cancelling terms lose.
 
-    Raises PoleError for non-positive integer c, BranchCutError on [1, oo)
-    (except the z -> 1 limit when Re(c-a-b) > 0), DegenerateParameterError
+    When a or b is a non-positive integer, 2F1 is a polynomial, summed as its
+    terminating series at every z.  Otherwise it raises BranchCutError on
+    [1, oo) (except the z -> 1 limit when Re(c-a-b) > 0).  It raises
+    PoleError for non-positive integer c, DegenerateParameterError
     when every convergent route is a connection on a Gamma pole, and
     NonConvergenceError when the chosen series trips its 6000-term guard.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if _is_nonpositive_integer(c):
         raise PoleError(f"2F1 undefined for non-positive integer c={c}")
-    if a == 0 or b == 0:
-        return 1.0 + 0j
+    # a terminating polynomial has one value at every z, on [1, oo) too
+    for p, q in ((a, b), (b, a)):
+        if _is_nonpositive_integer(p):
+            return _series_2f1(p, q, c, z, max_terms=int(-p.real) + 4)
     if z == 0:
         return 1.0 + 0j
     if z.imag == 0 and z.real >= 1.0:
         if z.real == 1.0:
             return hyp2f1_at_one(a, b, c)
         raise BranchCutError(f"2F1 evaluated on the cut [1, oo) at z={z}")
-    # terminating polynomial (a or b a non-positive integer) converges for
-    # every admissible z
-    if _is_nonpositive_integer(a):
-        return _series_2f1(a, b, c, z, max_terms=int(-a.real) + 4)
-    if _is_nonpositive_integer(b):
-        return _series_2f1(b, a, c, z, max_terms=int(-b.real) + 4)
     expansion, pfaff = _cheapest_route(a, b, c, z)
     if pfaff:
         return principal_pow(1.0 - z, -a) * expansion(a, c - b, c, z / (z - 1.0))

@@ -71,7 +71,7 @@ def test_criterion_01_kernel_identity():
             pairs.append((z, w))
     worst = 0.0
     for z, w in pairs:
-        n = kernel_terms_needed(z, w, params, tol=1e-9)
+        n = kernel_terms_needed(z, w, params)
         err = abs(kernel_partial_sum(z, w, n, params) - kernel_closed(z, w, params))
         worst = max(worst, err)
     elapsed = time.time() - t0

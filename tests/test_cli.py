@@ -485,6 +485,25 @@ class TestSpecfunAndVolumeCommands:
         assert len(rows) == 210
         assert max(float(r[7]) for r in rows) <= 1e-12
 
+    def test_specfun_at_one_gate_reports_its_own_error(self, monkeypatch, capsys, tmp_path):
+        # z = 1 values off by 1e-9 fail the 1e-10 gate of the at_one rows,
+        # which reports their real error, not the 1e-8 gate of the others
+        import cfbm.cli as cli
+
+        exact = cli.hyp2f1
+        monkeypatch.setattr(
+            cli, "hyp2f1", lambda a, b, c, z: exact(a, b, c, z) * (1 + 1e-9 * (z == 1))
+        )
+        out = tmp_path / "sf.csv"
+        assert main(["specfun-test", "--n-mc", "3", "--out", str(out)]) == 1
+        rows = read_rows(out)[1:]
+        worst = max(float(r[7]) for r in rows if r[0] == "at_one")
+        assert 0.9e-9 < worst < 1.1e-9
+        assert max(float(r[7]) for r in rows if r[0] != "at_one") <= 1e-12
+        assert capsys.readouterr().err.splitlines() == [
+            f"specfun-test: worst relative error at z = 1 {worst:.3e} exceeds 1e-10"
+        ]
+
     def test_levy_volume_gate(self, tmp_path):
         argv = ["levy-volume", "--alpha", "0.3", "--eps", "0.05", "--grid-n", "512"]
         out, again = tmp_path / "lv.csv", tmp_path / "lv_again.csv"

@@ -158,7 +158,7 @@ class TestKernelIdentity:
     def test_adaptive_term_count(self):
         p = ModelParams(0.35)
         for z, w in ((0.2 + 0.4j, 1.1 + 0.6j), (2.5 + 0.03j, -2.0 + 0.04j)):
-            n = kernel_terms_needed(z, w, p, tol=1e-9)
+            n = kernel_terms_needed(z, w, p)
             err = abs(kernel_partial_sum(z, w, n, p) - kernel_closed(z, w, p))
             assert err < 1e-9
 

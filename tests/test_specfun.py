@@ -172,6 +172,9 @@ class TestHyp2F1:
     def test_unit_when_a_or_b_zero(self):
         assert hyp2f1(0, 0.7, 1.3, 0.9 + 0.4j) == 1
         assert hyp2f1(0.7, 0, 1.3, -2.0) == 1
+        # on the cut too, and at z = 1 with Re(c - a - b) <= 0
+        assert hyp2f1(0, 0.7, 1.3, 1e3) == 1
+        assert hyp2f1(2.5, 0, 1.3, 1.0) == 1
 
     def test_unit_at_zero(self):
         assert hyp2f1(0.3, 0.7, 1.1, 0) == 1
@@ -270,6 +273,38 @@ class TestHyp2F1:
         b, c, z = 0.7, 1.9, 5.0 + 2.0j
         expected = 1 - 2 * b * z / c + b * (b + 1) * z * z / (c * (c + 1))
         assert hyp2f1(-2, b, c, z) == pytest.approx(expected, rel=1e-12)
+        # on the cut and at z = 1: 2F1(-1, 1/2; 3/2; 2) = 1 - 2/3 and
+        # 2F1(-2, 3; 1/2; 1) = 1 - 12 + 16
+        assert hyp2f1(-1, 0.5, 1.5, 2.0) == pytest.approx(1 / 3, rel=1e-12)
+        assert hyp2f1(-2, 3, 0.5, 1.0) == pytest.approx(5, rel=1e-12)
+
+    # a or b a non-positive integer, b = -2 with a complex partner
+    @pytest.mark.parametrize("a, b, c", [
+        (-1, 0.5, 1.5),
+        (-3, 0.7 + 0.3j, 1.9),
+        (1.3 - 0.4j, -2, 0.6 + 0.2j),
+    ])
+    @pytest.mark.parametrize("z", [1.5, 4.0, 1e3])
+    def test_polynomial_on_the_cut_matches_mpmath(self, a, b, c, z):
+        # a terminating series has one value at every z, [1, oo) included
+        import mpmath
+
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(a, b, c, z))
+        assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-12 * abs(ref)
+
+    # Re(c - a - b) <= 0, where a non-polynomial 2F1 diverges at z = 1
+    @pytest.mark.parametrize("a, b, c", [
+        (-2, 3, 0.5),
+        (-1, 2.5 + 0.5j, 1.2),
+        (3.4 + 0.2j, -3, -0.5 + 0.3j),
+    ])
+    def test_polynomial_at_one_matches_mpmath(self, a, b, c):
+        import mpmath
+
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(a, b, c, 1))
+        assert abs(hyp2f1(a, b, c, 1.0) - ref) <= 1e-12 * abs(ref)
 
     def test_annulus_point(self):
         # z = -1 sits on the annulus where the Pfaff-transformed series runs
