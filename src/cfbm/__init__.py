@@ -8,8 +8,7 @@ moments, and Monte Carlo cross-checks.
 
 The package re-exports the documented entry points and the exception
 classes; everything else is imported from its module (``cfbm.specfun``,
-``cfbm.gamma_process``, ``cfbm.eps_approx``, ``cfbm.rough_integrals``,
-and ``cfbm.oracles`` for the Euler-integral 2F1 oracle).
+``cfbm.gamma_process``, ``cfbm.eps_approx`` and ``cfbm.rough_integrals``).
 """
 
 from .specfun import (

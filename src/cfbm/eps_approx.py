@@ -81,27 +81,31 @@ def cov_eps(s, eps1, t, eps2, params):
     return 2.0 * (params.kappa * i_val).real
 
 
+_COV_ROWS = 64  # rows per block of the covariance build
+
+
 def covariance_matrix(spec, params):
     """Symmetric covariance matrix of Gamma(eps) on the spec grid.
 
     Entry (i, j) is 2 Re(kappa I), with
     I = (D_ij - V_i - W_j) / (2a(2a-1)) as in `cov_eps`. kappa is real, so
-    the build is real arithmetic on Re(I), in place, doing per element the
-    steps of the complex form (the division as a product with the
-    reciprocal, as numpy divides a complex array by a real scalar). W is
-    conj V, so Re W = Re V bit for bit and is computed once; the result is
-    C + C^T for C = Re(kappa I), exactly symmetric. D is Toeplitz on
-    uniform grids: its 2n-1 distinct powers are read through a strided
-    view, and the peak is about two real n x n arrays. Non-uniform grids
-    evaluate D as an n x n complex power. ValueError if spec.alpha and
-    params.alpha differ.
+    the build is real arithmetic on Re(I), doing per element the steps of
+    the complex form (the division as a product with the reciprocal, as
+    numpy divides a complex array by a real scalar). W is conj V, so
+    Re W = Re V bit for bit and is computed once; the result is C + C^T for
+    C = Re(kappa I), exactly symmetric, built in blocks of rows with both
+    terms read from D and its transpose. D is Toeplitz on uniform grids:
+    its 2n-1 distinct powers are read through strided views, and the peak
+    is about one real n x n array, the result. Non-uniform grids evaluate
+    D as an n x n complex power. ValueError if spec.alpha and params.alpha
+    differ.
     """
     if spec.alpha != params.alpha:
         raise ValueError(f"spec.alpha={spec.alpha} differs from params.alpha={params.alpha}")
     g = np.asarray(spec.grid, dtype=float)
     n = len(g)
     a2 = 2.0 * params.alpha
-    denom = a2 * (a2 - 1.0)
+    scale = 1.0 / (a2 * (a2 - 1.0))
     e = spec.eps
     # every base has Re >= eps > 0: off the cut and never zero
     v = _pow(e - 1j * g, a2).real
@@ -109,24 +113,34 @@ def covariance_matrix(spec, params):
     if n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
         d = np.arange(-(n - 1), n) * steps[0]
         pv = np.ascontiguousarray(_pow(2.0 * e - 1j * d, a2).real)
-        # read-only view whose entry (i, j) is pv[n - 1 + i - j]
-        diff_term = sliding_window_view(pv, n)[:, ::-1]
+        # read-only views whose entry (i, j) is pv[n - 1 + i - j], pv[n - 1 + j - i]
+        windows = sliding_window_view(pv, n)
+        diff_term, diff_term_t = windows[:, ::-1], windows[::-1]
     else:
         diff_term = _pow(2.0 * e - 1j * np.subtract.outer(g, g), a2).real
-    cov = diff_term - v[:, None]
-    del diff_term  # on non-uniform grids, frees the n x n complex powers
-    cov -= v
-    cov *= 1.0 / denom
-    cov *= params.kappa
-    return cov + cov.T
+        diff_term_t = diff_term.T
+    cov = np.empty((n, n))
+    for lo in range(0, n, _COV_ROWS):
+        rows = slice(lo, lo + _COV_ROWS)
+        c = diff_term[rows] - v[rows, None]
+        c -= v
+        c *= scale
+        c *= params.kappa
+        c_t = diff_term_t[rows] - v
+        c_t -= v[rows, None]
+        c_t *= scale
+        c_t *= params.kappa
+        np.add(c, c_t, out=cov[rows])
+    return cov
 
 
 def cholesky_factor(cov):
     """Lower Cholesky factor of ``cov`` plus a tiny diagonal jitter.
 
-    The result is a C-order lower-triangular array whose strictly upper part
-    is exactly zero (numpy clears it), so it can be applied as a triangular
-    operator: the Monte Carlo path synthesis reads only its lower part.
+    The result is an F-order lower-triangular array whose strictly upper
+    part is exactly zero (LAPACK clears it), so it can be applied as a
+    triangular operator: the Monte Carlo path synthesis reads only its lower
+    part.
 
     Grid covariances of Gamma(eps) are numerically rank-deficient, so every
     input, positive definite or not, is factored once, with no unjittered
@@ -134,26 +148,30 @@ def cholesky_factor(cov):
     1e-12 trace/n; ``cov`` itself is never modified. The Monte Carlo
     estimators and `sample_gamma_eps_exact` skip that copy: they jitter and
     factor in place the covariance they have just built, with bit-identical
-    results. The trailing columns of the factor are rounding noise of size
-    sqrt(jitter), so samples drawn through it depend on the BLAS build and
-    thread count. A failure signals a covariance bug (wrong branch or
+    results. The factor is LAPACK's dpotrf from scipy, the BLAS build of the
+    Monte Carlo path product. Its trailing columns are rounding noise of
+    size sqrt(jitter), so samples drawn through it depend on the BLAS build
+    and thread count. A failure signals a covariance bug (wrong branch or
     formula), not statistical noise, and raises.
     """
     return _jittered_cholesky(cov.copy())
 
 
 def _jittered_cholesky(cov):
-    # cholesky_factor on cov itself: the jitter goes onto cov's own diagonal,
-    # so the peak is cov, LAPACK's work copy and the factor (3 n^2 doubles)
+    # cholesky_factor on cov itself, a symmetric C-order array: the jitter
+    # goes onto its diagonal and dpotrf factors its transpose, an F-order
+    # view, in place, so the factor is cov's memory and no copy is made
+    from scipy.linalg.lapack import dpotrf  # on use: the sampling commands never load scipy
+
     n = cov.shape[0]
     cov.flat[:: n + 1] += 1e-12 * np.trace(cov) / n
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
+    factor, info = dpotrf(cov.T, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
         raise RuntimeError(
             "covariance matrix not positive semidefinite after jitter; "
             "this indicates a formula or branch bug"
-        ) from exc
+        )
+    return factor
 
 
 def sample_gamma_eps_exact(seed, spec, params, stream=0):

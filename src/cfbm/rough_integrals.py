@@ -17,8 +17,6 @@ assembly of the same moment, an independent route, shares both devices.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -305,50 +303,11 @@ def _path_normals(seed, path_index, n, n_components, out=None, gen=None):
     return _philox(seed, path_index, gen).standard_normal((n, n_components), out=out)
 
 
-@functools.cache
-def _malloc_trim():
-    # glibc's malloc_trim, or None where the C library has none
-    try:
-        return ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return None
-
-
-def _release_freed_heap():
-    # Once glibc has freed one mmap-served block, it serves blocks up to that
-    # size (at most 32 MiB) from the heap, so the factors and batch buffers
-    # of grids up to 1024 land there.  The heap returns freed pages to the
-    # system only from its top, and whether a small live block was placed
-    # above them depends on the interpreter's allocation order (its hash
-    # seed); untrimmed, about three factors' worth of freed memory would
-    # stay resident after some runs and not others.
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
-
-
 def _factor_chain(alpha, shifts, grid, params):
-    # The jittered lower factor of each shift's grid covariance, each as an
-    # (n + 1, n) C-order array whose rows 1..n hold the factor in their lower
-    # triangle.  Rows 0..n-1 on and above the diagonal take the next shift's
-    # covariance, which is factored there: numpy's factorization holds its
-    # input, a work copy and its result, so the chain peaks at one n x n
-    # array more than the factors it keeps, where separate covariances would
-    # take two.  The factors are bit-identical to cholesky_factor's.
-    n = len(grid)
-    chain = []
-    for e in shifts:
-        cov = covariance_matrix(EpsApproxSpec(alpha, e, grid), params)
-        if chain:
-            for i in range(n):
-                chain[-1][i, i:] = cov[i, i:]
-            cov = chain[-1][:n].T  # lower triangle: this covariance (symmetric)
-        factor = _jittered_cholesky(cov)
-        del cov
-        chain.append(np.empty((n + 1, n)))
-        chain[-1][1:] = factor
-        del factor
-    return chain
+    # the jittered lower factor of each shift's grid covariance, built and
+    # factored in place one shift at a time: bit-identical to cholesky_factor's
+    return [_jittered_cholesky(covariance_matrix(EpsApproxSpec(alpha, e, grid), params))
+            for e in shifts]
 
 
 def _finest_shift(t, grid_n):
@@ -388,10 +347,9 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
     def run_batch(p0):
         # Batch p0 of the loop's pair of sets.  One generator, rewound from
         # path to path, draws path p's normals into its (n, n_comp) slot of
-        # w.  Each factor L copies its components once into a C-order
-        # (k, m, n) array, whose transpose one BLAS dtrmm (half the flops of
-        # a dense product) overwrites; L is read as the Fortran transpose of
-        # its C-order rows.
+        # w.  Each F-order factor L copies its components once into a
+        # C-order (k, m, n) array, whose transpose one BLAS dtrmm (half the
+        # flops of a dense product) overwrites.
         m = min(p0 + _MC_BATCH, n_paths) - p0
         w = np.empty((m, n, n_comp))
         gen = _philox(seed, p0)
@@ -400,8 +358,7 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
         paths = {}
         for e, comps in uses.items():
             z = w.transpose(2, 0, 1)[comps]
-            prod = dtrmm(1.0, factors[e][1:].T, z.reshape(-1, n).T,
-                         lower=0, trans_a=1, overwrite_b=1)
+            prod = dtrmm(1.0, factors[e], z.reshape(-1, n).T, lower=1, overwrite_b=1)
             for i, c in enumerate(comps):
                 paths[e, c] = prod[:, i * m:(i + 1) * m]
         for v, s in zip(out, sets):
@@ -420,8 +377,7 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
         else:
             for p0 in starts:
                 run_batch(p0)
-        del factors  # freed before the heap is trimmed and the next pair is built
-        _release_freed_heap()
+        del factors  # freed before the next pair is built
     estimates = []
     for v in values:
         sq = v * v
@@ -458,10 +414,11 @@ def mc_levy_area_moments(alpha, eps_list, t, n_paths, grid_n, seed, n_threads=1)
     n_threads; the batch size moves them only as far as OpenBLAS rounds a
     path's last entries differently in products of different widths (about
     4e-16 relative).  They change with the BLAS builds and the BLAS thread
-    count, by about 1e-5 relative, because each covariance is factored once
-    with a diagonal jitter (in place, see `cholesky_factor`) and the
-    factor's trailing columns carry rounding noise into every path.  The
-    factor runs on numpy's BLAS and the path product on scipy's.
+    count, by about 1e-5 relative (up to 6e-5 seen), because each
+    covariance is factored once with a diagonal jitter (in place, see
+    `cholesky_factor`) and the factor's trailing columns carry rounding
+    noise into every path.  The factor and the path product run on one BLAS
+    build, scipy's.
     """
     return _mc_second_moment(
         alpha, [(e, e) for e in eps_list], t, grid_n, n_paths, seed, n_threads, _areas_batch
@@ -482,8 +439,9 @@ def mc_levy_volume_moment(alpha, eps1, eps2, eps3, t, n_paths, grid_n, seed, n_t
 
     Three independent components, component c an exact Gamma(eps_c) path;
     equal shifts share one factor and one path product.  Deterministic,
-    thread and batch invariant, with the same BLAS caveat as
-    `mc_levy_area_moments`.
+    thread and batch invariant, with the BLAS caveat of
+    `mc_levy_area_moments`; the third-order functional carries the factor's
+    rounding noise further, up to about 3e-4 relative.
     """
     return _mc_second_moment(
         alpha, [(eps1, eps2, eps3)], t, grid_n, n_paths, seed, n_threads, _volumes_batch
@@ -516,6 +474,10 @@ def volume_inner_closed(x2, y2, sigma3, eps3, alpha):
          + (-i s3 (x2-y2) + 2e3)^2a] / (2a(2a-1)),
     summed as R(s3 (x2-y2)) - R(s3 x2) - R(-s3 y2) with the ridge steps
     R(u) = (2e3 - iu)^2a - (2e3)^2a, into which the constant cancels exactly.
+    The steps' linear terms, -i 2a (2e3)^(2a-1) u, cancel exactly too, so
+    each step enters less its linear term (`_ridge_curvature`): where
+    eps3 >> x2, y2 they would otherwise cancel a lump of size x2/eps3 times
+    the steps, losing digits.
     """
     if sigma3 not in (1, -1, 1.0, -1.0):
         raise ValueError(f"sigma3 must be +-1, got {sigma3}")
@@ -524,10 +486,29 @@ def volume_inner_closed(x2, y2, sigma3, eps3, alpha):
     a2 = 2.0 * alpha
     e = 2.0 * eps3
     return (
-        _ridge_step(e, sigma3 * (x2 - y2), a2)
-        - _ridge_step(e, sigma3 * x2, a2)
-        - _ridge_step(e, -sigma3 * y2, a2)
+        _ridge_curvature(e, sigma3 * (x2 - y2), a2)
+        - _ridge_curvature(e, sigma3 * x2, a2)
+        - _ridge_curvature(e, -sigma3 * y2, a2)
     ) / (a2 * (a2 - 1.0))
+
+
+def _ridge_curvature(c, u, p):
+    # (c - i u)^p - c^p + i p c^(p-1) u, the ridge step less its linear term,
+    # for c > 0 and real u.  Where |u| <= c/4 it is c^p times the binomial
+    # series sum_(k>=2) C(p, k) (-i u/c)^k, each term at most |u|/c times the
+    # last for 0 < p < 2; beyond, the ridge step plus the linear term loses
+    # at most about 8 / |p - 1| ulps to their cancellation
+    v = u / c
+    if abs(v) > 0.25:
+        return _ridge_step(c, u, p) + 1j * p * c ** p * v
+    term = -1j * p * v
+    total = 0j
+    for k in range(1, 64):
+        term *= (p - k) / (k + 1) * -1j * v
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+    return c ** p * total
 
 
 def _volume_inner_max_error(alpha, eps3, seed):

@@ -375,19 +375,21 @@ def hyp2f1(a, b, c, z):
     skipped, and within delta < 1e-2 it pays 1000 terms per digit of
     log10(1e-2/delta), the digits its cancelling terms lose.
 
-    When a or b is a non-positive integer, 2F1 is a polynomial, summed as its
-    terminating series at every z.  Otherwise it raises BranchCutError on
-    [1, oo) (except the z -> 1 limit when Re(c-a-b) > 0).  It raises
-    PoleError for non-positive integer c, DegenerateParameterError
-    when every convergent route is a connection on a Gamma pole, and
-    NonConvergenceError when the chosen series trips its 6000-term guard.
+    When a or b is exactly a non-positive integer, 2F1 is a polynomial,
+    summed as its terminating series at every z.  Otherwise it raises
+    BranchCutError on [1, oo) (except the z -> 1 limit when
+    Re(c-a-b) > 0).  It raises PoleError for non-positive integer c,
+    DegenerateParameterError when every convergent route is a connection on
+    a Gamma pole, and NonConvergenceError when the chosen series trips its
+    6000-term guard.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if _is_nonpositive_integer(c):
         raise PoleError(f"2F1 undefined for non-positive integer c={c}")
-    # a terminating polynomial has one value at every z, on [1, oo) too
+    # a terminating polynomial has one value at every z, on [1, oo) too;
+    # a or b merely near a non-positive integer does not terminate
     for p, q in ((a, b), (b, a)):
-        if _is_nonpositive_integer(p):
+        if _is_nonpositive_integer(p, tol=0.0):
             return _series_2f1(p, q, c, z, max_terms=int(-p.real) + 4)
     if z == 0:
         return 1.0 + 0j

@@ -7,7 +7,7 @@ import numpy as np
 from scipy import integrate
 
 from cfbm.gamma_process import DomainError
-from cfbm.specfun import _EPSABS, _EPSREL, hyp2f1, principal_pow
+from cfbm.specfun import _EPSABS, _EPSREL, BranchCutError, hyp2f1, principal_pow
 
 
 def quad_complex(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=500):
@@ -211,6 +211,31 @@ def covariance_by_complex_broadcast(spec, params):
     i_val = (diff_term - v_s[:, None] - v_t[None, :]) / denom
     cov = 2.0 * (params.kappa * i_val).real
     return 0.5 * (cov + cov.T)
+
+
+def covariance_by_transposed_sum(spec, params):
+    """Grid covariance of Gamma(eps) as one n x n C plus its transpose.
+
+    C = Re(kappa I), with D gathered through an index array on uniform
+    grids, and C + C^T summed as whole arrays; each element takes the steps
+    of the library's blocked build in the same order, so the two agree bit
+    for bit.
+    """
+    from cfbm.specfun import _pow
+
+    g = np.asarray(spec.grid, dtype=float)
+    n = len(g)
+    a2 = 2.0 * params.alpha
+    e = spec.eps
+    v = _pow(e - 1j * g, a2).real
+    steps = np.diff(g)
+    if n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        pv = _pow(2.0 * e - 1j * np.arange(-(n - 1), n) * steps[0], a2).real
+        diff_term = pv[np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)]
+    else:
+        diff_term = _pow(2.0 * e - 1j * np.subtract.outer(g, g), a2).real
+    cov = (diff_term - v[:, None] - v[None, :]) * (1.0 / (a2 * (a2 - 1.0))) * params.kappa
+    return cov + cov.T
 
 
 def levy_area_variance_dblquad(alpha, e1, e2, t):
@@ -476,3 +501,33 @@ def l2_error_by_mpmath(t, eps, alpha, dps=60):
             return 2 * mpmath.re(kappa * i_val)
 
         return float(cov(eps, eps) - 2 * cov(eps, 0) + cov(0, 0))
+
+
+def hyp2f1_euler_integral(a, b, c, z, dps=25):
+    """Independent 2F1 evaluation by quadrature of the Euler integral.
+
+    Gamma(c)/(Gamma(b)Gamma(c-b)) * int_0^1 t^(b-1) (1-t)^(c-b-1) (1-tz)^(-a) dt,
+    valid for Re c > Re b > 0 and z off [1, oo), and at z = 1 when
+    Re(c-a-b) > 0, where the integrand t^(b-1) (1-t)^(c-a-b-1) is integrable.
+    Uses tanh-sinh quadrature in extended precision.
+    """
+    import mpmath
+
+    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    if not (c.real > b.real > 0):
+        raise ValueError(f"Euler integral needs Re c > Re b > 0 (b={b}, c={c})")
+    if z.imag == 0 and z.real >= 1.0 and not (z.real == 1.0 and (c - a - b).real > 0):
+        raise BranchCutError(f"Euler integral undefined at z={z} (c-a-b={c - a - b})")
+    with mpmath.workdps(dps):
+        ma, mb, mc, mz = (mpmath.mpmathify(w) for w in (a, b, c, z))
+
+        def integrand(t):
+            return (
+                mpmath.power(t, mb - 1)
+                * mpmath.power(1 - t, mc - mb - 1)
+                * mpmath.power(1 - t * mz, -ma)
+            )
+
+        val = mpmath.quad(integrand, [0, 1])
+        val *= mpmath.gamma(mc) / (mpmath.gamma(mb) * mpmath.gamma(mc - mb))
+        return complex(val)

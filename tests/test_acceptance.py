@@ -48,10 +48,17 @@ from cfbm.rough_integrals import (
     mc_levy_volume_moment,
     volume_inner_closed,
 )
-from cfbm.oracles import hyp2f1_euler_integral
 from cfbm.specfun import gamma_fn, hyp2f1
 
-from helpers import Phi1, Phi2, dblquad_complex, i1_integrand, i2_integrand, quad_complex
+from helpers import (
+    Phi1,
+    Phi2,
+    dblquad_complex,
+    hyp2f1_euler_integral,
+    i1_integrand,
+    i2_integrand,
+    quad_complex,
+)
 
 
 def _report(num, ok, detail):

@@ -112,7 +112,7 @@ class TestParsingAndConfig:
         assert read_rows(out1) != read_rows(out2)
 
     def test_import_leaves_mpmath_unloaded(self, tmp_path):
-        # mpmath backs only the Euler-integral oracle, which imports it on use
+        # mpmath backs only specfun-test's reference, which imports it on use
         res = run_python(
             ["-c", "import sys, cfbm.cli; print('mpmath' in sys.modules)"], tmp_path
         )
@@ -120,17 +120,16 @@ class TestParsingAndConfig:
         assert res.stdout.strip() == "False"
 
     def test_import_leaves_scipy_unloaded(self, tmp_path):
-        # scipy backs only the MC path product (BLAS dtrmm, scipy.linalg) and
-        # the Gamma function off the real axis (the Gamma coefficients of
-        # hyp2f1's connection formulas at complex parameters), which import it
-        # on use.  So neither the import nor the sampling and closed-form
+        # scipy backs only the MC factor and path product (LAPACK dpotrf and
+        # BLAS dtrmm, scipy.linalg) and the Gamma function off the real axis
+        # (the Gamma coefficients of hyp2f1's connection formulas at complex
+        # parameters), which import it on use.  So neither the import nor the sampling and closed-form
         # commands load it, nor the graded Gauss-Legendre rule's callers: the
         # Levy-area variance and its callers, the sign-resolved Levy-area sum
         # and the contour kernel integral.  levy-volume may load scipy.linalg
         # for its Monte Carlo, but no command loads scipy.integrate.  The
         # Gauss-Legendre nodes are built on first use, so the import loads no
-        # numpy.polynomial either; the import loads no mpmath, and neither
-        # does importing the oracles
+        # numpy.polynomial either, and no mpmath
         commands = [
             ["sample", "--n-terms", "64", "--grid-n", "16"],
             ["converge-series", "--n-terms", "256", "--n-mc", "4", "--grid-n", "16"],
@@ -145,8 +144,6 @@ class TestParsingAndConfig:
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(scipy_modules(), 'numpy.polynomial' in sys.modules, 'mpmath' in sys.modules)\n"
-            "import cfbm.oracles\n"
-            "print(scipy_modules(), 'mpmath' in sys.modules)\n"
             f"print([main([*argv, '--out', 'out.csv']) for argv in {commands!r}])\n"
             "print(scipy_modules())\n"
             "ri.levy_area_variance(ri.LevyAreaSpec(0.4, 1.0, 1e-3, 2e-3))\n"
@@ -163,13 +160,12 @@ class TestParsingAndConfig:
         res = run_python(["-c", code], tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == [
-            "[] False False", "[] False", "[0, 0, 0, 0, 0]", "[]", "[]", "0 []"
+            "[] False False", "[0, 0, 0, 0, 0]", "[]", "[]", "0 []"
         ]
 
     def test_public_names_are_defined_once(self):
         # every name a module exports exists in it and is listed only once
-        for name in ("specfun", "gamma_process", "eps_approx", "rough_integrals",
-                     "oracles", "cli"):
+        for name in ("specfun", "gamma_process", "eps_approx", "rough_integrals", "cli"):
             module = importlib.import_module(f"cfbm.{name}")
             exported = module.__all__
             assert len(set(exported)) == len(exported), name

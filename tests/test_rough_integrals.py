@@ -468,39 +468,16 @@ class TestMonteCarloArea:
         mc_levy_area_moments(0.4, [0.2, 0.1, 0.05, 0.025], 1.0, 50, 256, seed=1)
         assert (sizes, draws[0]) == ([2, 2], 2 * 50)
 
-    def test_heap_released_after_each_pair_frees_its_factors(self, monkeypatch):
-        # the freed heap goes back to the system once per pair of shifts,
-        # when that pair's factors are gone
-        import platform
-        import weakref
-
-        chain = rough_integrals._factor_chain
-        made, releases = [], []
-
-        def tracking_chain(*args):
-            factors = chain(*args)
-            made.extend(weakref.ref(f) for f in factors)
-            return factors
-
-        monkeypatch.setattr(rough_integrals, "_factor_chain", tracking_chain)
-        monkeypatch.setattr(rough_integrals, "_release_freed_heap",
-                            lambda: releases.append(all(r() is None for r in made)))
-        mc_levy_area_moments(0.4, [0.2, 0.1, 0.05, 0.025], 1.0, 50, 256, seed=1)
-        assert releases == [True, True]
-        if platform.libc_ver()[0] == "glibc":
-            assert rough_integrals._malloc_trim() is not None
-
     def test_factor_chain_matches_cholesky_factor(self):
-        # each factor sits below the diagonal of rows 1..n, bit for bit the
-        # copying factor, although the next covariance was factored above it
+        # each Monte Carlo factor, made in place, is bit for bit the copying factor
         from cfbm.eps_approx import EpsApproxSpec, cholesky_factor, covariance_matrix
 
         grid = tuple(np.linspace(0.0, 1.0, 257))
         shifts = [0.1, 0.05, 0.2]
         chain = rough_integrals._factor_chain(0.4, shifts, grid, ModelParams(0.4))
-        for e, packed in zip(shifts, chain):
+        for e, factor in zip(shifts, chain):
             ref = cholesky_factor(covariance_matrix(EpsApproxSpec(0.4, e, grid), ModelParams(0.4)))
-            assert np.array_equal(np.tril(packed[1:]), ref)
+            assert np.array_equal(factor, ref)
 
     @pytest.mark.parametrize("batch", [64, 256])
     def test_batch_size_moves_estimates_only_by_rounding(self, batch, monkeypatch):
@@ -570,10 +547,31 @@ class TestVolumeMoments:
     )
     def test_inner_closed_form_large_shift_matches_mpmath(self, x2, y2, sig, e3, alpha):
         # eps3 far above the rectangle: the four powers of size (2 eps3)^2a,
-        # summed as written, cancel and lose up to 5e-3 relative
+        # summed as written, cancel and lose up to 5e-3 relative, and the
+        # ridge steps' linear terms, left in, lose up to 5e-11
         closed = volume_inner_closed(x2, y2, sig, e3, alpha)
         oracle = volume_inner_by_mpmath(x2, y2, sig, e3, alpha)
-        assert abs(closed - oracle) <= 1e-9 * abs(oracle)
+        assert abs(closed - oracle) <= 1e-13 * abs(oracle)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.9])
+    def test_inner_closed_form_at_the_cli_shift_matches_mpmath(self, alpha):
+        # eps3 = 0.05 on the levy-volume check's rectangles, where the ridge
+        # steps take both of their branches
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            x2, y2 = rng.uniform(0.05, 1.0, 2)
+            sig = 1 if rng.random() < 0.5 else -1
+            closed = volume_inner_closed(x2, y2, sig, 0.05, alpha)
+            oracle = volume_inner_by_mpmath(x2, y2, sig, 0.05, alpha)
+            assert abs(closed - oracle) <= 1e-14 * abs(oracle)
+
+    def test_ridge_curvature_is_continuous_across_its_branches(self):
+        # the series and the direct form agree where they meet, |u| = c/4
+        for p in (0.4, 0.8, 1.4, 1.8):
+            for u in (0.25, -0.25):
+                series = rough_integrals._ridge_curvature(1.0, u * (1 - 1e-15), p)
+                direct = rough_integrals._ridge_curvature(1.0, u * (1 + 1e-15), p)
+                assert abs(series - direct) <= 1e-14 * abs(direct)
 
     def test_inner_vanishes_on_degenerate_rectangle(self):
         # a zero side makes two ridge steps equal and the third zero

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cfbm.specfun as specfun
-from cfbm.oracles import hyp2f1_euler_integral
 from cfbm.specfun import (
     BranchCutError,
     DegenerateParameterError,
@@ -18,6 +17,8 @@ from cfbm.specfun import (
     hyp2f1_at_one,
     principal_pow,
 )
+
+from helpers import hyp2f1_euler_integral
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -305,6 +306,22 @@ class TestHyp2F1:
         with mpmath.workdps(30):
             ref = complex(mpmath.hyp2f1(a, b, c, 1))
         assert abs(hyp2f1(a, b, c, 1.0) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("a, b, c, z, expected", [
+        (1e-13, 0.7, 1.3, 0.5, 1.000000000000034),
+        (-1 + 1e-13, 0.7, 1.3, 0.5 + 0.5j, 0.73077 - 0.26923j),
+        (0.7, -3 + 1e-13, 1.3, 0.9 + 0.3j, 0.247563 - 0.068459j),
+    ])
+    def test_near_nonpositive_integer_is_not_a_polynomial(self, a, b, c, z, expected):
+        # a or b within 1e-13 of a non-positive integer does not terminate,
+        # so the terminating branch and its short term guard must not take it;
+        # exact integers still do (test_polynomial_on_the_cut_matches_mpmath)
+        import mpmath
+
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(a, b, c, z))
+        assert ref == pytest.approx(expected, rel=1e-4)
+        assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-12 * abs(ref)
 
     def test_annulus_point(self):
         # z = -1 sits on the annulus where the Pfaff-transformed series runs
