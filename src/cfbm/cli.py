@@ -423,7 +423,8 @@ def build_parser():
     parser.add_argument("--alpha", type=float, help="Hurst exponent in (0,1), != 1/2")
     parser.add_argument("--seed", type=int, help="non-negative RNG seed")
     parser.add_argument("--n-terms", type=int, help="series truncation")
-    parser.add_argument("--grid-n", type=int, help="grid resolution")
+    parser.add_argument("--grid-n", type=int, help="grid intervals on [0, t-max] (grid_n + 1 "
+                        "points); grid points for converge-series and converge-eps")
     parser.add_argument("--t-max", type=float, help="time horizon")
     parser.add_argument("--eps", dest="eps_list", metavar="EPS", action="append", type=float,
                         help="imaginary shift; repeat for a decreasing schedule")

@@ -176,11 +176,13 @@ def _jittered_cholesky(cov):
 
 def sample_gamma_eps_exact(seed, spec, params, stream=0):
     """Exact Gaussian sample of Gamma(eps) on the grid (Cholesky transport)."""
+    from scipy.linalg.blas import dtrmm  # the Monte Carlo's path product, on scipy's BLAS
+
     factor = _jittered_cholesky(covariance_matrix(spec, params))
-    values = factor @ _philox(seed, stream).standard_normal(len(spec.grid))
+    z = _philox(seed, stream).standard_normal((len(spec.grid), 1))
     return PathSample(
         grid=np.asarray(spec.grid, dtype=float),
-        values=values,
+        values=dtrmm(1.0, factor, z, lower=1)[:, 0],
         n_terms=0,
         provenance="cholesky",
     )

@@ -297,19 +297,6 @@ class MCEstimate:
 _MC_BATCH = 128  # paths per batch
 
 
-def _path_normals(seed, path_index, n, n_components, out=None, gen=None):
-    # the stream layout of one MC path: an (n, n_components) C-order block;
-    # gen, a generator from _philox, is rewound to the path's stream and reused
-    return _philox(seed, path_index, gen).standard_normal((n, n_components), out=out)
-
-
-def _factor_chain(alpha, shifts, grid, params):
-    # the jittered lower factor of each shift's grid covariance, built and
-    # factored in place one shift at a time: bit-identical to cholesky_factor's
-    return [_jittered_cholesky(covariance_matrix(EpsApproxSpec(alpha, e, grid), params))
-            for e in shifts]
-
-
 def _finest_shift(t, grid_n):
     # the smallest shift the Monte Carlo resolves on the uniform grid_n-grid
     # of [0, t]
@@ -324,9 +311,11 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
     # stream keyed (seed, p), for every set alike (common random numbers),
     # batches are fixed-size and reduced in path order, so the result is
     # independent of n_threads, and of the batch size up to the BLAS
-    # product's rounding.  Sets run two at a time, each pair drawing every
-    # path once: a levy-area set needs one n x n factor, so at most two are
-    # held; levy-volume passes a single set.
+    # product's rounding.  Each component path is its own triangular
+    # product, whichever components share its factor.  Sets run two at a
+    # time, each pair drawing every path once and holding one n x n factor
+    # per distinct shift: at most two for levy-area, whose sets need one
+    # each; levy-volume passes a single set, up to three.
     from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
 
     if grid_n < 2 or grid_n & (grid_n - 1):
@@ -346,31 +335,27 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
 
     def run_batch(p0):
         # Batch p0 of the loop's pair of sets.  One generator, rewound from
-        # path to path, draws path p's normals into its (n, n_comp) slot of
-        # w.  Each F-order factor L copies its components once into a
-        # C-order (k, m, n) array, whose transpose one BLAS dtrmm (half the
-        # flops of a dense product) overwrites.
+        # path to path, draws path p's normals, an (n, n_comp) C-order block
+        # keyed (seed, p), into its slot of w.  Each component path is one
+        # BLAS dtrmm (half the flops of a dense product) of its shift's
+        # F-order factor on a copy of that component's normals.
         m = min(p0 + _MC_BATCH, n_paths) - p0
         w = np.empty((m, n, n_comp))
-        gen = _philox(seed, p0)
+        gen = None
         for j in range(m):
-            _path_normals(seed, p0 + j, n, n_comp, out=w[j], gen=gen)
-        paths = {}
-        for e, comps in uses.items():
-            z = w.transpose(2, 0, 1)[comps]
-            prod = dtrmm(1.0, factors[e], z.reshape(-1, n).T, lower=1, overwrite_b=1)
-            for i, c in enumerate(comps):
-                paths[e, c] = prod[:, i * m:(i + 1) * m]
+            gen = _philox(seed, p0 + j, gen)
+            gen.standard_normal(out=w[j])
         for v, s in zip(out, sets):
-            v[p0:p0 + m] = functional([paths[e, c] for c, e in enumerate(s)])
+            paths = [dtrmm(1.0, factors[e], w[:, :, c].T, lower=1) for c, e in enumerate(s)]
+            v[p0:p0 + m] = functional(paths)
 
     for lo in range(0, len(shift_sets), 2):
-        # one factor per distinct shift of the pair, and the components it reads
+        # the pair's factors, one per distinct shift
         sets, out = shift_sets[lo:lo + 2], values[lo:lo + 2]
-        distinct = list(dict.fromkeys(e for s in sets for e in s))
-        factors = dict(zip(distinct, _factor_chain(alpha, distinct, grid, params)))
-        uses = {e: sorted({c for s in sets for c, ec in enumerate(s) if ec == e})
-                for e in factors}
+        factors = {
+            e: _jittered_cholesky(covariance_matrix(EpsApproxSpec(alpha, e, grid), params))
+            for e in dict.fromkeys(e for s in sets for e in s)
+        }
         if n_threads > 1:
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
                 list(pool.map(run_batch, starts))
@@ -405,20 +390,21 @@ def mc_levy_area_moments(alpha, eps_list, t, n_paths, grid_n, seed, n_threads=1)
     """Sample second moments of the Levy area, one MCEstimate per shift.
 
     For each eps, two independent components are drawn from the exact
-    Gamma(eps) grid covariance.  Path p of every shift reads the Philox
-    stream (seed, p), drawn once per pair of shifts (at most two n x n
-    factors are held), so the estimates of different shifts have correlated
-    errors (common random numbers), and each equals `mc_levy_area_moment`
-    for its shift alone.  For a given numpy/scipy/BLAS set-up the estimates
-    are deterministic in (seed, n_paths, grid_n) and do not change with
-    n_threads; the batch size moves them only as far as OpenBLAS rounds a
-    path's last entries differently in products of different widths (about
-    4e-16 relative).  They change with the BLAS builds and the BLAS thread
-    count, by about 1e-5 relative (up to 6e-5 seen), because each
-    covariance is factored once with a diagonal jitter (in place, see
-    `cholesky_factor`) and the factor's trailing columns carry rounding
-    noise into every path.  The factor and the path product run on one BLAS
-    build, scipy's.
+    Gamma(eps) grid covariance, each component path its own triangular
+    product with the shift's factor.  Path p of every shift reads the
+    Philox stream (seed, p), drawn once per pair of shifts (at most two
+    n x n factors are held), so the estimates of different shifts have
+    correlated errors (common random numbers), and each equals
+    `mc_levy_area_moment` for its shift alone.  For a given
+    numpy/scipy/BLAS set-up the estimates are deterministic in (seed,
+    n_paths, grid_n) and do not change with n_threads; the batch size moves
+    them only as far as OpenBLAS rounds a path's last entries differently
+    in products of different widths (about 4e-16 relative).  They change
+    with the BLAS builds and the BLAS thread count, by about 1e-5 relative
+    (up to 6e-5 seen), because each covariance is factored once with a
+    diagonal jitter (in place, see `cholesky_factor`) and the factor's
+    trailing columns carry rounding noise into every path.  The factor and
+    the path product run on one BLAS build, scipy's.
     """
     return _mc_second_moment(
         alpha, [(e, e) for e in eps_list], t, grid_n, n_paths, seed, n_threads, _areas_batch
@@ -437,8 +423,9 @@ def mc_levy_area_moment(alpha, eps, t, n_paths, grid_n, seed, n_threads=1):
 def mc_levy_volume_moment(alpha, eps1, eps2, eps3, t, n_paths, grid_n, seed, n_threads=1):
     """Sample second moment of the third iterated integral (Levy volume).
 
-    Three independent components, component c an exact Gamma(eps_c) path;
-    equal shifts share one factor and one path product.  Deterministic,
+    Three independent components, component c an exact Gamma(eps_c) path,
+    each its own triangular product; one n x n factor is held per distinct
+    shift (up to three), and equal shifts share it.  Deterministic,
     thread and batch invariant, with the BLAS caveat of
     `mc_levy_area_moments`; the third-order functional carries the factor's
     rounding noise further, up to about 3e-4 relative.

@@ -463,6 +463,24 @@ class TestThreadInvariance:
         assert main(base + ["--threads", "8", "--out", str(out8)]) == 0
         assert out1.read_bytes() == out8.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["levy-area", "--alpha", "0.4", "--eps", "0.1", "--eps", "0.05"],
+            ["levy-volume", "--alpha", "0.3", "--eps", "0.05"],
+        ],
+        ids=["levy-area", "levy-volume"],
+    )
+    def test_mc_commands_write_the_same_bytes_at_any_thread_count(self, argv, tmp_path):
+        # 300 paths end in a partial batch; the batches run on a pool at 3 threads
+        outs = [tmp_path / "t1.csv", tmp_path / "t3.csv"]
+        codes = [
+            main([*argv, "--grid-n", "128", "--n-mc", "300", "--threads", k, "--out", str(out)])
+            for k, out in zip(["1", "3"], outs)
+        ]
+        assert codes == [0, 0]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestSpecfunAndVolumeCommands:
     def test_specfun_gate(self, tmp_path):

@@ -197,12 +197,13 @@ class TestCovarianceMatrix:
         assert info == 0
         assert np.array_equal(cholesky_factor(cov), ref)
 
-    def test_in_place_core_matches_factor(self):
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.2])
+    def test_in_place_core_matches_factor(self, eps):
         # the Monte Carlo factors its own covariance in place: the helper
         # overwrites its argument and returns its memory, with the bits of
         # cholesky_factor, which leaves its own argument as it is
         grid = tuple(np.linspace(0.0, 1.0, 257))
-        cov = covariance_matrix(EpsApproxSpec(0.4, 0.1, grid), ModelParams(0.4))
+        cov = covariance_matrix(EpsApproxSpec(0.4, eps, grid), ModelParams(0.4))
         before = cov.copy()
         work = cov.copy()
         factor = _jittered_cholesky(work)

@@ -33,7 +33,8 @@ from cfbm.rough_integrals import (
 )
 
 import cfbm.rough_integrals as rough_integrals
-from cfbm.rough_integrals import _areas_batch, _path_normals, _volumes_batch
+from cfbm.gamma_process import _philox
+from cfbm.rough_integrals import _areas_batch, _volumes_batch
 
 from helpers import (
     Phi1,
@@ -62,8 +63,9 @@ def _example_params(alpha=0.4, s=0.0, t=1.0):
 
 
 def _dense_second_moment(alpha, shifts, grid_n, n_paths, seed, functional):
-    # path by path: a fresh stream per path, every component through the
-    # dense n x n factor product
+    # path by path: a fresh stream per path, drawn in the engine's layout
+    # (an (n, components) C-order block keyed (seed, p)), every component
+    # through the dense n x n factor product
     from cfbm.eps_approx import EpsApproxSpec, cholesky_factor, covariance_matrix
 
     grid = tuple(np.linspace(0.0, 1.0, grid_n + 1))
@@ -73,7 +75,7 @@ def _dense_second_moment(alpha, shifts, grid_n, n_paths, seed, functional):
     ]
     values = []
     for p in range(n_paths):
-        z = _path_normals(seed, p, grid_n + 1, len(shifts))
+        z = _philox(seed, p).standard_normal((grid_n + 1, len(shifts)))
         comps = [(f @ z[:, c])[:, None] for c, f in enumerate(factors)]
         values.append(functional(comps)[0])
     return float(np.mean(np.square(values)))
@@ -409,7 +411,6 @@ class TestMonteCarloArea:
         # relabeling the two components changes the area path but not the
         # distribution of its square
         from cfbm.eps_approx import EpsApproxSpec, cholesky_factor, covariance_matrix
-        from cfbm.rough_integrals import _path_normals
 
         p = ModelParams(0.4)
         grid = np.linspace(0.0, 1.0, 257)
@@ -418,7 +419,7 @@ class TestMonteCarloArea:
         )
         fwd, swp = [], []
         for r in range(800):
-            z = _path_normals(33, r, 257, 2)
+            z = _philox(33, r).standard_normal((257, 2))
             x1, x2 = factor @ z[:, 0], factor @ z[:, 1]
             fwd.append(area_path(grid, x1, x2) ** 2)
             swp.append(area_path(grid, x2, x1) ** 2)
@@ -449,35 +450,25 @@ class TestMonteCarloArea:
         # shifts run as two pairs, each drawing every path's normals once
         import weakref
 
-        chain, normals = rough_integrals._factor_chain, rough_integrals._path_normals
+        cholesky, philox = rough_integrals._jittered_cholesky, rough_integrals._philox
         made, sizes, draws = [], [], [0]
 
-        def counting_chain(*args):
-            assert all(r() is None for r in made)  # the last pair's factors are freed
-            factors = chain(*args)
-            made.extend(weakref.ref(f) for f in factors)
-            sizes.append(len(factors))
-            return factors
+        def counting_cholesky(cov):
+            if all(r() is None for r in made):  # a new pair: the last pair's factors are freed
+                sizes.append(0)
+            factor = cholesky(cov)
+            made.append(weakref.ref(factor))
+            sizes[-1] += 1
+            return factor
 
-        def counting_normals(*args, **kwargs):
+        def counting_philox(*args):
             draws[0] += 1
-            return normals(*args, **kwargs)
+            return philox(*args)
 
-        monkeypatch.setattr(rough_integrals, "_factor_chain", counting_chain)
-        monkeypatch.setattr(rough_integrals, "_path_normals", counting_normals)
+        monkeypatch.setattr(rough_integrals, "_jittered_cholesky", counting_cholesky)
+        monkeypatch.setattr(rough_integrals, "_philox", counting_philox)
         mc_levy_area_moments(0.4, [0.2, 0.1, 0.05, 0.025], 1.0, 50, 256, seed=1)
         assert (sizes, draws[0]) == ([2, 2], 2 * 50)
-
-    def test_factor_chain_matches_cholesky_factor(self):
-        # each Monte Carlo factor, made in place, is bit for bit the copying factor
-        from cfbm.eps_approx import EpsApproxSpec, cholesky_factor, covariance_matrix
-
-        grid = tuple(np.linspace(0.0, 1.0, 257))
-        shifts = [0.1, 0.05, 0.2]
-        chain = rough_integrals._factor_chain(0.4, shifts, grid, ModelParams(0.4))
-        for e, factor in zip(shifts, chain):
-            ref = cholesky_factor(covariance_matrix(EpsApproxSpec(0.4, e, grid), ModelParams(0.4)))
-            assert np.array_equal(factor, ref)
 
     @pytest.mark.parametrize("batch", [64, 256])
     def test_batch_size_moves_estimates_only_by_rounding(self, batch, monkeypatch):
@@ -605,8 +596,11 @@ class TestVolumeMoments:
         b = mc_levy_volume_moment(0.3, 0.08, 0.05, 0.04, 1.0, 600, 128, seed=8, n_threads=3)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
 
-    def test_mc_volume_triangular_product_matches_dense_per_path(self):
-        shifts = (0.08, 0.05, 0.04)
+    # (0.08, 0.05, 0.08) shares a factor between non-adjacent components
+    @pytest.mark.parametrize(
+        "shifts", [(0.08, 0.05, 0.04), (0.08, 0.05, 0.08), (0.05, 0.05, 0.05)]
+    )
+    def test_mc_volume_triangular_product_matches_dense_per_path(self, shifts):
         est = mc_levy_volume_moment(0.3, *shifts, 1.0, 300, 128, seed=14)
         mean = _dense_second_moment(0.3, shifts, 128, 300, 14, _volumes_batch)
         assert est.mean == pytest.approx(mean, rel=1e-12)
