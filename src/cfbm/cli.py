@@ -66,22 +66,22 @@ class ExperimentConfig:
             ModelParams(self.alpha)
         except ValueError as exc:
             raise ConfigError(f"alpha: {exc}") from exc
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be non-negative, got {self.seed}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed: must be in [0, 2**64), got {self.seed}")
         if self.n_terms < 1:
             raise ConfigError(f"n_terms: must be >= 1, got {self.n_terms}")
         if self.grid_n < 2:
             raise ConfigError(f"grid_n: must be >= 2, got {self.grid_n}")
-        if self.t_max <= 0:
-            raise ConfigError(f"t_max: must be > 0, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise ConfigError(f"t_max: must be > 0 and finite, got {self.t_max}")
         if self.n_mc < 1:
             raise ConfigError(f"n_mc: must be >= 1, got {self.n_mc}")
         if self.threads < 1:
             raise ConfigError(f"threads: must be >= 1, got {self.threads}")
         if len(self.eps_list) == 0:
             raise ConfigError("eps_list: must not be empty")
-        if any(e <= 0 for e in self.eps_list):
-            raise ConfigError(f"eps_list: entries must be > 0, got {self.eps_list}")
+        if not all(0 < e < math.inf for e in self.eps_list):
+            raise ConfigError(f"eps_list: entries must be > 0 and finite, got {self.eps_list}")
         if any(b >= a for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ConfigError(
                 f"eps_list: must be strictly decreasing, got {self.eps_list}"
@@ -213,8 +213,8 @@ def cmd_kernel_check(cfg):
         for n in n_values:
             err = abs(kernel_partial_sum(z, w, n, params) - closed)
             rows.append((z, w, n, err))
-        worst = max(worst, rows[-1][3])
-    failures = [f"final-N error {worst:.3e} exceeds 1e-6"] if worst > 1e-6 else []
+        worst = np.maximum(worst, rows[-1][3])  # NaN-propagating: a NaN error fails the gate
+    failures = [] if worst <= 1e-6 else [f"final-N error {worst:.3e} exceeds 1e-6"]
     return ["z", "w", "N", "abs_error"], rows, failures
 
 
@@ -229,9 +229,9 @@ def cmd_cov_check(cfg):
             closed = cov_eps(s, 0.0, t, 0.0, params)
             ref = 0.5 * (abs(s) ** a2 + abs(t) ** a2 - abs(t - s) ** a2)
             err = abs(closed - ref)
-            worst = max(worst, err)
+            worst = np.maximum(worst, err)
             rows.append((s, t, closed, ref, err))
-    failures = [f"max deviation {worst:.3e} exceeds 1e-10"] if worst > 1e-10 else []
+    failures = [] if worst <= 1e-10 else [f"max deviation {worst:.3e} exceeds 1e-10"]
     return ["s", "t", "cov_closed", "cov_reference", "abs_error"], rows, failures
 
 
@@ -265,7 +265,7 @@ def cmd_levy_area(cfg):
             rows.append((e, analytic, None, None, target))
             continue
         est = estimates[e]
-        if abs(est.mean - analytic) > 3.0 * est.stderr:
+        if not abs(est.mean - analytic) <= 3.0 * est.stderr:
             failures.append(
                 f"eps={e}: MC {est.mean:.6g} off analytic {analytic:.6g} "
                 f"by more than 3 stderr ({est.stderr:.2g})"
@@ -289,7 +289,7 @@ def cmd_levy_volume(cfg):
     # closed inner kernel integral vs quadrature of its 1-d reduction
     worst_inner = _volume_inner_max_error(cfg.alpha, e, cfg.seed)
     rows.append(("inner_integral_max_abs_err", worst_inner, 0.0, worst_inner))
-    if worst_inner > 1e-4:  # graded 20-point Gauss-Legendre on d = x3 - y3
+    if not worst_inner <= 1e-4:  # graded 20-point Gauss-Legendre on d = x3 - y3
         failures.append(f"inner closed form off quadrature by {worst_inner:.3e}")
 
     # sub-term identity: product form vs sign-resolved assembly
@@ -299,7 +299,7 @@ def cmd_levy_volume(cfg):
     sign_sum = levy_area_sign_sum(cfg.alpha, e, e, t)
     direct = kappa ** 3 * 2.0 * (2.0 * e) ** a2 / (a2 * (a2 - 1.0)) * sign_sum.real
     rows.append(("w1_identity_rel_err", abs(w1 - direct) / abs(direct), 0.0, w1))
-    if abs(w1 - direct) > 1e-8 * abs(direct):
+    if not abs(w1 - direct) <= 1e-8 * abs(direct):
         failures.append("volume sub-term identity broken")
 
     # Monte Carlo second moment
@@ -381,7 +381,7 @@ def cmd_specfun_test(cfg):
         val = hyp2f1(a, b, c, z)
         oracle = reference(a, b, c, z)
         rel = abs(val - oracle) / abs(oracle)
-        worst = max(worst, rel)
+        worst = np.maximum(worst, rel)
         rows.append((region, a, b, c, z, val, oracle, rel))
     # boundary value at z = 1 (the Gauss Gamma ratio)
     for _ in range(10):
@@ -391,9 +391,9 @@ def cmd_specfun_test(cfg):
         ref = reference(a, b, c, 1.0)
         rel = abs(val - ref) / abs(ref)
         rows.append(("at_one", a, b, c, 1.0 + 0j, val, ref, rel))
-        worst_at_one = max(worst_at_one, rel)
-    failures = [f"worst relative error {worst:.3e} exceeds 1e-8"] if worst > 1e-8 else []
-    if worst_at_one > 1e-10:
+        worst_at_one = np.maximum(worst_at_one, rel)
+    failures = [] if worst <= 1e-8 else [f"worst relative error {worst:.3e} exceeds 1e-8"]
+    if not worst_at_one <= 1e-10:
         failures.append(f"worst relative error at z = 1 {worst_at_one:.3e} exceeds 1e-10")
     return ["region", "a", "b", "c", "z", "value", "oracle", "rel_error"], rows, failures
 

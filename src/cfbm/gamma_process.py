@@ -96,8 +96,9 @@ def _philox(seed, stream, gen=None):
     # Given a generator from here, rewind it in place to the fresh state of
     # that key (zero counter, empty buffers) instead of building a new one,
     # which would draw OS entropy for a seed sequence that the key overrides.
-    if seed < 0 or stream < 0:
-        raise ValueError("seed and stream must be non-negative integers")
+    for k in (seed, stream):
+        if not (isinstance(k, (int, np.integer)) and 0 <= k < 2 ** 64):
+            raise ValueError(f"seed and stream must be integers in [0, 2**64), got {k!r}")
     key = np.array([seed, stream], dtype=np.uint64)
     if gen is None:
         return np.random.Generator(np.random.Philox(key=key))

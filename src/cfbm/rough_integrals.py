@@ -2,9 +2,11 @@
 
 Covers the closed-form power-integral family (hypergeometric antiderivatives
 and the integrals they give), the Levy-area second moment and its small-shift
-limit constant, path-level discretized iterated integrals, Monte Carlo
-estimators with deterministic per-path random streams, divergence
-diagnostics below the 1/4 threshold, and the dyadic q-variation machinery.
+limit constant, Monte Carlo estimators with deterministic per-path random
+streams, divergence diagnostics below the 1/4 threshold, and the dyadic
+q-variation machinery.  The path area and volume, the dyadic level-2 blocks
+and the Monte Carlo share one nested-trapezoid discretization of the
+iterated integrals (`_iterated_trapezoid`).
 
 The Levy-area second moment is reduced analytically to a one-dimensional
 integral of elementary power kernels (the inner time integrals are exact,
@@ -256,12 +258,7 @@ def levy_const(alpha):
 
 def area_path(grid, path1, path2):
     """Trapezoid discretization of int (X2_u - X2_start) dX1_u over the grid."""
-    grid = np.asarray(grid, dtype=float)
-    x1 = np.asarray(path1, dtype=float)
-    x2 = np.asarray(path2, dtype=float)
-    if not (len(grid) == len(x1) == len(x2)):
-        raise ValueError("grid and both paths must have equal length")
-    return float(_areas_batch([x1[:, None], x2[:, None]])[0])
+    return float(_iterated_trapezoid([x[:, None] for x in _equal_length(grid, path1, path2)])[0])
 
 
 def volume_path(grid, path1, path2, path3):
@@ -269,11 +266,28 @@ def volume_path(grid, path1, path2, path3):
 
     int dX1 int dX2 int dX3 with X1 outermost, via cumulative trapezoid sums.
     """
-    grid = np.asarray(grid, dtype=float)
-    x1, x2, x3 = (np.asarray(p, dtype=float) for p in (path1, path2, path3))
-    if not (len(grid) == len(x1) == len(x2) == len(x3)):
-        raise ValueError("grid and all paths must have equal length")
-    return float(_volumes_batch([x1[:, None], x2[:, None], x3[:, None]])[0])
+    paths = _equal_length(grid, path1, path2, path3)
+    return float(_iterated_trapezoid([x[:, None] for x in paths])[0])
+
+
+def _equal_length(grid, *paths):
+    # the paths as float arrays, checked to be as long as the grid
+    grid, *paths = (np.asarray(x, dtype=float) for x in (grid, *paths))
+    if any(len(x) != len(grid) for x in paths):
+        raise ValueError("grid and every path must have equal length")
+    return paths
+
+
+def _iterated_trapezoid(comps):
+    # The nested trapezoid discretization of int dX1 int dX2 ... int dXk over
+    # (n, m) batches, X1 = comps[0] outermost: the innermost component less
+    # its start value, a running trapezoid sum from 0 at each inner level and
+    # one sum at the outermost.
+    y = comps[-1] - comps[-1][0]
+    for x in comps[-2:0:-1]:
+        steps = 0.5 * (y[:-1] + y[1:]) * np.diff(x, axis=0)
+        y = np.vstack([np.zeros(steps.shape[1]), np.cumsum(steps, axis=0)])
+    return np.sum(0.5 * (y[:-1] + y[1:]) * np.diff(comps[0], axis=0), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +317,10 @@ def _finest_shift(t, grid_n):
     return 4.0 * t / grid_n
 
 
-def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, functional):
-    # Second moments of functional(components), one MCEstimate per shift set:
-    # in set s, component c is an exact Gamma(s[c]) path on the uniform
-    # grid_n-grid of [0, t]; every set has the same number of components.
+def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
+    # Second moments of `_iterated_trapezoid` of the components, one MCEstimate
+    # per shift set: component c of set s is an exact Gamma(s[c]) path on the
+    # uniform grid_n-grid of [0, t]; all sets have one length, the order.
     # Deterministic Monte Carlo: path p draws its normals from a Philox
     # stream keyed (seed, p), for every set alike (common random numbers),
     # batches are fixed-size and reduced in path order, so the result is
@@ -333,22 +347,6 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
     starts = list(range(0, n_paths, _MC_BATCH))
     values = np.empty((len(shift_sets), n_paths))
 
-    def run_batch(p0):
-        # Batch p0 of the loop's pair of sets.  One generator, rewound from
-        # path to path, draws path p's normals, an (n, n_comp) C-order block
-        # keyed (seed, p), into its slot of w.  Each component path is one
-        # BLAS dtrmm (half the flops of a dense product) of its shift's
-        # F-order factor on a copy of that component's normals.
-        m = min(p0 + _MC_BATCH, n_paths) - p0
-        w = np.empty((m, n, n_comp))
-        gen = None
-        for j in range(m):
-            gen = _philox(seed, p0 + j, gen)
-            gen.standard_normal(out=w[j])
-        for v, s in zip(out, sets):
-            paths = [dtrmm(1.0, factors[e], w[:, :, c].T, lower=1) for c, e in enumerate(s)]
-            v[p0:p0 + m] = functional(paths)
-
     for lo in range(0, len(shift_sets), 2):
         # the pair's factors, one per distinct shift
         sets, out = shift_sets[lo:lo + 2], values[lo:lo + 2]
@@ -356,6 +354,23 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
             e: _jittered_cholesky(covariance_matrix(EpsApproxSpec(alpha, e, grid), params))
             for e in dict.fromkeys(e for s in sets for e in s)
         }
+
+        def run_batch(p0):
+            # Batch p0 of the pair.  One generator, rewound from path to
+            # path, draws path p's normals, an (n, n_comp) C-order block
+            # keyed (seed, p), into its slot of w.  Each component path is
+            # one BLAS dtrmm (half the flops of a dense product) of its
+            # shift's F-order factor on a copy of that component's normals.
+            m = min(p0 + _MC_BATCH, n_paths) - p0
+            w = np.empty((m, n, n_comp))
+            gen = None
+            for j in range(m):
+                gen = _philox(seed, p0 + j, gen)
+                gen.standard_normal(out=w[j])
+            for v, s in zip(out, sets):
+                paths = [dtrmm(1.0, factors[e], w[:, :, c].T, lower=1) for c, e in enumerate(s)]
+                v[p0:p0 + m] = _iterated_trapezoid(paths)
+
         if n_threads > 1:
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
                 list(pool.map(run_batch, starts))
@@ -363,27 +378,9 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads, fu
             for p0 in starts:
                 run_batch(p0)
         del factors  # freed before the next pair is built
-    estimates = []
-    for v in values:
-        sq = v * v
-        mean = float(np.mean(sq))
-        stderr = float(np.std(sq, ddof=1) / math.sqrt(n_paths))
-        estimates.append(MCEstimate(mean=mean, stderr=stderr, n_samples=n_paths, seed=seed))
-    return estimates
-
-
-def _areas_batch(comps):
-    x1, x2 = comps
-    y = x2 - x2[0]
-    return np.sum(0.5 * (y[:-1] + y[1:]) * np.diff(x1, axis=0), axis=0)
-
-
-def _volumes_batch(comps):
-    x1, x2, x3 = comps
-    inner = x3 - x3[0]
-    steps = 0.5 * (inner[:-1] + inner[1:]) * np.diff(x2, axis=0)
-    mid = np.vstack([np.zeros(steps.shape[1]), np.cumsum(steps, axis=0)])
-    return np.sum(0.5 * (mid[:-1] + mid[1:]) * np.diff(x1, axis=0), axis=0)
+    sq = values * values
+    se = np.std(sq, axis=1, ddof=1) / math.sqrt(n_paths)
+    return [MCEstimate(float(m), float(e), n_paths, seed) for m, e in zip(np.mean(sq, axis=1), se)]
 
 
 def mc_levy_area_moments(alpha, eps_list, t, n_paths, grid_n, seed, n_threads=1):
@@ -407,7 +404,7 @@ def mc_levy_area_moments(alpha, eps_list, t, n_paths, grid_n, seed, n_threads=1)
     the path product run on one BLAS build, scipy's.
     """
     return _mc_second_moment(
-        alpha, [(e, e) for e in eps_list], t, grid_n, n_paths, seed, n_threads, _areas_batch
+        alpha, [(e, e) for e in eps_list], t, grid_n, n_paths, seed, n_threads
     )
 
 
@@ -430,9 +427,7 @@ def mc_levy_volume_moment(alpha, eps1, eps2, eps3, t, n_paths, grid_n, seed, n_t
     `mc_levy_area_moments`; the third-order functional carries the factor's
     rounding noise further, up to about 3e-4 relative.
     """
-    return _mc_second_moment(
-        alpha, [(eps1, eps2, eps3)], t, grid_n, n_paths, seed, n_threads, _volumes_batch
-    )[0]
+    return _mc_second_moment(alpha, [(eps1, eps2, eps3)], t, grid_n, n_paths, seed, n_threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +512,7 @@ def _volume_inner_max_error(alpha, eps3, seed):
             np.union1d(np.union1d(-_graded_edges(eps3, y2), _graded_edges(eps3, x2)), x2 - y2),
             "levy-volume inner integral",
         )
-        worst = max(worst, abs(closed - quad))
+        worst = np.maximum(worst, abs(closed - quad))  # NaN-propagating
     return worst
 
 
@@ -552,6 +547,8 @@ def dyadic_dk(w_tables, v_tables, q, k, level):
     """
     if q <= 1:
         raise ValueError(f"q must be > 1, got {q}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     try:
         bw = np.asarray(w_tables[level])
         bv = np.asarray(v_tables[level])
@@ -588,18 +585,15 @@ def dyadic_level2_blocks(grid, x, y, level):
     integrals int dX^(i) int dX^(j) (trapezoid); the diagonal entries equal
     half the squared block increments exactly.
     """
-    grid = np.asarray(grid, dtype=float)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (len(grid) == len(x) == len(y)):
-        raise ValueError("grid and both paths must have equal length")
-    n_blocks, m = _dyadic_blocks(len(grid), level)
+    x, y = _equal_length(grid, x, y)
+    n_blocks, m = _dyadic_blocks(len(x), level)
     # column l holds the m+1 points of block l (neighbours share an endpoint)
     idx = np.arange(m + 1)[:, None] + m * np.arange(n_blocks)[None, :]
     cols = (x[idx], y[idx])
     out = np.empty((n_blocks, 2, 2))
     for i in range(2):
         for j in range(2):
-            out[:, i, j] = _areas_batch([cols[i], cols[j]])
+            out[:, i, j] = _iterated_trapezoid([cols[i], cols[j]])
     return out
 
 

@@ -531,3 +531,48 @@ def hyp2f1_euler_integral(a, b, c, z, dps=25):
         val = mpmath.quad(integrand, [0, 1])
         val *= mpmath.gamma(mc) / (mpmath.gamma(mb) * mpmath.gamma(mc - mb))
         return complex(val)
+
+
+def areas_batch(comps):
+    """Trapezoid area int (X2 - X2_0) dX1 of (n, m) batches, written out."""
+    x1, x2 = comps
+    y = x2 - x2[0]
+    return np.sum(0.5 * (y[:-1] + y[1:]) * np.diff(x1, axis=0), axis=0)
+
+
+def volumes_batch(comps):
+    """Nested trapezoid volume int dX1 int dX2 int dX3 of (n, m) batches, written out."""
+    x1, x2, x3 = comps
+    inner = x3 - x3[0]
+    steps = 0.5 * (inner[:-1] + inner[1:]) * np.diff(x2, axis=0)
+    mid = np.vstack([np.zeros(steps.shape[1]), np.cumsum(steps, axis=0)])
+    return np.sum(0.5 * (mid[:-1] + mid[1:]) * np.diff(x1, axis=0), axis=0)
+
+
+def environment_invariants(out_dir):
+    """Outputs that must not depend on the BLAS kernels or numpy's SIMD dispatch.
+
+    The bits of one grid covariance and of one Levy-area second moment, and
+    the SHA-256 digests of the kernel-check and cov-check CSVs (written into
+    ``out_dir``), as a dict of strings.
+    """
+    import hashlib
+    from pathlib import Path
+
+    from cfbm.cli import main
+    from cfbm.eps_approx import EpsApproxSpec, covariance_matrix
+    from cfbm.gamma_process import ModelParams
+    from cfbm.rough_integrals import LevyAreaSpec, levy_area_variance
+
+    grid = tuple(np.linspace(0.0, 1.0, 257))
+    cov = covariance_matrix(EpsApproxSpec(0.4, 0.1, grid), ModelParams(0.4))
+    out = {
+        "covariance_matrix": hashlib.sha256(np.ascontiguousarray(cov).tobytes()).hexdigest(),
+        "levy_area_variance": levy_area_variance(LevyAreaSpec(0.4, 1.0, 0.1, 0.1)).hex(),
+    }
+    for argv in (["kernel-check", "--alpha", "0.3"], ["cov-check", "--alpha", "0.35"]):
+        path = Path(out_dir) / f"{argv[0]}.csv"
+        if main([*argv, "--out", str(path)]) != 0:
+            raise RuntimeError(f"{argv[0]} failed its gate")
+        out[argv[0]] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out

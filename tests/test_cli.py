@@ -1,5 +1,6 @@
 import csv
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -9,14 +10,18 @@ import numpy as np
 import pytest
 
 import cfbm
+import cfbm.cli as cli
+import cfbm.rough_integrals as rough_integrals
 from cfbm.cli import ConfigError, ExperimentConfig, load_config_file, main
+
+from helpers import environment_invariants
 
 # The child interpreter imports the same cfbm as this process, whatever the
 # working directory and whether or not cfbm is installed.
 _CFBM_ROOT = str(Path(cfbm.__file__).resolve().parent.parent)
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, env=None):
     pythonpath = [_CFBM_ROOT]
     if os.environ.get("PYTHONPATH"):
         pythonpath.append(os.environ["PYTHONPATH"])
@@ -25,7 +30,7 @@ def run_python(args, cwd):
         cwd=cwd,
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+        env={**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(pythonpath)},
     )
 
 
@@ -89,6 +94,7 @@ class TestParsingAndConfig:
             (["levy-area", "--n-mc", "1"], "n_mc"),
             (["levy-volume", "--n-mc", "1"], "n_mc"),
             (["converge-series", "--n-terms", "2"], "n_terms"),
+            (["sample", "--seed", str(2**64)], "seed"),
         ],
     )
     def test_command_limits_rejected(self, argv, field, tmp_path):
@@ -190,6 +196,66 @@ class TestParsingAndConfig:
             ExperimentConfig(seed=-1).validated("sample")
         with pytest.raises(ConfigError):
             ExperimentConfig(eps_list=(0.1, 0.1)).validated("sample")
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["cov-check", "--t-max", "inf"], "t_max"),
+            (["sample", "--t-max", "nan"], "t_max"),
+            (["levy-area", "--t-max", "nan"], "t_max"),
+            (["levy-area", "--eps", "nan"], "eps_list"),
+            (["levy-area", "--eps", "inf"], "eps_list"),
+        ],
+    )
+    def test_non_finite_flag_is_a_config_error(self, argv, field, capsys, tmp_path):
+        # max(0.0, nan) is 0.0 and nan fails every comparison, so a
+        # non-finite horizon or shift would pass with empty cells or end in a
+        # traceback
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {field}:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "module, name, argv, reason",
+        [
+            (cli, "kernel_partial_sum", ["kernel-check"], "final-N error nan"),
+            (cli, "cov_eps", ["cov-check"], "max deviation nan"),
+            (cli, "levy_area_variance", ["levy-area", "--eps", "0.1"], "off analytic nan"),
+            (cli, "levy_area_sign_sum", ["levy-volume", "--eps", "0.1"], "sub-term identity"),
+            (rough_integrals, "volume_inner_closed", ["levy-volume", "--eps", "0.1"],
+             "inner closed form off quadrature by nan"),
+        ],
+    )
+    def test_nan_fails_the_gate(self, module, name, argv, reason, monkeypatch, capsys, tmp_path):
+        # a NaN compares false against every bound and max(0.0, nan) is 0.0,
+        # so each gate asks that its value be within its bound
+        monkeypatch.setattr(module, name, lambda *args: math.nan)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--grid-n", "64", "--n-mc", "20", "--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
+
+
+class TestEnvironmentInvariance:
+    def test_blas_kernels_and_simd_dispatch_leave_outputs_unchanged(self, tmp_path):
+        # Haswell OpenBLAS kernels and numpy's AVX-512 dispatch off, in a
+        # child process; where the variables have no effect this passes
+        # trivially
+        code = (
+            f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from helpers import environment_invariants\n"
+            "print(environment_invariants('.'))\n"
+        )
+        env = {
+            "OPENBLAS_CORETYPE": "Haswell",
+            "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+        }
+        res = run_python(["-c", code], tmp_path, env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == repr(environment_invariants(tmp_path))
 
 
 class TestSample:

@@ -353,6 +353,20 @@ class TestDraws:
         with pytest.raises(ValueError):
             gaussian_draw(-3, 10, p)
 
+    @pytest.mark.parametrize("seed, stream", [(1.5, 0), (np.float64(2.0), 0), (3, 2.7),
+                                              (2**64, 0), (0, -1), ("1", 0)])
+    def test_key_must_be_an_integer_in_range(self, seed, stream):
+        # a non-integral key would alias an integral one (1.5 truncates to
+        # seed 1), and 2**64 overflows the uint64 key
+        with pytest.raises(ValueError, match="seed and stream must be integers"):
+            _philox(seed, stream)
+        with pytest.raises(ValueError, match="seed and stream must be integers"):
+            gaussian_draw(seed, 4, ModelParams(0.3), stream=stream)
+
+    def test_numpy_integer_key_is_its_value(self):
+        a = _philox(np.uint64(2**64 - 1), np.int32(3)).standard_normal(4)
+        assert a.tobytes() == _philox(2**64 - 1, 3).standard_normal(4).tobytes()
+
     @pytest.mark.parametrize("sigma", [0.5])
     def test_coefficients_are_scaled_interleaved_pairs(self, sigma):
         # the complex view of the raw stream, scaled to the component

@@ -34,11 +34,12 @@ from cfbm.rough_integrals import (
 
 import cfbm.rough_integrals as rough_integrals
 from cfbm.gamma_process import _philox
-from cfbm.rough_integrals import _areas_batch, _volumes_batch
+from cfbm.rough_integrals import _iterated_trapezoid
 
 from helpers import (
     Phi1,
     Phi2,
+    areas_batch,
     dblquad_complex,
     i1_integrand,
     i2_integrand,
@@ -48,6 +49,7 @@ from helpers import (
     levy_area_variance_dblquad,
     quad_complex,
     volume_inner_by_mpmath,
+    volumes_batch,
 )
 
 
@@ -62,7 +64,7 @@ def _example_params(alpha=0.4, s=0.0, t=1.0):
     )
 
 
-def _dense_second_moment(alpha, shifts, grid_n, n_paths, seed, functional):
+def _dense_second_moment(alpha, shifts, grid_n, n_paths, seed):
     # path by path: a fresh stream per path, drawn in the engine's layout
     # (an (n, components) C-order block keyed (seed, p)), every component
     # through the dense n x n factor product
@@ -77,7 +79,7 @@ def _dense_second_moment(alpha, shifts, grid_n, n_paths, seed, functional):
     for p in range(n_paths):
         z = _philox(seed, p).standard_normal((grid_n + 1, len(shifts)))
         comps = [(f @ z[:, c])[:, None] for c, f in enumerate(factors)]
-        values.append(functional(comps)[0])
+        values.append(_iterated_trapezoid(comps)[0])
     return float(np.mean(np.square(values)))
 
 
@@ -368,6 +370,26 @@ class TestAreaPath:
             area_path(np.arange(4.0), np.arange(4.0), np.arange(5.0))
 
 
+class TestIteratedTrapezoid:
+    # the one nested-trapezoid functional equals the written-out area and
+    # volume bit for bit, on batches of odd and even path length
+    @pytest.mark.parametrize("n", [2, 3, 64, 257])
+    @pytest.mark.parametrize("order, oracle", [(2, areas_batch), (3, volumes_batch)])
+    def test_matches_written_out_forms(self, n, order, oracle):
+        rng = np.random.default_rng(n + order)
+        comps = list(np.cumsum(rng.standard_normal((order, n, 5)), axis=1))
+        assert _iterated_trapezoid(comps).tobytes() == oracle(comps).tobytes()
+
+    def test_path_functions_share_the_length_check(self):
+        grid, short = np.arange(5.0), np.arange(4.0)
+        for call in (
+            lambda: volume_path(grid, grid, grid, short),
+            lambda: dyadic_level2_blocks(grid, short, grid, 1),
+        ):
+            with pytest.raises(ValueError, match="equal length"):
+                call()
+
+
 class TestVolumePath:
     def test_linear_paths(self):
         grid = np.linspace(0.0, 1.0, 2049)
@@ -427,11 +449,16 @@ class TestMonteCarloArea:
         joint_se = np.sqrt(fwd.var(ddof=1) / 800 + swp.var(ddof=1) / 800)
         assert abs(fwd.mean() - swp.mean()) <= 3 * joint_se
 
+    def test_non_integral_seed_rejected(self):
+        # truncated to the key 2, seed 2.7 would alias seed 2's streams
+        with pytest.raises(ValueError, match="got 2.7"):
+            mc_levy_area_moment(0.4, 0.1, 1.0, 2, 64, seed=2.7)
+
     def test_triangular_product_matches_dense_per_path(self):
         # 300 paths span three batches; each path is rebuilt from a fresh
         # stream through the dense factor product
         est = mc_levy_area_moment(0.4, 0.1, 1.0, 300, 256, seed=13)
-        mean = _dense_second_moment(0.4, (0.1, 0.1), 256, 300, 13, _areas_batch)
+        mean = _dense_second_moment(0.4, (0.1, 0.1), 256, 300, 13)
         assert est.mean == pytest.approx(mean, rel=1e-12)
 
     @pytest.mark.parametrize("n_threads", [1, 3])
@@ -602,7 +629,7 @@ class TestVolumeMoments:
     )
     def test_mc_volume_triangular_product_matches_dense_per_path(self, shifts):
         est = mc_levy_volume_moment(0.3, *shifts, 1.0, 300, 128, seed=14)
-        mean = _dense_second_moment(0.3, shifts, 128, 300, 14, _volumes_batch)
+        mean = _dense_second_moment(0.3, shifts, 128, 300, 14)
         assert est.mean == pytest.approx(mean, rel=1e-12)
 
 
@@ -610,6 +637,13 @@ class TestDyadic:
     def test_distance_to_self_is_zero(self):
         tables = {3: np.arange(8.0)}
         assert dyadic_dk(tables, tables, q=3.0, k=1, level=3) == 0.0
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_order_below_one_rejected(self, k):
+        # k = 0 would divide by zero, and k = -1 return a distance
+        w, v = {1: np.zeros(2)}, {1: np.ones(2)}
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            dyadic_dk(w, v, q=3.0, k=k, level=1)
 
     def test_missing_level(self):
         with pytest.raises(LookupError):
