@@ -46,11 +46,13 @@ class EpsApproxSpec:
     grid: tuple
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         g = np.asarray(self.grid, dtype=float)
         if g.ndim != 1 or len(g) == 0:
             raise ValueError("grid must be a non-empty 1-d sequence")
+        if not np.isfinite(g).all():
+            raise ValueError("grid points must be finite")
         if len(np.unique(g)) != len(g):
             raise ValueError("grid points must be distinct")
 
@@ -66,8 +68,8 @@ def cov_eps(s, eps1, t, eps2, params):
     and the covariance is 2 Re(kappa I).  At eps1 = eps2 = 0 this reduces to
     (|s|^2a + |t|^2a - |t-s|^2a)/2.
     """
-    if eps1 < 0 or eps2 < 0:
-        raise DomainError("imaginary shifts must be >= 0")
+    if not (0 <= eps1 < np.inf and 0 <= eps2 < np.inf):
+        raise DomainError(f"imaginary shifts must be finite and >= 0, got {eps1}, {eps2}")
     a2 = 2.0 * params.alpha
     denom = a2 * (a2 - 1.0)
 
@@ -134,35 +136,23 @@ def covariance_matrix(spec, params):
     return cov
 
 
-def cholesky_factor(cov):
-    """Lower Cholesky factor of ``cov`` plus a tiny diagonal jitter.
+def cholesky_factor(spec, params):
+    """Lower Cholesky factor of the Gamma(eps) covariance on the spec grid.
 
-    The result is an F-order lower-triangular array whose strictly upper
-    part is exactly zero (LAPACK clears it), so it can be applied as a
-    triangular operator: the Monte Carlo path synthesis reads only its lower
-    part.
-
-    Grid covariances of Gamma(eps) are numerically rank-deficient, so every
-    input, positive definite or not, is factored once, with no unjittered
-    attempt, as a private copy whose diagonal carries the jitter
-    1e-12 trace/n; ``cov`` itself is never modified. The Monte Carlo
-    estimators and `sample_gamma_eps_exact` skip that copy: they jitter and
-    factor in place the covariance they have just built, with bit-identical
-    results. The factor is LAPACK's dpotrf from scipy, the BLAS build of the
-    Monte Carlo path product. Its trailing columns are rounding noise of
+    Grid covariances of Gamma(eps) are numerically rank-deficient, so
+    `covariance_matrix(spec, params)` gets the diagonal jitter 1e-12 trace/n
+    and is factored once, with no unjittered attempt, by scipy's LAPACK
+    dpotrf (the BLAS build of the Monte Carlo path product) in place on its
+    F-order transpose. The result is that memory, lower-triangular with a
+    strictly upper part LAPACK sets to zero, so the path synthesis applies
+    it as a triangular operator. Its trailing columns are rounding noise of
     size sqrt(jitter), so samples drawn through it depend on the BLAS build
-    and thread count. A failure signals a covariance bug (wrong branch or
-    formula), not statistical noise, and raises.
+    and thread count. RuntimeError on failure, which signals a covariance
+    bug (wrong branch or formula), not statistical noise.
     """
-    return _jittered_cholesky(cov.copy())
-
-
-def _jittered_cholesky(cov):
-    # cholesky_factor on cov itself, a symmetric C-order array: the jitter
-    # goes onto its diagonal and dpotrf factors its transpose, an F-order
-    # view, in place, so the factor is cov's memory and no copy is made
     from scipy.linalg.lapack import dpotrf  # on use: the sampling commands never load scipy
 
+    cov = covariance_matrix(spec, params)
     n = cov.shape[0]
     cov.flat[:: n + 1] += 1e-12 * np.trace(cov) / n
     factor, info = dpotrf(cov.T, lower=1, clean=1, overwrite_a=1)
@@ -178,8 +168,8 @@ def sample_gamma_eps_exact(seed, spec, params, stream=0):
     """Exact Gaussian sample of Gamma(eps) on the grid (Cholesky transport)."""
     from scipy.linalg.blas import dtrmm  # the Monte Carlo's path product, on scipy's BLAS
 
-    factor = _jittered_cholesky(covariance_matrix(spec, params))
     z = _philox(seed, stream).standard_normal((len(spec.grid), 1))
+    factor = cholesky_factor(spec, params)
     return PathSample(
         grid=np.asarray(spec.grid, dtype=float),
         values=dtrmm(1.0, factor, z, lower=1)[:, 0],

@@ -91,15 +91,21 @@ class GaussianDraw:
     xi_plus: np.ndarray = field(repr=False)
 
 
+def _philox_key(seed, stream):
+    # the uint64 key (seed, stream); each must be an integer in [0, 2**64),
+    # and not a bool, which would alias 0 or 1
+    for k in (seed, stream):
+        if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and 0 <= k < 2 ** 64):
+            raise ValueError(f"seed and stream must be integers in [0, 2**64), got {k!r}")
+    return np.array([seed, stream], dtype=np.uint64)
+
+
 def _philox(seed, stream, gen=None):
     # the one random source: a counter-based generator keyed (seed, stream).
     # Given a generator from here, rewind it in place to the fresh state of
     # that key (zero counter, empty buffers) instead of building a new one,
     # which would draw OS entropy for a seed sequence that the key overrides.
-    for k in (seed, stream):
-        if not (isinstance(k, (int, np.integer)) and 0 <= k < 2 ** 64):
-            raise ValueError(f"seed and stream must be integers in [0, 2**64), got {k!r}")
-    key = np.array([seed, stream], dtype=np.uint64)
+    key = _philox_key(seed, stream)
     if gen is None:
         return np.random.Generator(np.random.Philox(key=key))
     gen.bit_generator.state = {

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eps_approx import EpsApproxSpec, _jittered_cholesky, covariance_matrix
-from .gamma_process import DomainError, ModelParams, _loglog_slope, _philox
+from .eps_approx import EpsApproxSpec, cholesky_factor
+from .gamma_process import DomainError, ModelParams, _loglog_slope, _philox, _philox_key
 from .specfun import NonConvergenceError, _graded_edges, _graded_quad, _pow, hyp2f1, principal_pow
 
 __all__ = [
@@ -140,10 +140,10 @@ class LevyAreaSpec:
 
     def __post_init__(self):
         ModelParams(self.alpha)  # the alpha rule of the model
-        if self.t <= 0:
-            raise ValueError(f"t must be > 0, got {self.t}")
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise ValueError("eps1 and eps2 must be > 0")
+        if not 0 < self.t < math.inf:
+            raise ValueError(f"t must be finite and > 0, got {self.t}")
+        if not (0 < self.eps1 < math.inf and 0 < self.eps2 < math.inf):
+            raise ValueError(f"eps1 and eps2 must be finite and > 0, got {self.eps1}, {self.eps2}")
 
 
 def levy_area_variance(spec):
@@ -332,13 +332,18 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     # each; levy-volume passes a single set, up to three.
     from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
 
+    if not 0 < t < math.inf:
+        raise DomainError(f"t must be finite and > 0, got {t}")
     if grid_n < 2 or grid_n & (grid_n - 1):
         raise ValueError(f"grid_n must be a power of two, got {grid_n}")
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 2):
+        raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
+    _philox_key(seed, 0)  # a bad seed raises here, before any covariance is built
     finest = _finest_shift(t, grid_n)
     for e in (e for s in shift_sets for e in s):
-        if e < finest:
+        if not finest <= e < math.inf:  # NaN and inf shifts fail here too
             raise DomainError(
-                f"grid too coarse for eps={e}: need eps >= 4 t / grid_n = {finest}"
+                f"grid too coarse for eps={e}: need finite eps >= 4 t / grid_n = {finest}"
             )
     params = ModelParams(alpha)
     n = grid_n + 1
@@ -350,10 +355,8 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     for lo in range(0, len(shift_sets), 2):
         # the pair's factors, one per distinct shift
         sets, out = shift_sets[lo:lo + 2], values[lo:lo + 2]
-        factors = {
-            e: _jittered_cholesky(covariance_matrix(EpsApproxSpec(alpha, e, grid), params))
-            for e in dict.fromkeys(e for s in sets for e in s)
-        }
+        factors = {e: cholesky_factor(EpsApproxSpec(alpha, e, grid), params)
+                   for e in dict.fromkeys(e for s in sets for e in s)}
 
         def run_batch(p0):
             # Batch p0 of the pair.  One generator, rewound from path to
@@ -399,7 +402,7 @@ def mc_levy_area_moments(alpha, eps_list, t, n_paths, grid_n, seed, n_threads=1)
     in products of different widths (about 4e-16 relative).  They change
     with the BLAS builds and the BLAS thread count, by about 1e-5 relative
     (up to 6e-5 seen), because each covariance is factored once with a
-    diagonal jitter (in place, see `cholesky_factor`) and the factor's
+    diagonal jitter (see `cholesky_factor`) and the factor's
     trailing columns carry rounding noise into every path.  The factor and
     the path product run on one BLAS build, scipy's.
     """

@@ -7,7 +7,6 @@ import cfbm.eps_approx as ea
 import cfbm.specfun as specfun
 from cfbm.eps_approx import (
     EpsApproxSpec,
-    _jittered_cholesky,
     cholesky_factor,
     contour_kernel_integral,
     contour_kernel_pieces,
@@ -65,6 +64,13 @@ class TestCovEps:
         with pytest.raises(DomainError):
             cov_eps(0.5, -0.1, 0.5, 0.0, ModelParams(0.3))
 
+    @pytest.mark.parametrize("eps1, eps2", [(np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1),
+                                            (0.0, np.inf)])
+    def test_non_finite_shift_rejected(self, eps1, eps2):
+        # a NaN shift would pass the sign check and return nan
+        with pytest.raises(DomainError, match="finite"):
+            cov_eps(0.5, eps1, 0.5, eps2, ModelParams(0.3))
+
     def test_series_sampler_agrees(self):
         # empirical Var of the shift-regularized value from coupled series
         # draws matches the closed form within 3 standard errors
@@ -79,6 +85,19 @@ class TestCovEps:
         assert abs(var - exact) <= 3 * stderr
 
 
+class TestEpsApproxSpec:
+    @pytest.mark.parametrize("eps, grid", [(np.nan, (0.0, 1.0)), (np.inf, (0.0, 1.0)),
+                                           (0.1, (0.0, np.nan)), (0.1, (np.nan, np.nan)),
+                                           (0.1, (0.0, np.inf))],
+                             ids=["nan-eps", "inf-eps", "nan-point", "two-nan-points",
+                                  "inf-point"])
+    def test_non_finite_values_rejected(self, eps, grid):
+        # np.unique keeps NaNs apart, so two NaN points would pass as distinct,
+        # and the factor does not flag a NaN covariance
+        with pytest.raises(ValueError, match="finite"):
+            EpsApproxSpec(0.4, eps, grid)
+
+
 class TestCovarianceMatrix:
     def test_matches_scalar_and_is_psd(self):
         p = ModelParams(0.35)
@@ -90,7 +109,7 @@ class TestCovarianceMatrix:
             assert cov[i, j] == pytest.approx(
                 cov_eps(grid[i], 0.1, grid[j], 0.1, p), abs=1e-13
             )
-        cholesky_factor(cov)  # must not raise
+        cholesky_factor(spec, p)  # must not raise
 
     def test_nonuniform_grid_path(self):
         p = ModelParams(0.35)
@@ -108,7 +127,7 @@ class TestCovarianceMatrix:
             p = ModelParams(alpha)
             for eps in (0.01, 0.1):
                 grid = np.linspace(0.0, 2.0, 33)
-                cholesky_factor(covariance_matrix(EpsApproxSpec(alpha, eps, tuple(grid)), p))
+                cholesky_factor(EpsApproxSpec(alpha, eps, tuple(grid)), p)
 
     def test_alpha_mismatch_rejected(self):
         # the spec's alpha must be the model's: the build reads only params.alpha
@@ -118,12 +137,17 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError, match="alpha"):
             sample_gamma_eps_exact(0, EpsApproxSpec(0.2, 0.1, grid), ModelParams(0.4))
 
-    def test_jitter_then_hard_error(self):
-        # the jitter factors a rank-deficient Gram matrix; an indefinite one raises
+    def test_jitter_then_hard_error(self, monkeypatch):
+        # the jitter factors a rank-deficient Gram matrix; an indefinite one
+        # raises (both fed in as the covariance the factor builds)
+        def factor_of(cov):
+            monkeypatch.setattr(ea, "covariance_matrix", lambda spec, params: cov.copy())
+            return cholesky_factor(EpsApproxSpec(0.4, 0.1, (0.0, 1.0)), ModelParams(0.4))
+
         g = np.array([[1.0, 1.0], [1.0, 1.0]])
-        cholesky_factor(g + 1e-15 * np.eye(2))
+        factor_of(g + 1e-15 * np.eye(2))
         with pytest.raises(RuntimeError):
-            cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+            factor_of(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
 
     @pytest.mark.parametrize(
         "grid",
@@ -181,50 +205,38 @@ class TestCovarianceMatrix:
             tracemalloc.stop()
         assert peak - base <= 1.25 * 8 * n * n
 
-    @pytest.mark.parametrize("case", ["positive-definite", "grid-257"])
-    def test_factor_is_cholesky_of_jittered_copy(self, case):
-        # one code path: a positive-definite input gets the jitter too
+    @pytest.mark.parametrize(
+        "eps", [None, 0.1, 0.05, 0.2],
+        ids=["positive-definite", "grid-257", "grid-257-0.05", "grid-257-0.2"],
+    )
+    def test_factor_is_cholesky_of_jittered_copy(self, eps, monkeypatch):
+        # one code path: a positive-definite covariance gets the jitter too;
+        # the factor is the memory of the covariance it builds, with the bits
+        # of dpotrf on a jittered copy
         from scipy.linalg.lapack import dpotrf
 
-        if case == "positive-definite":
-            cov = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
-        else:
-            grid = tuple(np.linspace(0.0, 1.0, 257))
-            cov = covariance_matrix(EpsApproxSpec(0.4, 0.1, grid), ModelParams(0.4))
+        p = ModelParams(0.4)
+        spec = EpsApproxSpec(0.4, eps or 0.1, tuple(np.linspace(0.0, 1.0, 257)))
+        pd = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+        build = covariance_matrix if eps else (lambda spec, params: pd.copy())
+        built = []
+        monkeypatch.setattr(ea, "covariance_matrix",
+                            lambda spec, params: built.append(build(spec, params)) or built[-1])
+        cov = build(spec, p)
         work = cov.copy()
         work.flat[:: len(cov) + 1] += 1e-12 * np.trace(cov) / len(cov)
         ref, info = dpotrf(work, lower=1, clean=1)
         assert info == 0
-        assert np.array_equal(cholesky_factor(cov), ref)
+        factor = cholesky_factor(spec, p)
+        assert np.shares_memory(factor, built[0])
+        assert np.array_equal(factor, ref)
 
-    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.2])
-    def test_in_place_core_matches_factor(self, eps):
-        # the Monte Carlo factors its own covariance in place: the helper
-        # overwrites its argument and returns its memory, with the bits of
-        # cholesky_factor, which leaves its own argument as it is
-        grid = tuple(np.linspace(0.0, 1.0, 257))
-        cov = covariance_matrix(EpsApproxSpec(0.4, eps, grid), ModelParams(0.4))
-        before = cov.copy()
-        work = cov.copy()
-        factor = _jittered_cholesky(work)
-        assert np.shares_memory(factor, work)
-        assert np.array_equal(factor, cholesky_factor(cov))
-        assert np.array_equal(cov, before)
-
-    def test_factor_leaves_argument_unchanged(self):
+    def test_grid_covariance_factors_only_with_the_jitter(self):
         p = ModelParams(0.4)
-        grid = tuple(np.linspace(0.0, 1.0, 257))
-        cov = covariance_matrix(EpsApproxSpec(0.4, 0.1, grid), p)
-        before = cov.copy()
+        spec = EpsApproxSpec(0.4, 0.1, tuple(np.linspace(0.0, 1.0, 257)))
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(cov)  # rank-deficient: only the jittered copy factors
-        cholesky_factor(cov)
-        assert np.array_equal(cov, before)
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        before = bad.copy()
-        with pytest.raises(RuntimeError):
-            cholesky_factor(bad)
-        assert np.array_equal(bad, before)
+            np.linalg.cholesky(covariance_matrix(spec, p))  # rank-deficient
+        cholesky_factor(spec, p)
 
 
 class TestExactSampler:
@@ -243,6 +255,21 @@ class TestExactSampler:
         )
         assert draws.var(ddof=1) == pytest.approx(var, rel=0.15)
         assert cov_eps(0.0, 0.0, 0.0, 0.0, p) == 0.0
+
+    def test_factors_once(self, monkeypatch):
+        # the sampler's factor is the public one, so a wrapper of it (the
+        # tracer's, here a counter) sees every call
+        calls = []
+        factor = ea.cholesky_factor
+
+        def counting_factor(spec, params):
+            calls.append(spec)
+            return factor(spec, params)
+
+        monkeypatch.setattr(ea, "cholesky_factor", counting_factor)
+        spec = EpsApproxSpec(0.35, 0.1, tuple(np.linspace(0.1, 1, 6)))
+        sample_gamma_eps_exact(3, spec, ModelParams(0.35))
+        assert calls == [spec]
 
     def test_deterministic(self):
         p = ModelParams(0.35)
@@ -263,7 +290,7 @@ class TestExactSampler:
         # whitened mean: sqrt(n) L^-1 mean ~ N(0, I), so its squared norm is
         # chi-square(8); componentwise z-scores would double-count the strong
         # cross-grid correlation
-        white = np.linalg.solve(cholesky_factor(cov), samples.mean(axis=0)) * np.sqrt(n)
+        white = np.linalg.solve(cholesky_factor(spec, p), samples.mean(axis=0)) * np.sqrt(n)
         assert float(white @ white) <= 26.12  # chi2(8) 0.999 quantile
         emp = np.cov(samples.T, ddof=1)
         cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)

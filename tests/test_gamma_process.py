@@ -354,10 +354,11 @@ class TestDraws:
             gaussian_draw(-3, 10, p)
 
     @pytest.mark.parametrize("seed, stream", [(1.5, 0), (np.float64(2.0), 0), (3, 2.7),
-                                              (2**64, 0), (0, -1), ("1", 0)])
+                                              (2**64, 0), (0, -1), ("1", 0), (True, 0),
+                                              (0, False)])
     def test_key_must_be_an_integer_in_range(self, seed, stream):
         # a non-integral key would alias an integral one (1.5 truncates to
-        # seed 1), and 2**64 overflows the uint64 key
+        # seed 1, True is the int 1), and 2**64 overflows the uint64 key
         with pytest.raises(ValueError, match="seed and stream must be integers"):
             _philox(seed, stream)
         with pytest.raises(ValueError, match="seed and stream must be integers"):

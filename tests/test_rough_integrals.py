@@ -68,13 +68,10 @@ def _dense_second_moment(alpha, shifts, grid_n, n_paths, seed):
     # path by path: a fresh stream per path, drawn in the engine's layout
     # (an (n, components) C-order block keyed (seed, p)), every component
     # through the dense n x n factor product
-    from cfbm.eps_approx import EpsApproxSpec, cholesky_factor, covariance_matrix
+    from cfbm.eps_approx import EpsApproxSpec, cholesky_factor
 
     grid = tuple(np.linspace(0.0, 1.0, grid_n + 1))
-    factors = [
-        cholesky_factor(covariance_matrix(EpsApproxSpec(alpha, e, grid), ModelParams(alpha)))
-        for e in shifts
-    ]
+    factors = [cholesky_factor(EpsApproxSpec(alpha, e, grid), ModelParams(alpha)) for e in shifts]
     values = []
     for p in range(n_paths):
         z = _philox(seed, p).standard_normal((grid_n + 1, len(shifts)))
@@ -276,6 +273,11 @@ class TestLevyAreaVariance:
             LevyAreaSpec(0.4, -1.0, 0.1, 0.1)
         with pytest.raises(ValueError):
             LevyAreaSpec(0.4, 1.0, 0.0, 0.1)
+        # non-finite values: t = inf gave V = -0.0, and t = nan a numpy reshape error
+        for t, eps1, eps2 in [(math.inf, 0.1, 0.1), (math.nan, 0.1, 0.1),
+                              (1.0, math.nan, 0.1), (1.0, 0.1, math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                LevyAreaSpec(0.4, t, eps1, eps2)
 
 
 class TestLevyAreaSignSum:
@@ -432,13 +434,10 @@ class TestMonteCarloArea:
     def test_component_swap_symmetric(self):
         # relabeling the two components changes the area path but not the
         # distribution of its square
-        from cfbm.eps_approx import EpsApproxSpec, cholesky_factor, covariance_matrix
+        from cfbm.eps_approx import EpsApproxSpec, cholesky_factor
 
-        p = ModelParams(0.4)
         grid = np.linspace(0.0, 1.0, 257)
-        factor = cholesky_factor(
-            covariance_matrix(EpsApproxSpec(0.4, 0.1, tuple(grid)), p)
-        )
+        factor = cholesky_factor(EpsApproxSpec(0.4, 0.1, tuple(grid)), ModelParams(0.4))
         fwd, swp = [], []
         for r in range(800):
             z = _philox(33, r).standard_normal((257, 2))
@@ -453,6 +452,24 @@ class TestMonteCarloArea:
         # truncated to the key 2, seed 2.7 would alias seed 2's streams
         with pytest.raises(ValueError, match="got 2.7"):
             mc_levy_area_moment(0.4, 0.1, 1.0, 2, 64, seed=2.7)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(t=-1.0), "t must"), (dict(t=math.nan), "t must"), (dict(t=math.inf), "t must"),
+        (dict(n_paths=0), "n_paths"), (dict(n_paths=1), "n_paths"), (dict(n_paths=2.0), "n_paths"),
+        (dict(seed=-1), "seed"), (dict(seed=2.5), "seed"), (dict(seed=True), "seed"),
+        (dict(eps=math.nan), "eps=nan"),
+    ], ids=["t-negative", "t-nan", "t-inf", "n_paths-0", "n_paths-1", "n_paths-float",
+            "seed-negative", "seed-float", "seed-bool", "eps-nan"])
+    def test_inputs_checked_before_any_covariance(self, kwargs, match, monkeypatch):
+        # every input is checked up front, not after the factors are built
+        # or all paths are drawn (t = -1 used to return a value)
+        def no_factor(spec, params):
+            raise AssertionError("a covariance was built")
+
+        monkeypatch.setattr(rough_integrals, "cholesky_factor", no_factor)
+        args = dict(alpha=0.4, eps=0.3, t=1.0, n_paths=10, grid_n=16, seed=0) | kwargs
+        with pytest.raises(ValueError, match=match):
+            mc_levy_area_moment(**args)
 
     def test_triangular_product_matches_dense_per_path(self):
         # 300 paths span three batches; each path is rebuilt from a fresh
@@ -477,13 +494,13 @@ class TestMonteCarloArea:
         # shifts run as two pairs, each drawing every path's normals once
         import weakref
 
-        cholesky, philox = rough_integrals._jittered_cholesky, rough_integrals._philox
+        cholesky, philox = rough_integrals.cholesky_factor, rough_integrals._philox
         made, sizes, draws = [], [], [0]
 
-        def counting_cholesky(cov):
+        def counting_cholesky(spec, params):
             if all(r() is None for r in made):  # a new pair: the last pair's factors are freed
                 sizes.append(0)
-            factor = cholesky(cov)
+            factor = cholesky(spec, params)
             made.append(weakref.ref(factor))
             sizes[-1] += 1
             return factor
@@ -492,7 +509,7 @@ class TestMonteCarloArea:
             draws[0] += 1
             return philox(*args)
 
-        monkeypatch.setattr(rough_integrals, "_jittered_cholesky", counting_cholesky)
+        monkeypatch.setattr(rough_integrals, "cholesky_factor", counting_cholesky)
         monkeypatch.setattr(rough_integrals, "_philox", counting_philox)
         mc_levy_area_moments(0.4, [0.2, 0.1, 0.05, 0.025], 1.0, 50, 256, seed=1)
         assert (sizes, draws[0]) == ([2, 2], 2 * 50)
