@@ -205,20 +205,12 @@ class TestCovarianceMatrix:
             tracemalloc.stop()
         assert peak - base <= 1.25 * 8 * n * n
 
-    @pytest.mark.parametrize(
-        "eps", [None, 0.1, 0.05, 0.2],
-        ids=["positive-definite", "grid-257", "grid-257-0.05", "grid-257-0.2"],
-    )
-    def test_factor_is_cholesky_of_jittered_copy(self, eps, monkeypatch):
-        # one code path: a positive-definite covariance gets the jitter too;
-        # the factor is the memory of the covariance it builds, with the bits
-        # of dpotrf on a jittered copy
+    @staticmethod
+    def _factor_with_built(build, spec, p, monkeypatch):
+        # cholesky_factor(spec, p) with its covariance built by `build`; returns
+        # the factor, the array it built and dpotrf of a jittered copy of it
         from scipy.linalg.lapack import dpotrf
 
-        p = ModelParams(0.4)
-        spec = EpsApproxSpec(0.4, eps or 0.1, tuple(np.linspace(0.0, 1.0, 257)))
-        pd = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
-        build = covariance_matrix if eps else (lambda spec, params: pd.copy())
         built = []
         monkeypatch.setattr(ea, "covariance_matrix",
                             lambda spec, params: built.append(build(spec, params)) or built[-1])
@@ -227,8 +219,28 @@ class TestCovarianceMatrix:
         work.flat[:: len(cov) + 1] += 1e-12 * np.trace(cov) / len(cov)
         ref, info = dpotrf(work, lower=1, clean=1)
         assert info == 0
-        factor = cholesky_factor(spec, p)
-        assert np.shares_memory(factor, built[0])
+        return cholesky_factor(spec, p), built[0], ref
+
+    @pytest.mark.parametrize("pd", [True, False], ids=["positive-definite", "grid-257"])
+    def test_factor_is_cholesky_of_jittered_copy(self, pd, monkeypatch):
+        # one code path: a positive-definite covariance gets the jitter too,
+        # and the factor has the bits of dpotrf on a jittered copy
+        p = ModelParams(0.4)
+        spec = EpsApproxSpec(0.4, 0.1, tuple(np.linspace(0.0, 1.0, 257)))
+        mat = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
+        build = (lambda spec, params: mat.copy()) if pd else covariance_matrix
+        factor, built, ref = self._factor_with_built(build, spec, p, monkeypatch)
+        assert np.shares_memory(factor, built)
+        assert np.array_equal(factor, ref)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.2])
+    def test_in_place_core_matches_factor(self, eps, monkeypatch):
+        # the factor is formed in place: it is the memory of the covariance
+        # cholesky_factor builds, with the bits of dpotrf on a jittered copy
+        p = ModelParams(0.4)
+        spec = EpsApproxSpec(0.4, eps, tuple(np.linspace(0.0, 1.0, 257)))
+        factor, built, ref = self._factor_with_built(covariance_matrix, spec, p, monkeypatch)
+        assert np.shares_memory(factor, built)
         assert np.array_equal(factor, ref)
 
     def test_grid_covariance_factors_only_with_the_jitter(self):
