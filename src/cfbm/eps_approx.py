@@ -9,6 +9,7 @@ sampling (the oracle for the series sampler) and exact L2 error laws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,8 @@ def cov_eps(s, eps1, t, eps2, params):
     """
     if not (0 <= eps1 < np.inf and 0 <= eps2 < np.inf):
         raise DomainError(f"imaginary shifts must be finite and >= 0, got {eps1}, {eps2}")
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise DomainError(f"times must be finite, got s={s}, t={t}")
     a2 = 2.0 * params.alpha
     denom = a2 * (a2 - 1.0)
 
@@ -96,7 +99,10 @@ def covariance_matrix(spec, params):
     numpy divides a complex array by a real scalar). W is conj V, so
     Re W = Re V bit for bit and is computed once; the result is C + C^T for
     C = Re(kappa I), exactly symmetric, built in blocks of rows with both
-    terms read from D and its transpose. D is Toeplitz on uniform grids:
+    terms read from D and its transpose. Each block computes its columns
+    from the diagonal on and copies the rest from the transposed strip above
+    it, which holds the same sums in the other order, so only the upper
+    triangle is computed. D is Toeplitz on uniform grids:
     its 2n-1 distinct powers are read through strided views, and the peak
     is about one real n x n array, the result. Non-uniform grids evaluate
     D as an n x n complex power. ValueError if spec.alpha and params.alpha
@@ -123,16 +129,19 @@ def covariance_matrix(spec, params):
         diff_term_t = diff_term.T
     cov = np.empty((n, n))
     for lo in range(0, n, _COV_ROWS):
-        rows = slice(lo, lo + _COV_ROWS)
-        c = diff_term[rows] - v[rows, None]
-        c -= v
+        rows, cols = slice(lo, lo + _COV_ROWS), slice(lo, None)
+        c = diff_term[rows, cols] - v[rows, None]
+        c -= v[cols]
         c *= scale
         c *= params.kappa
-        c_t = diff_term_t[rows] - v
+        c_t = diff_term_t[rows, cols] - v[cols]
         c_t -= v[rows, None]
         c_t *= scale
         c_t *= params.kappa
-        np.add(c, c_t, out=cov[rows])
+        np.add(c, c_t, out=cov[rows, cols])
+        # C^T(i, j) = C(j, i), so the block left of the diagonal is the
+        # transpose of the strip above it, bit for bit
+        cov[rows, :lo] = cov[:lo, rows].T
     return cov
 
 

@@ -334,8 +334,8 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
 
     if not 0 < t < math.inf:
         raise DomainError(f"t must be finite and > 0, got {t}")
-    if grid_n < 2 or grid_n & (grid_n - 1):
-        raise ValueError(f"grid_n must be a power of two, got {grid_n}")
+    if not (isinstance(grid_n, (int, np.integer)) and grid_n >= 2 and not grid_n & (grid_n - 1)):
+        raise ValueError(f"grid_n must be a power of two, got {grid_n!r}")
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 2):
         raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
     _philox_key(seed, 0)  # a bad seed raises here, before any covariance is built

@@ -166,10 +166,15 @@ def gamma_fn(z):
         if x <= 0 and x.is_integer():
             raise PoleError(f"Gamma pole at z={z}")
         return math.gamma(x)
-    # on use: importing cfbm loads no scipy
+    return complex(_complex_gamma()(z))
+
+
+@functools.cache
+def _complex_gamma():
+    # scipy's complex Gamma, bound on first use: importing cfbm loads no scipy
     from scipy.special import gamma
 
-    return complex(gamma(z))
+    return gamma
 
 
 def _rgamma(z):
@@ -208,21 +213,27 @@ _TAYLOR_START_CHARGE = 2.0 * _LOG_TOL / math.log(_TAYLOR_RADIUS)
 def _series_2f1(a, b, c, z, max_terms=_SERIES_MAX_TERMS):
     # plain hypergeometric power series with a term-count guard; terminates
     # exactly when a or b is a non-positive integer.  With real parameters
-    # the term ratio is formed in float arithmetic.
+    # the term ratio is formed in float arithmetic.  The index n is carried
+    # as a float: below 2**53 it is the integer exactly, so each term has
+    # the bits that integer n would give.
     if a.imag == 0 and b.imag == 0 and c.imag == 0:
         a, b, c = a.real, b.real, c.real
+    tol = _SERIES_TOL
     term = 1.0 + 0j
     total = 1.0 + 0j
     small = 0
-    for n in range(max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+    n = 0.0
+    for _ in range(max_terms):
+        n1 = n + 1.0
+        term *= (a + n) * (b + n) / ((c + n) * n1) * z
         total += term
-        if abs(term) <= _SERIES_TOL * abs(total):
+        if abs(term) <= tol * abs(total):
             small += 1
             if small >= 2:
                 return total
         else:
             small = 0
+        n = n1
     raise NonConvergenceError(
         f"2F1 series guard tripped after {max_terms} terms at z={z}"
     )
@@ -321,22 +332,20 @@ def _cheapest_route(a, b, c, z):
     # modulus <= 0.8, so when none is left every convergent one was a
     # degenerate connection.
     az, a1 = abs(z), abs(1.0 - z)
+    w = az / a1
     charge_ba, charge_cab = _connection_charge(b - a), _connection_charge(c - a - b)
-    routes = []
-    for pfaff, m, m_1m, charge_1m, charge_inv in (
-        (False, az, a1, charge_cab, charge_ba),
-        (True, az / a1, 1.0 / a1, charge_ba, charge_cab),
-    ):
-        routes += [
-            (_series_2f1, pfaff, m, 1.0, 0.0),
-            (_connection_one_minus_z, pfaff, m_1m, 2.0, charge_1m),
-            (_connection_inv_z, pfaff, 1.0 / m, 2.0, charge_inv),
-        ]
     z0 = _TAYLOR_RADIUS * z / az
     m_taylor = abs(az - _TAYLOR_RADIUS) / min(_TAYLOR_RADIUS, abs(1.0 - z0))
-    routes.append((_taylor_2f1, False, m_taylor, _TAYLOR_TERM_WEIGHT, _TAYLOR_START_CHARGE))
     best, best_cost = None, math.inf
-    for expansion, pfaff, m, n_series, charge in routes:
+    for expansion, pfaff, m, n_series, charge in (
+        (_series_2f1, False, az, 1.0, 0.0),
+        (_connection_one_minus_z, False, a1, 2.0, charge_cab),
+        (_connection_inv_z, False, 1.0 / az, 2.0, charge_ba),
+        (_series_2f1, True, w, 1.0, 0.0),
+        (_connection_one_minus_z, True, 1.0 / a1, 2.0, charge_ba),
+        (_connection_inv_z, True, 1.0 / w, 2.0, charge_cab),
+        (_taylor_2f1, False, m_taylor, _TAYLOR_TERM_WEIGHT, _TAYLOR_START_CHARGE),
+    ):
         if m >= 1.0:
             continue
         cost = charge + (n_series * _LOG_TOL / math.log(m) if m > 0 else 0.0)
@@ -375,7 +384,8 @@ def hyp2f1(a, b, c, z):
     skipped, and within delta < 1e-2 it pays 1000 terms per digit of
     log10(1e-2/delta), the digits its cancelling terms lose.
 
-    When a or b is exactly a non-positive integer, 2F1 is a polynomial,
+    It raises SpecFunError, naming the argument, when a, b, c or z is not
+    finite.  When a or b is exactly a non-positive integer, 2F1 is a polynomial,
     summed as its terminating series at every z.  Otherwise it raises
     BranchCutError on [1, oo) (except the z -> 1 limit when
     Re(c-a-b) > 0).  It raises PoleError for non-positive integer c,
@@ -384,6 +394,10 @@ def hyp2f1(a, b, c, z):
     6000-term guard.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    isfinite = cmath.isfinite
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(z)):
+        name, value = next(p for p in zip("abcz", (a, b, c, z)) if not isfinite(p[1]))
+        raise SpecFunError(f"2F1 argument {name}={value} is not finite")
     if _is_nonpositive_integer(c):
         raise PoleError(f"2F1 undefined for non-positive integer c={c}")
     # a terminating polynomial has one value at every z, on [1, oo) too;

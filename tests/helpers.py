@@ -7,7 +7,16 @@ import numpy as np
 from scipy import integrate
 
 from cfbm.gamma_process import DomainError
-from cfbm.specfun import _EPSABS, _EPSREL, BranchCutError, hyp2f1, principal_pow
+from cfbm.specfun import (
+    _EPSABS,
+    _EPSREL,
+    _SERIES_MAX_TERMS,
+    _SERIES_TOL,
+    BranchCutError,
+    NonConvergenceError,
+    hyp2f1,
+    principal_pow,
+)
 
 
 def quad_complex(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=500):
@@ -531,6 +540,83 @@ def hyp2f1_euler_integral(a, b, c, z, dps=25):
         val = mpmath.quad(integrand, [0, 1])
         val *= mpmath.gamma(mc) / (mpmath.gamma(mb) * mpmath.gamma(mc - mb))
         return complex(val)
+
+
+def series_2f1_by_integer_index(a, b, c, z, max_terms=_SERIES_MAX_TERMS):
+    """The 2F1 power series with the term index an int.
+
+    The library's former ``_series_2f1``, kept verbatim as the oracle for
+    the float-indexed loop: ``a + n`` with an int n converts n exactly, so
+    the two give every term, and the sum, the same bits.
+    """
+    # plain hypergeometric power series with a term-count guard; terminates
+    # exactly when a or b is a non-positive integer.  With real parameters
+    # the term ratio is formed in float arithmetic.
+    if a.imag == 0 and b.imag == 0 and c.imag == 0:
+        a, b, c = a.real, b.real, c.real
+    term = 1.0 + 0j
+    total = 1.0 + 0j
+    small = 0
+    for n in range(max_terms):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+        total += term
+        if abs(term) <= _SERIES_TOL * abs(total):
+            small += 1
+            if small >= 2:
+                return total
+        else:
+            small = 0
+    raise NonConvergenceError(
+        f"2F1 series guard tripped after {max_terms} terms at z={z}"
+    )
+
+
+def cheapest_route_by_route_list(a, b, c, z):
+    """The 2F1 route of least estimated cost, from a list built route by route.
+
+    The library's former ``_cheapest_route``, kept verbatim as the oracle for
+    the one tuple literal of the seven routes: the same moduli, charges and
+    order, so the same (expansion, pfaff), ties included.  The expansions are
+    looked up in ``cfbm.specfun`` at call time.
+    """
+    from cfbm import specfun as sf
+
+    # the convergent, non-degenerate route of least estimated cost, as
+    # (expansion, pfaff).  A Pfaff route sums the expansion in w = z/(z-1)
+    # with (a, c-b, c), where |w| = |z|/|1-z|, |1-w| = 1/|1-z| and the pole
+    # differences b-a and c-a-b swap.  Off the cut some route always has
+    # modulus <= 0.8, so when none is left every convergent one was a
+    # degenerate connection.
+    az, a1 = abs(z), abs(1.0 - z)
+    charge_ba, charge_cab = sf._connection_charge(b - a), sf._connection_charge(c - a - b)
+    routes = []
+    for pfaff, m, m_1m, charge_1m, charge_inv in (
+        (False, az, a1, charge_cab, charge_ba),
+        (True, az / a1, 1.0 / a1, charge_ba, charge_cab),
+    ):
+        routes += [
+            (sf._series_2f1, pfaff, m, 1.0, 0.0),
+            (sf._connection_one_minus_z, pfaff, m_1m, 2.0, charge_1m),
+            (sf._connection_inv_z, pfaff, 1.0 / m, 2.0, charge_inv),
+        ]
+    z0 = sf._TAYLOR_RADIUS * z / az
+    m_taylor = abs(az - sf._TAYLOR_RADIUS) / min(sf._TAYLOR_RADIUS, abs(1.0 - z0))
+    routes.append(
+        (sf._taylor_2f1, False, m_taylor, sf._TAYLOR_TERM_WEIGHT, sf._TAYLOR_START_CHARGE)
+    )
+    best, best_cost = None, math.inf
+    for expansion, pfaff, m, n_series, charge in routes:
+        if m >= 1.0:
+            continue
+        cost = charge + (n_series * sf._LOG_TOL / math.log(m) if m > 0 else 0.0)
+        if cost < best_cost:
+            best, best_cost = (expansion, pfaff), cost
+    if best is None:
+        raise sf.DegenerateParameterError(
+            f"2F1 at z={z}: every convergent route is a connection whose Gamma "
+            f"coefficients hit a pole (b-a={b - a}, c-a-b={c - a - b})"
+        )
+    return best
 
 
 def areas_batch(comps):

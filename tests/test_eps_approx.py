@@ -71,6 +71,12 @@ class TestCovEps:
         with pytest.raises(DomainError, match="finite"):
             cov_eps(0.5, eps1, 0.5, eps2, ModelParams(0.3))
 
+    @pytest.mark.parametrize("s, t", [(np.nan, 0.5), (np.inf, 0.5), (0.5, -np.inf)])
+    def test_non_finite_time_rejected(self, s, t):
+        # a non-finite time used to return nan with a RuntimeWarning
+        with pytest.raises(DomainError, match="times must be finite"):
+            cov_eps(s, 0.1, t, 0.1, ModelParams(0.3))
+
     def test_series_sampler_agrees(self):
         # empirical Var of the shift-regularized value from coupled series
         # draws matches the closed form within 3 standard errors

@@ -457,9 +457,9 @@ class TestMonteCarloArea:
         (dict(t=-1.0), "t must"), (dict(t=math.nan), "t must"), (dict(t=math.inf), "t must"),
         (dict(n_paths=0), "n_paths"), (dict(n_paths=1), "n_paths"), (dict(n_paths=2.0), "n_paths"),
         (dict(seed=-1), "seed"), (dict(seed=2.5), "seed"), (dict(seed=True), "seed"),
-        (dict(eps=math.nan), "eps=nan"),
+        (dict(eps=math.nan), "eps=nan"), (dict(grid_n=16.0), "grid_n"),
     ], ids=["t-negative", "t-nan", "t-inf", "n_paths-0", "n_paths-1", "n_paths-float",
-            "seed-negative", "seed-float", "seed-bool", "eps-nan"])
+            "seed-negative", "seed-float", "seed-bool", "eps-nan", "grid_n-float"])
     def test_inputs_checked_before_any_covariance(self, kwargs, match, monkeypatch):
         # every input is checked up front, not after the factors are built
         # or all paths are drawn (t = -1 used to return a value)

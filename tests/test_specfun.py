@@ -12,13 +12,18 @@ from cfbm.specfun import (
     DegenerateParameterError,
     NonConvergenceError,
     PoleError,
+    SpecFunError,
     gamma_fn,
     hyp2f1,
     hyp2f1_at_one,
     principal_pow,
 )
 
-from helpers import hyp2f1_euler_integral
+from helpers import (
+    cheapest_route_by_route_list,
+    hyp2f1_euler_integral,
+    series_2f1_by_integer_index,
+)
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -323,6 +328,23 @@ class TestHyp2F1:
         assert ref == pytest.approx(expected, rel=1e-4)
         assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("args, name", [
+        ((math.inf, 0.7, 1.3, 0.5), "a"),
+        ((math.nan, 0.7, 1.3, 0.5), "a"),
+        ((0.3, complex(0.7, -math.inf), 1.3, 0.5), "b"),
+        ((0.3, 0.7, math.inf, 0.5), "c"),
+        ((0.3, 0.7, complex(math.nan, 0.2), 0.5), "c"),
+        ((0.3, 0.7, 1.3, math.nan), "z"),
+        ((0.3, 0.7, 1.3, complex(0.2, math.inf)), "z"),
+        ((-2, 0.7, 1.3, math.inf), "z"),
+    ], ids=["a-inf", "a-nan", "b-inf", "c-inf", "c-nan", "z-nan", "z-inf", "polynomial-z-inf"])
+    def test_non_finite_argument_rejected(self, args, name):
+        # rejected up front, naming the argument: an infinite a or c used to
+        # raise OverflowError from round(), a NaN a a bare ValueError, and a
+        # NaN z ran the series to its 6000-term guard
+        with pytest.raises(SpecFunError, match=f"argument {name}=.* not finite"):
+            hyp2f1(*args)
+
     def test_annulus_point(self):
         # z = -1 sits on the annulus where the Pfaff-transformed series runs
         import mpmath
@@ -415,3 +437,90 @@ class TestHyp2F1Routes:
         routes = {(name, pfaff) for name in expansions for pfaff in (False, True)}
         assert taken == routes | {("_taylor_2f1", False)}
         assert len(taken) == 7
+
+
+def _with_former_loops(f, *args):
+    # f(*args) with the former integer-indexed series and list-built route
+    # choice in place of the library's; an exception is returned as its type
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(specfun, "_series_2f1", series_2f1_by_integer_index)
+        m.setattr(specfun, "_cheapest_route", cheapest_route_by_route_list)
+        return _outcome(f, *args)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except SpecFunError as exc:
+        return type(exc)
+
+
+def _random_2f1_sweep(n_per_region, seed, regions=None):
+    from cfbm.cli import _SPECFUN_REGIONS, _random_2f1_case
+
+    rng = np.random.default_rng(seed)
+    return [_random_2f1_case(rng, region)
+            for region in regions or _SPECFUN_REGIONS for _ in range(n_per_region)]
+
+
+class TestFormerLoopsBitForBit:
+    # the float-indexed series and the tuple-literal route choice give the
+    # bits and routes of the former loops, kept in tests/helpers.py
+
+    @staticmethod
+    def _assert_same(cases):
+        for case in cases:
+            a, b, c, z = (complex(x) for x in case)
+            assert _outcome(hyp2f1, *case) == _with_former_loops(hyp2f1, *case), case
+            if not (z == 0 or (z.imag == 0 and z.real >= 1.0)):
+                route = _outcome(specfun._cheapest_route, a, b, c, z)
+                assert route == _outcome(cheapest_route_by_route_list, a, b, c, z), case
+
+    def test_route_params_and_points(self):
+        points = (*ROUTE_POINTS, *_near_sixth_roots_of_unity())
+        self._assert_same([(*abc, z) for abc in ROUTE_PARAMS for z in points])
+
+    def test_polynomials(self):
+        rng = np.random.default_rng(25)
+        cases = []
+        for i in range(60):
+            m = -int(rng.integers(0, 9))
+            q = complex(rng.uniform(-3, 3), rng.uniform(-1, 1) if i % 2 else 0.0)
+            c = complex(rng.uniform(0.1, 4), rng.uniform(-1, 1) if i % 3 else 0.0)
+            z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5) if i % 4 else 0.0)
+            cases.append((m, q, c, z) if i % 2 else (q, m, c, z))
+        self._assert_same(cases)
+
+    def test_random_cases_in_each_region(self):
+        self._assert_same(_random_2f1_sweep(200, seed=2025))
+
+    def test_series_directly(self):
+        # real and complex parameters inside the unit disk, and the guard
+        # raising at |z| = 1
+        for a, b, c, z in _random_2f1_sweep(100, seed=7, regions=("series",)):
+            for args in ((a, b, c, z), (a.real + 0j, b.real + 0j, c.real + 0j, z)):
+                assert (_outcome(specfun._series_2f1, *args)
+                        == _outcome(series_2f1_by_integer_index, *args)), args
+        args = (0.4 + 0.997j, 0.9 + 0j, 0.31 + 0j, cmath.exp(1j * math.pi / 3))
+        assert _outcome(specfun._series_2f1, *args) is NonConvergenceError
+        assert _outcome(series_2f1_by_integer_index, *args) is NonConvergenceError
+
+    def test_power_integral_generator(self, monkeypatch):
+        # the I1/I2 sets of acceptance criterion 4, and every 2F1 call they make
+        import cfbm.rough_integrals as ri
+        from test_acceptance import _random_power_integral
+
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return hyp2f1(*args)
+
+        monkeypatch.setattr(ri, "hyp2f1", recording)
+        rng = np.random.default_rng(404)
+        for _ in range(50):
+            p = _random_power_integral(rng)
+            for integral in (ri.I1, ri.I2):
+                assert _outcome(integral, p) == _with_former_loops(integral, p), p
+        assert len(calls) >= 100
+        self._assert_same(calls)
