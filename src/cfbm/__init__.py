@@ -9,6 +9,9 @@ moments, and Monte Carlo cross-checks.
 The package re-exports the documented entry points and the exception
 classes; everything else is imported from its module (``cfbm.specfun``,
 ``cfbm.gamma_process``, ``cfbm.eps_approx`` and ``cfbm.rough_integrals``).
+The iterated-integral entry points (``LevyAreaSpec``, ``levy_area_variance``
+and ``levy_const``) are imported from ``cfbm.rough_integrals`` on first
+access, so ``import cfbm`` and the sampling commands do not load that module.
 """
 
 from .specfun import (
@@ -19,6 +22,16 @@ from .specfun import (
     SpecFunError,
 )
 from .gamma_process import DomainError, ModelParams, gaussian_draw, sample_fbm_series
-from .rough_integrals import LevyAreaSpec, levy_area_variance, levy_const
 
 __version__ = "0.1.0"
+
+_ROUGH_INTEGRALS_NAMES = ("LevyAreaSpec", "levy_area_variance", "levy_const")
+
+
+def __getattr__(name):
+    # PEP 562: called only for names the module does not define
+    if name in _ROUGH_INTEGRALS_NAMES:
+        from . import rough_integrals
+
+        return getattr(rough_integrals, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,18 +28,6 @@ from .gamma_process import (
     sample_fbm_series,
     series_truncation_experiment,
 )
-from .rough_integrals import (
-    LevyAreaSpec,
-    _finest_shift,
-    _volume_inner_max_error,
-    divergence_slope,
-    levy_area_sign_sum,
-    levy_area_variance,
-    levy_const,
-    levy_volume_w1,
-    mc_levy_area_moments,
-    mc_levy_volume_moment,
-)
 from .specfun import hyp2f1
 
 __all__ = ["main", "ConfigError", "ExperimentConfig"]
@@ -239,12 +227,22 @@ _DIVERGENCE_EPS = (3e-4, 1e-4, 3e-5, 1e-5)
 
 
 def _unresolved(cfg, e):
+    from .rough_integrals import _finest_shift  # on use, as in the levy-* commands
+
     if e < _finest_shift(cfg.t_max, cfg.grid_n):
         return f"eps={e}: grid_n={cfg.grid_n} too coarse to resolve"
     return None
 
 
 def cmd_levy_area(cfg):
+    from .rough_integrals import (  # on use: the sampling commands never load it
+        LevyAreaSpec,
+        divergence_slope,
+        levy_area_variance,
+        levy_const,
+        mc_levy_area_moments,
+    )
+
     t = cfg.t_max
     target = None
     if cfg.alpha > 0.25:
@@ -280,6 +278,13 @@ def cmd_levy_area(cfg):
 
 
 def cmd_levy_volume(cfg):
+    from .rough_integrals import (  # on use: the sampling commands never load it
+        _volume_inner_max_error,
+        levy_area_sign_sum,
+        levy_volume_w1,
+        mc_levy_volume_moment,
+    )
+
     params = ModelParams(cfg.alpha)
     t = cfg.t_max
     e = cfg.eps_list[0]
@@ -298,8 +303,13 @@ def cmd_levy_volume(cfg):
     a2 = 2.0 * cfg.alpha
     sign_sum = levy_area_sign_sum(cfg.alpha, e, e, t)
     direct = kappa ** 3 * 2.0 * (2.0 * e) ** a2 / (a2 * (a2 - 1.0)) * sign_sum.real
-    rows.append(("w1_identity_rel_err", abs(w1 - direct) / abs(direct), 0.0, w1))
-    if not abs(w1 - direct) <= 1e-8 * abs(direct):
+    # an underflowed assembly (direct = 0) leaves the relative error undefined,
+    # and fails the gate even where w1 underflows too
+    rel_err = abs(w1 - direct) / abs(direct) if direct else math.nan
+    rows.append(("w1_identity_rel_err", rel_err, 0.0, w1))
+    if not direct:
+        failures.append("volume sub-term identity untestable: the assembly underflows to 0")
+    elif not abs(w1 - direct) <= 1e-8 * abs(direct):
         failures.append("volume sub-term identity broken")
 
     # Monte Carlo second moment

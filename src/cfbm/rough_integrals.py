@@ -20,7 +20,6 @@ assembly of the same moment, an independent route, shares both devices.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -375,6 +374,8 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
                 v[p0:p0 + m] = _iterated_trapezoid(paths)
 
         if n_threads > 1:
+            from concurrent.futures import ThreadPoolExecutor  # on use: it loads logging
+
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
                 list(pool.map(run_batch, starts))
         else:

@@ -13,8 +13,9 @@ subclasses instead of returning NaN, so callers cannot silently continue
 across a branch cut or a Gamma pole: BranchCutError on [1, oo) unless 2F1 is
 a polynomial, PoleError at non-positive integer c, DegenerateParameterError
 when every convergent route is a connection with an integer b-a or c-a-b, and
-NonConvergenceError when a series trips its 6000-term guard or the two
-quadrature rules disagree.
+NonConvergenceError when a series trips its 6000-term guard or overflows, or
+the two quadrature rules disagree.  A Gamma, power or 2F1 value past the
+double range raises SpecFunError itself.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def principal_pow(z, beta):
     """z**beta = exp(beta * Log z) with Im Log z in (-pi, pi).
 
     The closed negative real axis is rejected (BranchCutError); z = 0 is only
-    allowed for Re beta > 0, where the limit value 0 is returned.
+    allowed for Re beta > 0, where the limit value 0 is returned.  A value
+    past the double range raises SpecFunError.
     """
     z = complex(z)
     beta = complex(beta)
@@ -76,7 +78,10 @@ def principal_pow(z, beta):
         return 0j
     if z.imag == 0 and z.real < 0:
         raise BranchCutError(f"principal power evaluated on the cut at z={z}")
-    return cmath.exp(beta * cmath.log(z))
+    try:
+        return cmath.exp(beta * cmath.log(z))
+    except OverflowError:
+        raise SpecFunError(f"z**beta at z={z}, beta={beta} overflows double precision") from None
 
 
 def _pow(z, beta):
@@ -158,15 +163,22 @@ def _is_nonpositive_integer(z, tol=1e-12):
 def gamma_fn(z):
     """Gamma function: ``math.gamma`` on the real axis, scipy's complex one off it.
 
-    Raises PoleError at the non-positive integers.
+    Raises PoleError at the non-positive integers, and SpecFunError where
+    Gamma overflows; where it underflows, the value is 0.
     """
     z = complex(z)
     if z.imag == 0:
         x = z.real
         if x <= 0 and x.is_integer():
             raise PoleError(f"Gamma pole at z={z}")
-        return math.gamma(x)
-    return complex(_complex_gamma()(z))
+        try:
+            return math.gamma(x)
+        except OverflowError:
+            raise SpecFunError(f"Gamma({x}) overflows double precision") from None
+    g = complex(_complex_gamma()(z))
+    if not cmath.isfinite(g):
+        raise SpecFunError(f"Gamma({z}) overflows double precision")
+    return g
 
 
 @functools.cache
@@ -179,11 +191,14 @@ def _complex_gamma():
 
 def _rgamma(z):
     # 1/Gamma, with the value 0 at the poles.  Used for connection-formula
-    # coefficients whose denominator Gamma may legitimately blow up.
+    # coefficients whose denominator Gamma may legitimately blow up.  Where
+    # Gamma underflows to 0 off a pole, 1/Gamma overflows.
     try:
         return 1.0 / gamma_fn(z)
     except PoleError:
         return 0j
+    except ZeroDivisionError:
+        raise SpecFunError(f"1/Gamma({z}) overflows double precision") from None
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +225,14 @@ _TAYLOR_TERM_WEIGHT = 2.0
 _TAYLOR_START_CHARGE = 2.0 * _LOG_TOL / math.log(_TAYLOR_RADIUS)
 
 
+def _overflow(error, what, z, value):
+    # a value past the double range is an error, not a result: an overflowed
+    # series passes its stop test (inf <= inf), abs() of a term past the
+    # range raises OverflowError, and a product of finite Gamma coefficients,
+    # powers and series may overflow
+    return error(f"{what} at z={z} overflows double precision ({value})")
+
+
 def _series_2f1(a, b, c, z, max_terms=_SERIES_MAX_TERMS):
     # plain hypergeometric power series with a term-count guard; terminates
     # exactly when a or b is a non-positive integer.  With real parameters
@@ -223,17 +246,22 @@ def _series_2f1(a, b, c, z, max_terms=_SERIES_MAX_TERMS):
     total = 1.0 + 0j
     small = 0
     n = 0.0
-    for _ in range(max_terms):
-        n1 = n + 1.0
-        term *= (a + n) * (b + n) / ((c + n) * n1) * z
-        total += term
-        if abs(term) <= tol * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-        n = n1
+    try:
+        for _ in range(max_terms):
+            n1 = n + 1.0
+            term *= (a + n) * (b + n) / ((c + n) * n1) * z
+            total += term
+            if abs(term) <= tol * abs(total):
+                small += 1
+                if small >= 2:
+                    if cmath.isfinite(total):
+                        return total
+                    raise _overflow(NonConvergenceError, "2F1 series", z, total)
+            else:
+                small = 0
+            n = n1
+    except OverflowError:
+        raise _overflow(NonConvergenceError, "2F1 series", z, total) from None
     raise NonConvergenceError(
         f"2F1 series guard tripped after {max_terms} terms at z={z}"
     )
@@ -246,7 +274,10 @@ def hyp2f1_at_one(a, b, c):
         raise BranchCutError(
             f"2F1 divergent at z=1 for Re(c-a-b)={ (c-a-b).real } <= 0"
         )
-    return complex(gamma_fn(c) * gamma_fn(c - a - b) * _rgamma(c - a) * _rgamma(c - b))
+    value = complex(gamma_fn(c) * gamma_fn(c - a - b) * _rgamma(c - a) * _rgamma(c - b))
+    if not cmath.isfinite(value):
+        raise _overflow(SpecFunError, "2F1", 1.0, value)
+    return value
 
 
 def _connection_inv_z(a, b, c, z):
@@ -299,20 +330,24 @@ def _taylor_2f1(a, b, c, z):
     e = ab / c * _series_2f1(a + 1, b + 1, c + 1, z0) * t
     total = e_prev + e
     small = 0
-    for k in range(_SERIES_MAX_TERMS):
-        e_prev, e = e, -(
-            (p1 * k + q0) * (k + 1) * t1 * e + (q1 * k - k * (k - 1) - ab) * t2 * e_prev
-        ) / ((k + 2) * (k + 1))
-        total += e
-        if abs(e) <= _SERIES_TOL * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-    raise NonConvergenceError(
-        f"2F1 Taylor re-expansion guard tripped after {_SERIES_MAX_TERMS} terms at z={z}"
-    )
+    what = "2F1 Taylor re-expansion"
+    try:
+        for k in range(_SERIES_MAX_TERMS):
+            e_prev, e = e, -(
+                (p1 * k + q0) * (k + 1) * t1 * e + (q1 * k - k * (k - 1) - ab) * t2 * e_prev
+            ) / ((k + 2) * (k + 1))
+            total += e
+            if abs(e) <= _SERIES_TOL * abs(total):
+                small += 1
+                if small >= 2:
+                    if cmath.isfinite(total):
+                        return total
+                    raise _overflow(NonConvergenceError, what, z, total)
+            else:
+                small = 0
+    except OverflowError:
+        raise _overflow(NonConvergenceError, what, z, total) from None
+    raise NonConvergenceError(f"{what} guard tripped after {_SERIES_MAX_TERMS} terms at z={z}")
 
 
 def _connection_charge(w):
@@ -391,7 +426,9 @@ def hyp2f1(a, b, c, z):
     Re(c-a-b) > 0).  It raises PoleError for non-positive integer c,
     DegenerateParameterError when every convergent route is a connection on
     a Gamma pole, and NonConvergenceError when the chosen series trips its
-    6000-term guard.
+    6000-term guard or overflows.  Where a Gamma coefficient, 1/Gamma
+    coefficient, power or the value itself is past the double range, it
+    raises SpecFunError, so every value it returns is finite.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     isfinite = cmath.isfinite
@@ -413,5 +450,9 @@ def hyp2f1(a, b, c, z):
         raise BranchCutError(f"2F1 evaluated on the cut [1, oo) at z={z}")
     expansion, pfaff = _cheapest_route(a, b, c, z)
     if pfaff:
-        return principal_pow(1.0 - z, -a) * expansion(a, c - b, c, z / (z - 1.0))
-    return expansion(a, b, c, z)
+        value = principal_pow(1.0 - z, -a) * expansion(a, c - b, c, z / (z - 1.0))
+    else:
+        value = expansion(a, b, c, z)
+    if not isfinite(value):
+        raise _overflow(SpecFunError, "2F1", z, value)
+    return value

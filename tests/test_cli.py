@@ -54,6 +54,15 @@ ALL_COMMANDS = (
     "specfun-test",
 )
 
+# the sampling and closed-form commands at small sizes
+SAMPLING_COMMANDS = [
+    ["sample", "--n-terms", "64", "--grid-n", "16"],
+    ["converge-series", "--n-terms", "256", "--n-mc", "4", "--grid-n", "16"],
+    ["converge-eps", "--n-terms", "64", "--n-mc", "4", "--grid-n", "16"],
+    ["kernel-check"],
+    ["cov-check"],
+]
+
 
 class TestParsingAndConfig:
     @pytest.mark.parametrize("command", ALL_COMMANDS)
@@ -118,12 +127,27 @@ class TestParsingAndConfig:
         assert read_rows(out1) != read_rows(out2)
 
     def test_import_leaves_mpmath_unloaded(self, tmp_path):
-        # mpmath backs only specfun-test's reference, which imports it on use
-        res = run_python(
-            ["-c", "import sys, cfbm.cli; print('mpmath' in sys.modules)"], tmp_path
+        # mpmath backs only specfun-test's reference, and the iterated
+        # integrals (with concurrent.futures, for --threads > 1) only the
+        # levy-* commands; each is imported on use.  So neither the import
+        # nor the sampling and closed-form commands load them, and the
+        # package resolves its rough_integrals names on first access
+        code = (
+            "import sys; from cfbm.cli import main\n"
+            "def loaded():\n"
+            "    return [m for m in ('cfbm.rough_integrals', 'concurrent.futures', 'mpmath')\n"
+            "            if m in sys.modules]\n"
+            "print(loaded())\n"
+            f"print([main([*argv, '--out', 'out.csv']) for argv in {SAMPLING_COMMANDS!r}])\n"
+            "print(loaded())\n"
+            "from cfbm import LevyAreaSpec, levy_area_variance, levy_const\n"
+            "import cfbm.rough_integrals as ri\n"
+            "print(LevyAreaSpec is ri.LevyAreaSpec, levy_area_variance is ri.levy_area_variance,\n"
+            "      levy_const is ri.levy_const)\n"
         )
+        res = run_python(["-c", code], tmp_path)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+        assert res.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0]", "[]", "True True True"]
 
     def test_import_leaves_scipy_unloaded(self, tmp_path):
         # scipy backs only the MC factor and path product (LAPACK dpotrf and
@@ -136,13 +160,6 @@ class TestParsingAndConfig:
         # for its Monte Carlo, but no command loads scipy.integrate.  The
         # Gauss-Legendre nodes are built on first use, so the import loads no
         # numpy.polynomial either, and no mpmath
-        commands = [
-            ["sample", "--n-terms", "64", "--grid-n", "16"],
-            ["converge-series", "--n-terms", "256", "--n-mc", "4", "--grid-n", "16"],
-            ["converge-eps", "--n-terms", "64", "--n-mc", "4", "--grid-n", "16"],
-            ["kernel-check"],
-            ["cov-check"],
-        ]
         volume = ["levy-volume", "--n-mc", "4", "--grid-n", "64", "--out", "out.csv"]
         code = (
             "import sys; from cfbm.cli import main\n"
@@ -150,7 +167,7 @@ class TestParsingAndConfig:
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(scipy_modules(), 'numpy.polynomial' in sys.modules, 'mpmath' in sys.modules)\n"
-            f"print([main([*argv, '--out', 'out.csv']) for argv in {commands!r}])\n"
+            f"print([main([*argv, '--out', 'out.csv']) for argv in {SAMPLING_COMMANDS!r}])\n"
             "print(scipy_modules())\n"
             "ri.levy_area_variance(ri.LevyAreaSpec(0.4, 1.0, 1e-3, 2e-3))\n"
             "ri.divergence_slope(0.2, (1e-3, 1e-4), 1.0)\n"
@@ -224,8 +241,11 @@ class TestNonFiniteInput:
         [
             (cli, "kernel_partial_sum", ["kernel-check"], "final-N error nan"),
             (cli, "cov_eps", ["cov-check"], "max deviation nan"),
-            (cli, "levy_area_variance", ["levy-area", "--eps", "0.1"], "off analytic nan"),
-            (cli, "levy_area_sign_sum", ["levy-volume", "--eps", "0.1"], "sub-term identity"),
+            # the levy-* commands import their rough_integrals names on use
+            (rough_integrals, "levy_area_variance", ["levy-area", "--eps", "0.1"],
+             "off analytic nan"),
+            (rough_integrals, "levy_area_sign_sum", ["levy-volume", "--eps", "0.1"],
+             "sub-term identity"),
             (rough_integrals, "volume_inner_closed", ["levy-volume", "--eps", "0.1"],
              "inner closed form off quadrature by nan"),
         ],
@@ -594,6 +614,20 @@ class TestSpecfunAndVolumeCommands:
         # a second run at the same seed writes the same bytes
         assert main(argv + ["--n-mc", "150", "--out", str(again)]) == 0
         assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--eps", "1e300"], ["--t-max", "1e-200"]])
+    def test_levy_volume_underflowed_sub_term_fails_its_gate(self, flags, capsys, tmp_path):
+        # the sign-resolved assembly underflows to 0, and w1 with it: the
+        # relative error is undefined, so its cell is blank and the gate
+        # fails (it was a ZeroDivisionError, and 0 <= 0 would have passed)
+        out = tmp_path / "lv.csv"
+        argv = ["levy-volume", *flags, "--n-mc", "4", "--grid-n", "16", "--out", str(out)]
+        assert main(argv) == 1
+        rows = {r[0]: r for r in read_rows(out)[1:]}
+        assert rows["w1_identity_rel_err"][1:] == ["", "0", "0"]
+        assert [line for line in capsys.readouterr().err.splitlines() if "sub-term" in line] == [
+            "levy-volume: volume sub-term identity untestable: the assembly underflows to 0"
+        ]
 
     def test_levy_volume_inner_check_is_guarded(self, monkeypatch, tmp_path):
         # the inner check's quadrature raises where its guard rule disagrees

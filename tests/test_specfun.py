@@ -46,6 +46,11 @@ class TestPrincipalPow:
             principal_pow(0.0, -1.0)
         assert principal_pow(0.0, 0.7) == 0
 
+    def test_overflow_is_a_specfun_error(self):
+        # cmath.exp raises OverflowError past the double range
+        with pytest.raises(SpecFunError, match="overflows double precision"):
+            principal_pow(10.0, 400)
+
     @given(
         re=st.floats(min_value=-2, max_value=2),
         im=st.floats(min_value=0.01, max_value=2),
@@ -89,6 +94,14 @@ class TestGamma:
         for z in (0, -1, -7):
             with pytest.raises(PoleError):
                 gamma_fn(z)
+
+    def test_overflow_is_a_specfun_error(self):
+        # math.gamma raises OverflowError past the double range, and scipy's
+        # complex Gamma returns inf there; an underflow is the value 0
+        for z in (200.0, 1e-320, complex(200.0, 1.0)):
+            with pytest.raises(SpecFunError, match="overflows double precision"):
+                gamma_fn(z)
+        assert gamma_fn(-298.5) == 0.0
 
     def test_accuracy_on_disk(self):
         import mpmath
@@ -344,6 +357,53 @@ class TestHyp2F1:
         # NaN z ran the series to its 6000-term guard
         with pytest.raises(SpecFunError, match=f"argument {name}=.* not finite"):
             hyp2f1(*args)
+
+    @pytest.mark.parametrize("args, error", [
+        # the series terms overflow to inf, and the stop test reads inf <= inf
+        ((1000, 1000, 2.5, 0.3), NonConvergenceError),
+        ((500 + 1j, 400, 1.5, 0.5 + 0.1j), NonConvergenceError),
+        # the connection in 1-z needs 1/Gamma(-298.5), whose Gamma underflows
+        # to 0 (it was a ZeroDivisionError)
+        ((300, 300, 1.5, 0.9), SpecFunError),
+    ], ids=["series-real", "series-complex", "rgamma-underflow"])
+    def test_overflow_raises(self, args, error):
+        with pytest.raises(SpecFunError, match="overflows double precision") as info:
+            hyp2f1(*args)
+        assert type(info.value) is error
+
+    def test_extreme_parameters_give_a_finite_value_or_a_specfun_error(self):
+        # seeded draws of a, b, c from +-1e-12 ... +-1e3, integers and 0, and
+        # z inside, near and outside the unit circle and on the real axis:
+        # Gamma under/overflow, overflowing powers and series, and products
+        # past the double range all raise SpecFunError, never a bare Python
+        # error or a non-finite value
+        rng = np.random.default_rng(26)
+
+        def param():
+            kind = rng.integers(5)
+            if kind == 0:
+                return float(rng.integers(-20, 21))
+            if kind == 1:
+                return 0.0
+            x = 10 ** rng.uniform(-12, 3) * rng.choice((-1, 1))
+            if kind == 2:
+                return complex(x, 10 ** rng.uniform(-12, 3) * rng.choice((-1, 1)))
+            return x
+
+        outcomes = {"finite": 0, "raised": 0}
+        for _ in range(2000):
+            r = (rng.uniform(0, 0.9), rng.uniform(0.9, 1.1), rng.uniform(1.1, 5),
+                 10 ** rng.uniform(-3, 3))[rng.integers(4)]
+            theta = rng.choice((0.0, math.pi)) if rng.uniform() < 0.2 else rng.uniform(-3.2, 3.2)
+            args = (param(), param(), param(), cmath.rect(r, theta))
+            try:
+                value = hyp2f1(*args)
+            except SpecFunError:
+                outcomes["raised"] += 1
+                continue
+            assert cmath.isfinite(value), args
+            outcomes["finite"] += 1
+        assert min(outcomes.values()) > 500
 
     def test_annulus_point(self):
         # z = -1 sits on the annulus where the Pfaff-transformed series runs
