@@ -296,6 +296,9 @@ def _fk_columns(n_terms, pts, params):
     # part for Im z > -1, so the power stays off its cut.
     a = params.alpha
     w = (pts - 1j) / (pts + 1j)
+    if np.any(w == 1.0):
+        raise DomainError(f"fk_table: cayley(z) rounds to 1 at z={pts[w == 1.0][0]}, "
+                          "where (1 - cayley(z))^(1-2a) is undefined")
     tail = _pow(1.0 - w, 1.0 - 2.0 * a)  # w^k0 (1-w)^(1-2a) at each block's start
     head = 2.0 ** (1.0 - 2.0 * a)
     r = _poch_ratio(a, n_terms)
@@ -328,11 +331,7 @@ def F_k(k, z, params):
     recurrence cancels, so the accuracy there is absolute (about 1e-16 per
     term), not relative.  k must be a non-negative integer.
     """
-    k = _term_index(k)
-    z = complex(z)
-    if z.imag <= -1.0:
-        raise BranchCutError(f"F_k requires Im z > -1 along [0, z] (z={z})")
-    return complex(_fk_columns(k + 1, np.array([z]), params)[-1, 0])
+    return complex(fk_table(_term_index(k) + 1, [complex(z)], params)[-1, 0])
 
 
 def fk_table(n_terms, points, params):
@@ -346,14 +345,17 @@ def fk_table(n_terms, points, params):
     accuracy there is absolute (about 1e-16 per term), not relative.
 
     Returns a complex array of shape (n_terms, len(points)); n_terms >= 1.
+    DomainError where cayley(z) rounds to 1, far up the imaginary axis
+    (Im z beyond about 1e16).
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or len(pts) == 0:
         raise ValueError("points must be a non-empty 1-d sequence")
-    if np.any(pts.imag <= -1.0):
-        raise BranchCutError("fk_table requires Im z > -1 at every point")
+    cut = pts.imag <= -1.0
+    if np.any(cut):
+        raise BranchCutError(f"fk_table requires Im z > -1 at every point (z={pts[cut][0]})")
     return _fk_columns(n_terms, pts, params)
 
 
@@ -403,8 +405,6 @@ def sample_gamma_plus(draw, points, params):
 def sample_fbm_series(draw, grid, params):
     """Real FBM path 2 Re sum_(k<N) F_k(t) xi_k^+ on a sorted real grid."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise ValueError("grid must be a non-empty 1-d array")
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be sorted ascending")
     plus = sample_gamma_plus(draw, grid.astype(complex), params)
@@ -421,8 +421,10 @@ def sample_fbm_series(draw, grid, params):
 # ---------------------------------------------------------------------------
 
 def _loglog_slope(xs, ys):
-    # least-squares slope of log ys against log xs; nan below two points
-    if len(xs) < 2:
+    # least-squares slope of log ys against log xs; nan below two points, or
+    # where a value is not finite and > 0 (its log is not finite)
+    both = np.array([xs, ys], dtype=float)
+    if both.shape[1] < 2 or not np.all((both > 0) & (both < np.inf)):
         return float("nan")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 

@@ -131,15 +131,18 @@ def _graded_quad(f, edges, what):
     # one by one, so a vectorised inner rule nests inside an outer one.  The
     # 12-point rule on the same panels, from the same call of f, is the guard:
     # NonConvergenceError, naming `what`, where the two differ by more than
-    # max(1e-12, 3e-10 |integral|) in any column.
+    # max(1e-12, 3e-10 |integral|) in any column.  A node value or sum that
+    # overflows or is undefined leaves a NaN gap, so the guard raises for it,
+    # and numpy's floating-point warnings are off while it is computed.
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     (xv, wv), (xg, wg) = (_gauss_legendre(n) for n in (_GL_ORDER, _GL_GUARD_ORDER))
-    fx = f((mid[:, None] + half[:, None] * np.concatenate((xv, xg))).ravel())
-    # panel sums first, then the node weights
-    sums = (half @ fx.reshape(len(half), -1)).reshape(len(xv) + len(xg), *fx.shape[1:])
-    val = wv @ sums[: len(wv)]
-    gap = np.abs(val - wg @ sums[len(wv):])
+    with np.errstate(all="ignore"):
+        fx = f((mid[:, None] + half[:, None] * np.concatenate((xv, xg))).ravel())
+        # panel sums first, then the node weights
+        sums = (half @ fx.reshape(len(half), -1)).reshape(len(xv) + len(xg), *fx.shape[1:])
+        val = wv @ sums[: len(wv)]
+        gap = np.abs(val - wg @ sums[len(wv):])
     if not np.all(gap <= np.maximum(_EPSABS, _EPSREL * np.abs(val))):
         raise NonConvergenceError(
             f"{what}: {_GL_ORDER}- and {_GL_GUARD_ORDER}-point rules differ by "

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,33 @@ class TestLevyArea:
             "levy-area: eps=0.03125: grid_n=64 too coarse to resolve"
         )
 
+    def test_underflowed_variance_and_slope_fail_their_gates(self, tmp_path, capsys):
+        # at t = 1e-300 V underflows to -0 and the footer's fit has no finite
+        # slope: each fails with one line, and the rows keep their cells
+        out = tmp_path / "la.csv"
+        argv = ["levy-area", "--alpha", "0.1", "--t-max", "1e-300", "--eps", "0.5",
+                "--n-mc", "4", "--grid-n", "16", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "levy-area: eps=0.5: analytic V -0 is not finite and > 0",
+            "levy-area: divergence slope nan is not finite",
+        ]
+        rows = read_rows(out)[1:]
+        assert rows[0][:2] == ["0.5", "-0"]
+        assert rows[1] == ["divergence_slope", "", "", "", ""]
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["levy-area", "--t-max", "1e300"], "OverflowError: "),
+        (["levy-volume", "--t-max", "1e300", "--eps", "1e300"],
+         "NonConvergenceError: Levy-area variance: "),
+    ])
+    def test_library_error_exits_1_on_one_line(self, argv, reason, tmp_path, capsys):
+        # the levy_const target t^(4a) overflows, and the sub-term's
+        # quadrature fails its guard: each used to end in a traceback
+        assert main([*argv, "--n-mc", "2", "--grid-n", "4", "--out", str(tmp_path / "o.csv")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{argv[0]}: {reason}")
+
     def test_volume_unresolved_eps_flagged(self, tmp_path, capsys):
         out = tmp_path / "lv.csv"
         code = main(
@@ -604,6 +632,17 @@ class TestSpecfunAndVolumeCommands:
             f"specfun-test: worst relative error at z = 1 {worst:.3e} exceeds 1e-10"
         ]
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_specfun_cases_read_the_philox_stream(self, seed, tmp_path):
+        # the random cases come from the one random source, stream (seed, 0)
+        from cfbm.gamma_process import _philox
+
+        out = tmp_path / "sf.csv"
+        assert main(["specfun-test", "--n-mc", "3", "--seed", str(seed), "--out", str(out)]) == 0
+        first = read_rows(out)[1]
+        a, b, c, z = cli._random_2f1_case(_philox(seed, 0), "series")
+        assert first[:5] == ["series", *(cli._fmt(x) for x in (a, b, c, z))]
+
     def test_levy_volume_gate(self, tmp_path):
         argv = ["levy-volume", "--alpha", "0.3", "--eps", "0.05", "--grid-n", "512"]
         out, again = tmp_path / "lv.csv", tmp_path / "lv_again.csv"
@@ -629,14 +668,18 @@ class TestSpecfunAndVolumeCommands:
             "levy-volume: volume sub-term identity untestable: the assembly underflows to 0"
         ]
 
-    def test_levy_volume_inner_check_is_guarded(self, monkeypatch, tmp_path):
-        # the inner check's quadrature raises where its guard rule disagrees
+    def test_levy_volume_inner_check_is_guarded(self, monkeypatch, capsys, tmp_path):
+        # the inner check's quadrature raises where its guard rule disagrees,
+        # and the command reports that error on one line with exit 1
         import cfbm.specfun as specfun
         from cfbm.specfun import NonConvergenceError
 
         monkeypatch.setattr(specfun, "_GL_GUARD_ORDER", 2)
         with pytest.raises(NonConvergenceError, match="levy-volume inner integral"):
-            main(["levy-volume", "--n-mc", "50", "--out", str(tmp_path / "lv.csv")])
+            rough_integrals._volume_inner_max_error(0.4, 0.1, 20240901)
+        assert main(["levy-volume", "--n-mc", "50", "--out", str(tmp_path / "lv.csv")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("levy-volume: NonConvergenceError: levy-volume inner integral: ")
 
     @pytest.mark.parametrize("alpha, eps", [("0.3", "0.02"), ("0.2", "0.01")])
     def test_levy_volume_inner_check_is_exact(self, alpha, eps, tmp_path):
@@ -647,3 +690,74 @@ class TestSpecfunAndVolumeCommands:
         assert main(argv + ["--n-mc", "50", "--out", str(out)]) == 0
         rows = {r[0]: r for r in read_rows(out)[1:]}
         assert float(rows["inner_integral_max_abs_err"][1]) <= 1e-12
+
+
+# Small argv at the edges of every command's inputs, fixed in advance: shifts
+# and horizons at 1e+-300, alpha near 0, 1/4, 1/2 and 1, the smallest grids,
+# path counts and truncations, and the extreme seeds.
+_SEED_MAX = str(2 ** 64 - 1)
+ARGV_EDGES = [
+    ["sample", "--n-terms", "1", "--grid-n", "2"],
+    ["sample", "--n-terms", "3", "--grid-n", "4", "--t-max", "1e300"],
+    ["sample", "--n-terms", "3", "--grid-n", "4", "--t-max", "1e-300"],
+    ["sample", "--n-terms", "2", "--grid-n", "2", "--alpha", "0.001"],
+    ["sample", "--n-terms", "3", "--grid-n", "4", "--alpha", "0.999"],
+    ["sample", "--n-terms", "3", "--grid-n", "2", "--alpha", "0.4999999", "--seed", _SEED_MAX],
+    ["kernel-check", "--alpha", "0.001"],
+    ["kernel-check", "--alpha", "0.25"],
+    ["kernel-check", "--alpha", "0.999"],
+    ["cov-check", "--t-max", "1e300"],
+    ["cov-check", "--t-max", "1e-300"],
+    ["cov-check", "--alpha", "0.001"],
+    ["cov-check", "--alpha", "0.999"],
+    ["levy-area", "--alpha", "0.1", "--t-max", "1e-300", "--eps", "0.5", "--n-mc", "4",
+     "--grid-n", "16"],
+    ["levy-area", "--eps", "1e300", "--n-mc", "4", "--grid-n", "16"],
+    ["levy-area", "--t-max", "1e300", "--n-mc", "2", "--grid-n", "4"],
+    ["levy-area", "--eps", "1e-300", "--n-mc", "2", "--grid-n", "4"],
+    ["levy-area", "--t-max", "1e-300", "--eps", "1e-300", "--n-mc", "2", "--grid-n", "2"],
+    ["levy-area", "--alpha", "0.001", "--eps", "1", "--n-mc", "2", "--grid-n", "4"],
+    ["levy-area", "--alpha", "0.25", "--eps", "1", "--n-mc", "2", "--grid-n", "4"],
+    ["levy-area", "--alpha", "0.2500001", "--eps", "1", "--n-mc", "2", "--grid-n", "4"],
+    ["levy-area", "--alpha", "0.999", "--eps", "1", "--n-mc", "2", "--grid-n", "4",
+     "--seed", "0"],
+    ["levy-volume", "--eps", "1e300", "--n-mc", "4", "--grid-n", "16"],
+    ["levy-volume", "--t-max", "1e300", "--eps", "1e300", "--n-mc", "2", "--grid-n", "4"],
+    ["levy-volume", "--t-max", "1e-300", "--eps", "1e-300", "--n-mc", "2", "--grid-n", "2"],
+    ["levy-volume", "--eps", "1e-300", "--n-mc", "2", "--grid-n", "4"],
+    ["levy-volume", "--alpha", "0.001", "--eps", "1", "--n-mc", "2", "--grid-n", "4"],
+    ["levy-volume", "--alpha", "0.25", "--eps", "1", "--n-mc", "2", "--grid-n", "4"],
+    ["levy-volume", "--alpha", "0.999", "--eps", "1", "--n-mc", "2", "--grid-n", "4",
+     "--seed", _SEED_MAX],
+    ["converge-series", "--n-terms", "3", "--n-mc", "2", "--grid-n", "2"],
+    ["converge-series", "--n-terms", "3", "--n-mc", "2", "--grid-n", "4", "--t-max", "1e300"],
+    ["converge-series", "--n-terms", "3", "--n-mc", "2", "--grid-n", "4", "--t-max", "1e-300"],
+    ["converge-series", "--n-terms", "3", "--n-mc", "2", "--grid-n", "4", "--alpha", "0.001"],
+    ["converge-series", "--n-terms", "3", "--n-mc", "2", "--grid-n", "4", "--alpha", "0.999"],
+    ["converge-eps", "--eps", "1e300", "--n-mc", "4", "--n-terms", "50", "--grid-n", "16"],
+    ["converge-eps", "--eps", "1e300", "--eps", "1e-300", "--n-mc", "2", "--n-terms", "2",
+     "--grid-n", "2"],
+    ["converge-eps", "--n-mc", "2", "--n-terms", "1", "--grid-n", "2", "--t-max", "1e300"],
+    ["converge-eps", "--n-mc", "2", "--n-terms", "1", "--grid-n", "2", "--t-max", "1e-300"],
+    ["converge-eps", "--n-mc", "2", "--n-terms", "3", "--grid-n", "4", "--alpha", "0.001"],
+    ["converge-eps", "--n-mc", "2", "--n-terms", "3", "--grid-n", "4", "--alpha", "0.999",
+     "--eps", "1e300"],
+    ["specfun-test", "--n-mc", "1"],
+    ["specfun-test", "--n-mc", "2", "--seed", _SEED_MAX],
+]
+
+
+class TestArgvEdges:
+    @pytest.mark.parametrize("argv", ARGV_EDGES, ids=" ".join)
+    def test_exit_code_and_one_line_reasons_only(self, argv, capsys, tmp_path):
+        # the exception contract at the CLI: exit 0, 1 or 2, and stderr holds
+        # only config-error or command lines; no traceback (an exception
+        # escaping main fails the test) and no numpy RuntimeWarning. The
+        # near-1/2 UserWarning of ModelParams is documented and allowed.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", str(tmp_path / "out.csv")])
+        assert code in (0, 1, 2)
+        for line in capsys.readouterr().err.splitlines():
+            assert line.startswith(("config error: ", f"{argv[0]}: ")), line
+        assert [str(w.message) for w in caught if w.category is not UserWarning] == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbm.gamma_process import _REPLICATE_BLOCK as BLOCK
-from cfbm.gamma_process import _coefficient_blocks, _coupled_sup_experiment, _philox
+from cfbm.gamma_process import _coefficient_blocks, _coupled_sup_experiment, _loglog_slope, _philox
 from cfbm.gamma_process import (
     DomainError,
     ModelParams,
@@ -180,6 +181,24 @@ class TestIntegratedBasis:
         # a negative k used to fail with an IndexError, and F_k(2.7) gave F_2
         with pytest.raises(ValueError, match="k must be a non-negative integer"):
             fn(k, 0.5, ModelParams(0.3))
+
+    def test_domain(self):
+        # F_k is fk_table's last row, so fk_table's guard names the point
+        with pytest.raises(BranchCutError, match=r"z=\(0.2-1.5j\)"):
+            F_k(3, 0.2 - 1.5j, ModelParams(0.3))
+        with pytest.raises(BranchCutError, match=r"z=\(0.5-2j\)"):
+            fk_table(4, [0.5, 0.5 - 2j, -3j], ModelParams(0.3))
+
+    def test_single_value_is_the_table_row(self):
+        p = ModelParams(0.35)
+        for k, z in ((0, 0.7), (5, -0.4 + 0.2j), (31, 2.5), (32, 0.1 + 3j), (400, 0.3 - 0.2j)):
+            assert F_k(k, z, p) == fk_table(k + 1, [z], p)[-1, 0]
+
+    def test_table_rejects_a_cayley_variable_rounded_to_one(self):
+        # far up the imaginary axis (z - i)/(z + i) rounds to 1, where the
+        # recurrence's power of 1 - cayley(z) is undefined
+        with pytest.raises(DomainError, match="cayley"):
+            fk_table(3, [0.5, 1e300j], ModelParams(0.7))
 
     @pytest.mark.parametrize("n_terms", [0, -3])
     def test_table_rejects_no_terms(self, n_terms):
@@ -547,6 +566,16 @@ class TestTruncationExperiment:
         p = ModelParams(0.35)
         with pytest.raises(ValueError, match="every N must be >= 1, got 0"):
             series_truncation_experiment(p, [0, 16], 128, 2, np.linspace(0, 1, 8), seed=0)
+
+    @pytest.mark.parametrize("ys", [[0.5, 0.0], [0.5, -0.0], [0.5, -1.0], [math.inf, 0.5],
+                                    [math.nan, 0.5]])
+    def test_slope_of_an_undefined_log_is_nan_without_warnings(self, ys):
+        # a zero error or an underflowed moment used to reach np.log with a
+        # RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(_loglog_slope([1.0, 2.0], ys))
+        assert _loglog_slope([1.0, 2.0], [0.5, 2.0]) == pytest.approx(2.0, rel=1e-14)
 
     def test_real_products_match_complex_products(self):
         # two column blocks, a partial last block of replicates (45 = 32 + 13)
