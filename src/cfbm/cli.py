@@ -248,7 +248,13 @@ def cmd_levy_area(cfg):
     t = cfg.t_max
     target = None
     if cfg.alpha > 0.25:
-        target = levy_const(cfg.alpha) * t ** (4.0 * cfg.alpha)
+        try:
+            target = levy_const(cfg.alpha) * t ** (4.0 * cfg.alpha)
+        except OverflowError:
+            target = math.inf
+        if target == math.inf:
+            raise OverflowError(f"the target levy_const * t_max^(4 alpha) overflows double "
+                                f"precision at t_max={t}, alpha={cfg.alpha}")
     # one Monte Carlo run for every resolved shift, sharing each path's normals
     resolved = [e for e in cfg.eps_list if not _unresolved(cfg, e)]
     estimates = {}

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import BranchCutError, PoleError, _pow, principal_pow
+from .specfun import BranchCutError, PoleError, SpecFunError, _pow, principal_pow
 
 __all__ = [
     "DomainError",
@@ -100,43 +100,31 @@ def _philox_key(seed, stream):
     return np.array([seed, stream], dtype=np.uint64)
 
 
-def _philox(seed, stream, gen=None):
-    # the one random source: a counter-based generator keyed (seed, stream).
-    # Given a generator from here, rewind it in place to the fresh state of
-    # that key (zero counter, empty buffers) instead of building a new one,
-    # which would draw OS entropy for a seed sequence that the key overrides.
-    key = _philox_key(seed, stream)
-    if gen is None:
-        return np.random.Generator(np.random.Philox(key=key))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
+def _philox(seed, stream):
+    # the one random source: a counter-based generator keyed (seed, stream)
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream)))
+
+
+def _normal_block(seed, p0, m, shape):
+    # an (m, *shape) array whose block j holds the standard normals of the
+    # stream (seed, p0 + j), bit for bit what a fresh _philox(seed, p0 + j)
+    # draws.  One generator serves every block, reset per stream to that
+    # stream's fresh state (zero counter, empty buffers, its key): a new
+    # generator per stream draws OS entropy for a seed sequence that the key
+    # overrides, about 7 us per stream against 2 us for the reset
+    gen = _philox(seed, p0)
+    fresh = gen.bit_generator.state
+    out = np.empty((m, *shape))
+    for j, block in enumerate(out):
+        fresh["state"]["key"] = _philox_key(seed, p0 + j)
+        gen.bit_generator.state = fresh
+        gen.standard_normal(out=block)
+    return out
 
 
 # replicates per block of the coupled experiments: one matrix-matrix product
 # per block and row cut, without holding every replicate's paths at once
 _REPLICATE_BLOCK = 32
-
-
-def _coefficient_blocks(seed, n_terms, streams):
-    # yields (j, xi) per block of streams, xi[i] being stream streams[j + i]'s
-    # interleaved (re, im) normals read as complex, scaled in place; blocks
-    # overwrite one buffer, drawn by one generator rewound per stream
-    buf = np.empty((min(_REPLICATE_BLOCK, len(streams)), n_terms), dtype=complex)
-    gen = None
-    for j in range(0, len(streams), _REPLICATE_BLOCK):
-        xi = buf[:min(_REPLICATE_BLOCK, len(streams) - j)]
-        for stream, row in zip(streams[j:], xi):
-            gen = _philox(seed, stream, gen)
-            gen.standard_normal(out=row.view(float))
-        xi *= math.sqrt(0.5)
-        yield j, xi
 
 
 def gaussian_draw(seed, n_terms, params, stream=0):
@@ -148,8 +136,9 @@ def gaussian_draw(seed, n_terms, params, stream=0):
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    ((_, xi),) = _coefficient_blocks(seed, n_terms, [stream])
-    return GaussianDraw(seed=int(seed), n_terms=int(n_terms), xi_plus=xi[0])
+    xi = _normal_block(seed, stream, 1, (2 * n_terms,))[0].view(complex)
+    xi *= math.sqrt(0.5)
+    return GaussianDraw(seed=int(seed), n_terms=int(n_terms), xi_plus=xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +199,8 @@ def f_k(k, z, params):
     """Basis function f_k(z), analytic for Im z > -1.
 
     2^(a-1) sqrt(kappa) sqrt((2-2a)_k/k!) ((z+i)/(2i))^(2a-2) ((z-i)/(z+i))^k
-    with every fractional power on the principal branch.
+    with every fractional power on the principal branch.  SpecFunError where
+    the value is past the double range, at large k below the real axis.
     """
     k = _term_index(k)
     z = complex(z)
@@ -222,7 +212,13 @@ def f_k(k, z, params):
     pref = principal_pow(base, 2.0 * params.alpha - 2.0)
     zeta = (z - 1j) / (z + 1j)
     spr = float(_sqrt_poch_ratio(params.alpha, [k])[0])
-    return _fk_prefactor(params) * spr * pref * zeta ** k
+    try:
+        value = _fk_prefactor(params) * spr * pref * zeta ** k
+    except OverflowError:  # |zeta| > 1 below the real axis, so zeta ** k grows with k
+        value = complex("inf")
+    if not np.isfinite(value):
+        raise SpecFunError(f"f_{k} at z={z} overflows double precision")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +301,26 @@ def _fk_columns(n_terms, pts, params):
     g = r[:-1] / np.arange(1, n_terms)  # r_k/(k+1) for k < n_terms - 1
     neg_g = -g[:, None]
     heads = (head * g * np.resize([-1.0, 1.0], n_terms - 1))[:, None]
-    powers = np.cumprod(np.broadcast_to(w, (min(_ROW_BLOCK, n_terms), len(pts))), axis=0)
     S = np.empty((n_terms, len(pts)), dtype=complex)
     S[0] = (tail - head) / (2.0 * a - 1.0)
-    for k0 in range(0, n_terms - 1, _ROW_BLOCK):
-        k1 = min(k0 + _ROW_BLOCK, n_terms - 1)
-        blk = np.multiply(powers[:k1 - k0], tail, out=S[k0 + 1:k1 + 1])
-        blk *= neg_g[k0:k1]
-        blk += heads[k0:k1]
-        blk[0] += S[k0]
-        np.cumsum(blk, axis=0, out=blk)
-        tail *= powers[-1]
-    # in place: a second table would double peak memory
-    S *= (2j * _fk_prefactor(params) / np.sqrt(r))[:, None]
+    # below the real axis |w| > 1, so w^k grows with k and may pass the double
+    # range: such a table is built without warnings and checked once built
+    below = np.any(pts.imag < 0)
+    with np.errstate(**({"over": "ignore", "invalid": "ignore"} if below else {})):
+        powers = np.cumprod(np.broadcast_to(w, (min(_ROW_BLOCK, n_terms), len(pts))), axis=0)
+        for k0 in range(0, n_terms - 1, _ROW_BLOCK):
+            k1 = min(k0 + _ROW_BLOCK, n_terms - 1)
+            blk = np.multiply(powers[:k1 - k0], tail, out=S[k0 + 1:k1 + 1])
+            blk *= neg_g[k0:k1]
+            blk += heads[k0:k1]
+            blk[0] += S[k0]
+            np.cumsum(blk, axis=0, out=blk)
+            tail *= powers[-1]
+        # in place: a second table would double peak memory
+        S *= (2j * _fk_prefactor(params) / np.sqrt(r))[:, None]
+    if below and not np.all(np.isfinite(S)):
+        k, i = np.argwhere(~np.isfinite(S))[0]
+        raise SpecFunError(f"F_{k} at z={pts[i]} overflows double precision")
     # the two powers of 2 can differ in the last bit, so z = 0 would leave
     # rounding residue instead of F_k(0) = 0
     S[:, pts == 0] = 0.0
@@ -346,7 +349,9 @@ def fk_table(n_terms, points, params):
 
     Returns a complex array of shape (n_terms, len(points)); n_terms >= 1.
     DomainError where cayley(z) rounds to 1, far up the imaginary axis
-    (Im z beyond about 1e16).
+    (Im z beyond about 1e16).  SpecFunError, naming k and z, where a value
+    is past the double range: below the real axis |cayley(z)| > 1, and F_k
+    grows with k.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
@@ -454,16 +459,19 @@ def _coupled_sup_experiment(labels, table, variants, n_mc, seed):
     rows = _stack_real_rows(table.reshape(n_ref, -1))
     cuts = sorted({n for n, _ in variants} | {n_ref})
     sups = np.empty((len(variants), n_mc))
-    for start, xi in _coefficient_blocks(seed, n_ref, range(n_mc)):
-        pairs = xi.view(float)  # (Re xi_k, Im xi_k) along each row
-        acc = np.zeros((len(xi), rows.shape[1]))
+    for start in range(0, n_mc, _REPLICATE_BLOCK):
+        m = min(_REPLICATE_BLOCK, n_mc - start)
+        pairs = _normal_block(seed, start, m, (2 * n_ref,))  # (Re xi_k, Im xi_k) along each row
+        pairs *= math.sqrt(0.5)
+        acc = np.zeros((m, rows.shape[1]))
         paths = {}
         for lo, hi in zip([0] + cuts, cuts):
             acc += pairs[:, 2 * lo:2 * hi] @ rows[2 * lo:2 * hi]
-            paths[hi] = 2.0 * acc.reshape(len(xi), *path_shape)
+            paths[hi] = 2.0 * acc.reshape(m, *path_shape)
+        del pairs  # freed before the next block is drawn
         ref = paths[n_ref][:, 0]
         for i, (n, b) in enumerate(variants):
-            sups[i, start:start + len(xi)] = np.abs(paths[n][:, b] - ref).max(axis=1)
+            sups[i, start:start + m] = np.abs(paths[n][:, b] - ref).max(axis=1)
     esup = sups.mean(axis=1)
     return list(zip(labels, esup)), _loglog_slope(labels, esup)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eps_approx import EpsApproxSpec, cholesky_factor
-from .gamma_process import DomainError, ModelParams, _loglog_slope, _philox, _philox_key
+from .gamma_process import DomainError, ModelParams, _loglog_slope, _normal_block, _philox, _philox_key
 from .specfun import NonConvergenceError, _graded_edges, _graded_quad, _pow, hyp2f1, principal_pow
 
 __all__ = [
@@ -360,17 +360,12 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
                    for e in dict.fromkeys(e for s in sets for e in s)}
 
         def run_batch(p0):
-            # Batch p0 of the pair.  One generator, rewound from path to
-            # path, draws path p's normals, an (n, n_comp) C-order block
-            # keyed (seed, p), into its slot of w.  Each component path is
-            # one BLAS dtrmm (half the flops of a dense product) of its
-            # shift's F-order factor on a copy of that component's normals.
+            # Batch p0 of the pair.  Path p's normals are the (n, n_comp)
+            # block of stream (seed, p) in w.  Each component path is one
+            # BLAS dtrmm (half the flops of a dense product) of its shift's
+            # F-order factor on a copy of that component's normals.
             m = min(p0 + _MC_BATCH, n_paths) - p0
-            w = np.empty((m, n, n_comp))
-            gen = None
-            for j in range(m):
-                gen = _philox(seed, p0 + j, gen)
-                gen.standard_normal(out=w[j])
+            w = _normal_block(seed, p0, m, (n, n_comp))
             for v, s in zip(out, sets):
                 paths = [dtrmm(1.0, factors[e], w[:, :, c].T, lower=1) for c, e in enumerate(s)]
                 v[p0:p0 + m] = _iterated_trapezoid(paths)

@@ -141,12 +141,12 @@ def fk_table_by_row_recurrence(n_terms, pts, params):
 def coupled_sup_by_complex_products(labels, table, variants, n_mc, seed):
     """The coupled sup-error experiment by complex products of the table.
 
-    The library's former ``_coupled_sup_experiment``, kept verbatim as the
-    oracle for the real-row products: each cut's product is the complex
-    ``xi @ table`` of which only the real part is used.  Leaves ``table``
-    unchanged.
+    The library's former ``_coupled_sup_experiment``, kept as the oracle for
+    the real-row products (only its blocks are now drawn by
+    ``_normal_block``): each cut's product is the complex ``xi @ table`` of
+    which only the real part is used.  Leaves ``table`` unchanged.
     """
-    from cfbm.gamma_process import _coefficient_blocks, _loglog_slope
+    from cfbm.gamma_process import _REPLICATE_BLOCK, _loglog_slope, _normal_block
 
     # Monte Carlo E[sup_grid |B_variant - B_ref|] per variant (n, b): paths
     # 2 Re(xi[:n] @ table[:n, b]) against 2 Re(xi @ table[:, 0]), one stream
@@ -158,7 +158,10 @@ def coupled_sup_by_complex_products(labels, table, variants, n_mc, seed):
     flat = table.reshape(n_ref, -1)
     cuts = sorted({n for n, _ in variants} | {n_ref})
     sups = np.empty((len(variants), n_mc))
-    for start, xi in _coefficient_blocks(seed, n_ref, range(n_mc)):
+    for start in range(0, n_mc, _REPLICATE_BLOCK):
+        m = min(_REPLICATE_BLOCK, n_mc - start)
+        xi = _normal_block(seed, start, m, (2 * n_ref,)).view(complex)
+        xi *= math.sqrt(0.5)
         acc = np.zeros((len(xi), flat.shape[1]), dtype=complex)
         paths = {}
         for lo, hi in zip([0] + cuts, cuts):

@@ -1,0 +1,104 @@
+"""Seeded fuzz of the public analytic API at the input edges.
+
+Each function is called on draws with alpha in 0.01 ... 0.99 and arguments
+of magnitude 1e-12 ... 1e12 (and 0, and points on and below the real axis).
+The contract: a finite value (every entry of an array), or a ValueError,
+which covers SpecFunError, DomainError and the argument checks; never
+another exception or a numpy RuntimeWarning.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from cfbm import eps_approx as ea
+from cfbm import gamma_process as gp
+from cfbm import rough_integrals as ri
+
+DRAWS = 200  # per function
+
+
+def _alpha(rng):
+    return rng.uniform(0.01, 0.99)
+
+
+def _params(rng):
+    return gp.ModelParams(_alpha(rng))
+
+
+def _mag(rng):
+    return 10.0 ** rng.uniform(-12.0, 12.0)
+
+
+def _real(rng):
+    return 0.0 if rng.random() < 0.1 else _mag(rng) * rng.choice((-1.0, 1.0))
+
+
+def _upper(rng):
+    return complex(_real(rng), _mag(rng))
+
+
+def _point(rng):
+    # above the real axis, on it, or in the strip -1 < Im z < 0 below it,
+    # 1e-12 ... 1 from either edge
+    im = (_mag(rng), 0.0, 10.0 ** rng.uniform(-12.0, 0.0) - 1.0)[rng.integers(3)]
+    return complex(_real(rng), im)
+
+
+def _grid(rng):
+    n = int(rng.integers(1, 41))
+    if rng.random() < 0.5:
+        return tuple(np.linspace(0.0, _mag(rng), n))
+    return tuple(sorted({_real(rng) for _ in range(n)}))
+
+
+def _power_params(rng):
+    betas = [2.0 * _alpha(rng) - d for d in (2.0, 1.0, 0.0)]
+    return ri.PowerIntegralParams(
+        a=_real(rng), b=_real(rng), beta1=rng.choice(betas), beta2=rng.choice(betas),
+        eps1=_mag(rng), eps2=_mag(rng), s=_real(rng), t=_real(rng),
+    )
+
+
+def _covariance_matrix(rng):
+    alpha = _alpha(rng)
+    return ea.covariance_matrix(ea.EpsApproxSpec(alpha, _mag(rng), _grid(rng)), gp.ModelParams(alpha))
+
+
+CASES = {
+    "fk_table": lambda r: gp.fk_table(
+        int(r.integers(1, 300)), [_point(r) for _ in range(r.integers(1, 5))], _params(r)),
+    "f_k": lambda r: gp.f_k(int(r.integers(0, 600)), _point(r), _params(r)),
+    "kernel_closed": lambda r: gp.kernel_closed(_upper(r), _point(r), _params(r)),
+    "kernel_partial_sum": lambda r: gp.kernel_partial_sum(
+        _upper(r), _point(r), int(r.integers(1, 300)), _params(r)),
+    "cov_C": lambda r: gp.cov_C(_real(r), _real(r), _params(r)),
+    "cov_eps": lambda r: ea.cov_eps(_real(r), _mag(r), _real(r), _mag(r), _params(r)),
+    "l2_error_law": lambda r: ea.l2_error_law(_real(r), _mag(r), _params(r)),
+    "covariance_matrix": _covariance_matrix,
+    "volume_inner_closed": lambda r: ri.volume_inner_closed(
+        _real(r), _real(r), r.choice((1, -1)), _mag(r), _alpha(r)),
+    "contour_kernel_integral": lambda r: ea.contour_kernel_integral(_mag(r), _mag(r), _params(r)),
+    "I1": lambda r: ri.I1(_power_params(r)),
+    "I2": lambda r: ri.I2(_power_params(r)),
+    "levy_volume_w1": lambda r: ri.levy_volume_w1(_alpha(r), _mag(r), _mag(r), _mag(r), _mag(r)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_finite_value_or_a_value_error(name):
+    rng = np.random.default_rng([28, sorted(CASES).index(name)])
+    outcomes = {"finite": 0, "raised": 0}
+    for draw in range(DRAWS):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                value = CASES[name](rng)
+            except ValueError:
+                outcomes["raised"] += 1
+                continue
+        assert np.all(np.isfinite(value)), f"{name}, draw {draw}: {value}"
+        outcomes["finite"] += 1
+    # the draws reach past the error paths into finite values
+    assert outcomes["finite"] >= DRAWS // 4, outcomes

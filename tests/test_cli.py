@@ -463,6 +463,17 @@ class TestLevyArea:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"{argv[0]}: {reason}")
 
+    @pytest.mark.parametrize("alpha, t_max", [("0.4", "1e300"), ("0.26", "1e296")])
+    def test_levy_area_target_overflow_names_the_target(self, alpha, t_max, tmp_path, capsys):
+        # t_max^(4a) itself overflows, or only its product with levy_const(0.26) = 3.6
+        argv = ["levy-area", "--alpha", alpha, "--t-max", t_max, "--n-mc", "2", "--grid-n", "4",
+                "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "levy-area: OverflowError: the target levy_const * t_max^(4 alpha) overflows double "
+            f"precision at t_max={float(t_max)}, alpha={alpha}"
+        ]
+
     def test_volume_unresolved_eps_flagged(self, tmp_path, capsys):
         out = tmp_path / "lv.csv"
         code = main(

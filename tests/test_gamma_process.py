@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfbm.gamma_process import _REPLICATE_BLOCK as BLOCK
-from cfbm.gamma_process import _coefficient_blocks, _coupled_sup_experiment, _loglog_slope, _philox
+from cfbm.gamma_process import _coupled_sup_experiment, _loglog_slope, _normal_block, _philox
 from cfbm.gamma_process import (
     DomainError,
     ModelParams,
@@ -25,7 +26,7 @@ from cfbm.gamma_process import (
     sample_gamma_plus,
     series_truncation_experiment,
 )
-from cfbm.specfun import BranchCutError, PoleError
+from cfbm.specfun import BranchCutError, PoleError, SpecFunError
 
 from helpers import (
     coupled_sup_by_complex_products,
@@ -199,6 +200,33 @@ class TestIntegratedBasis:
         # recurrence's power of 1 - cayley(z) is undefined
         with pytest.raises(DomainError, match="cayley"):
             fk_table(3, [0.5, 1e300j], ModelParams(0.7))
+
+    def test_past_the_double_range_raises_naming_z(self):
+        # below the real axis |cayley(z)| > 1, so F_k and f_k grow with k;
+        # at z = -0.9i, |cayley(z)| = 19 and they pass the double range from
+        # k = 241 and k = 240 on: an error, never a NaN, inf or warning
+        p = ModelParams(0.35)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecFunError, match=r"^F_241 at z=\(-0-0.9j\) overflows double"):
+                F_k(400, -0.9j, p)
+            with pytest.raises(SpecFunError, match=r"^F_241 at z=\(-0-0.9j\) overflows double"):
+                fk_table(300, [0.5 + 0.1j, -0.9j, 0.3 - 0.5j], p)
+            for k in (240, 500):  # an inf product, and an OverflowError of zeta ** k
+                with pytest.raises(SpecFunError, match=rf"^f_{k} at z=\(-0-0.9j\) overflows double"):
+                    f_k(k, -0.9j, p)
+
+    def test_a_finite_table_below_the_axis_is_returned_without_warnings(self):
+        # one row short of the range; each column as when computed alone, up
+        # to the last bits that vectorised and scalar products may round apart
+        p = ModelParams(0.35)
+        pts = [0.5 + 0.1j, -0.9j, 0.3 - 0.5j]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = fk_table(241, pts, p)
+            for j, z in enumerate(pts):
+                np.testing.assert_allclose(table[:, j], fk_table(241, [z], p)[:, 0], rtol=1e-14)
+            assert np.all(np.isfinite(table)) and cmath.isfinite(f_k(239, -0.9j, p))
 
     @pytest.mark.parametrize("n_terms", [0, -3])
     def test_table_rejects_no_terms(self, n_terms):
@@ -403,37 +431,33 @@ class TestDraws:
                 assert got.dtype == np.complex128 and got.shape == (n,)
                 assert got.tobytes() == expected.tobytes()
 
-    def test_rewound_generator_matches_fresh_stream(self):
-        # a generator reused across streams, each entered after the previous
-        # one was partly used (buffered uint32 and normals pending), draws
-        # exactly what a freshly keyed Philox draws
-        gen = _philox(9, 0)
-        for stream in (1, 0, 5, 2**40):
-            gen.standard_normal(3)
-            gen.integers(0, 7, dtype=np.uint32)
-            assert _philox(9, stream, gen) is gen
-            fresh = np.random.Generator(
-                np.random.Philox(key=np.array([9, stream], dtype=np.uint64))
-            )
-            got, want = (
-                [g.standard_normal((17, 3)), g.integers(0, 7, 5, dtype=np.uint32)]
-                for g in (gen, fresh)
-            )
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    @pytest.mark.parametrize("shape", [(17, 3), (5,), (1,)])
+    def test_normal_block_matches_fresh_streams(self, shape):
+        # one generator reset from stream to stream, each entered after an
+        # odd number of normals left the previous stream's buffer part-used,
+        # draws exactly what a freshly keyed Philox draws
+        for p0 in (0, 5, 2**40):
+            got = _normal_block(9, p0, 3, shape)
+            assert got.shape == (3, *shape) and got.dtype == np.float64
+            for j, block in enumerate(got):
+                fresh = np.random.Generator(
+                    np.random.Philox(key=np.array([9, p0 + j], dtype=np.uint64))
+                )
+                assert block.tobytes() == fresh.standard_normal(shape).tobytes()
 
     @pytest.mark.parametrize("n_replicates", [1, BLOCK, 2 * BLOCK + 5])
     def test_coefficient_blocks_match_gaussian_draw(self, n_replicates):
-        # the blocks, including one after a block boundary and a partial last
-        # block, hold each stream's gaussian_draw coefficients bit for bit
+        # the experiments' blocks of scaled normals, including one after a
+        # block boundary and a partial last block, hold each stream's
+        # gaussian_draw coefficients bit for bit
         p = ModelParams(0.35)
-        streams = range(3, 3 + n_replicates)
-        rows = {}
-        for j, xi in _coefficient_blocks(11, 96, streams):
-            assert xi.shape == (min(BLOCK, n_replicates - j), 96)
-            rows.update((streams[j + i], row.copy()) for i, row in enumerate(xi))
-        assert sorted(rows) == list(streams)
-        for r, row in rows.items():
-            assert row.tobytes() == gaussian_draw(11, 96, p, stream=r).xi_plus.tobytes()
+        for start in range(0, n_replicates, BLOCK):
+            m = min(BLOCK, n_replicates - start)
+            pairs = _normal_block(11, 3 + start, m, (2 * 96,))
+            pairs *= math.sqrt(0.5)
+            for i, row in enumerate(pairs.view(complex)):
+                want = gaussian_draw(11, 96, p, stream=3 + start + i).xi_plus
+                assert row.tobytes() == want.tobytes()
 
 
 class TestSamplers:

@@ -494,7 +494,7 @@ class TestMonteCarloArea:
         # shifts run as two pairs, each drawing every path's normals once
         import weakref
 
-        cholesky, philox = rough_integrals.cholesky_factor, rough_integrals._philox
+        cholesky, normal_block = rough_integrals.cholesky_factor, rough_integrals._normal_block
         made, sizes, draws = [], [], [0]
 
         def counting_cholesky(spec, params):
@@ -505,12 +505,12 @@ class TestMonteCarloArea:
             sizes[-1] += 1
             return factor
 
-        def counting_philox(*args):
-            draws[0] += 1
-            return philox(*args)
+        def counting_normal_block(seed, p0, m, shape):
+            draws[0] += m
+            return normal_block(seed, p0, m, shape)
 
         monkeypatch.setattr(rough_integrals, "cholesky_factor", counting_cholesky)
-        monkeypatch.setattr(rough_integrals, "_philox", counting_philox)
+        monkeypatch.setattr(rough_integrals, "_normal_block", counting_normal_block)
         mc_levy_area_moments(0.4, [0.2, 0.1, 0.05, 0.025], 1.0, 50, 256, seed=1)
         assert (sizes, draws[0]) == ([2, 2], 2 * 50)
 
