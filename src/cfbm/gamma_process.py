@@ -199,11 +199,14 @@ def f_k(k, z, params):
     """Basis function f_k(z), analytic for Im z > -1.
 
     2^(a-1) sqrt(kappa) sqrt((2-2a)_k/k!) ((z+i)/(2i))^(2a-2) ((z-i)/(z+i))^k
-    with every fractional power on the principal branch.  SpecFunError where
-    the value is past the double range, at large k below the real axis.
+    with every fractional power on the principal branch.  DomainError at a
+    non-finite z; SpecFunError where the value is past the double range, at
+    large k below the real axis.
     """
     k = _term_index(k)
     z = complex(z)
+    if not np.isfinite(z):
+        raise DomainError(f"f_k requires a finite z, got z={z}")
     if z.imag <= -1.0:
         raise BranchCutError(
             f"f_k prefactor hits the branch cut for Im z <= -1 (z={z})"
@@ -225,19 +228,25 @@ def f_k(k, z, params):
 # kernel identity
 # ---------------------------------------------------------------------------
 
+def _kernel_args(z, w):
+    # z and w as complex numbers, checked to be finite points of the open UHP
+    z, w = complex(z), complex(w)
+    if not (np.isfinite(z) and np.isfinite(w) and z.imag > 0 and w.imag > 0):
+        raise DomainError(
+            f"kernel requires finite z, w with Im z > 0 and Im w > 0 (z={z}, w={w})"
+        )
+    return z, w
+
+
 def kernel_closed(z, w, params):
     """Closed-form kernel kappa * (-i(z - conj w))^(2a-2) on the open UHP."""
-    z, w = complex(z), complex(w)
-    if z.imag <= 0 or w.imag <= 0:
-        raise DomainError(f"kernel requires Im z > 0 and Im w > 0 (z={z}, w={w})")
+    z, w = _kernel_args(z, w)
     return params.kappa * principal_pow(-1j * (z - w.conjugate()), 2.0 * params.alpha - 2.0)
 
 
 def kernel_partial_sum(z, w, N, params):
     """Partial sum sum_(k<N) f_k(z) conj(f_k(w)); converges to kernel_closed."""
-    z, w = complex(z), complex(w)
-    if z.imag <= 0 or w.imag <= 0:
-        raise DomainError(f"kernel requires Im z > 0 and Im w > 0 (z={z}, w={w})")
+    z, w = _kernel_args(z, w)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     a = params.alpha
@@ -288,8 +297,11 @@ def _fk_columns(n_terms, pts, params):
     # taken a block of rows at a time by cumsum, and
     # F_k = prefactor * sqrt(r_k) * 2i * J_k = 2i prefactor S_k / sqrt(r_k).
     # Every step is elementwise or a cumsum along k, so each point's column
-    # is independent of the other points.  1 - w = 2i/(z+i) has positive real
-    # part for Im z > -1, so the power stays off its cut.
+    # is mathematically independent of the other points; its last bits are
+    # not, because numpy's complex multiply (tail *= ...) takes a SIMD or a
+    # scalar loop by the array's length, and the two round differently.
+    # 1 - w = 2i/(z+i) has positive real part for Im z > -1, so the power
+    # stays off its cut.
     a = params.alpha
     w = (pts - 1j) / (pts + 1j)
     if np.any(w == 1.0):
@@ -343,13 +355,16 @@ def fk_table(n_terms, points, params):
     The closed-form integration-by-parts recurrence over k, taken as a
     running sum 32 rows at a time (a few elementwise passes and a cumsum
     along k per block), vectorised across the points.  Each point's column
-    is computed independently of the others, so the points may come in any
-    order.  F_k(0) = 0 exactly.  Near z = 0 the recurrence cancels, so the
-    accuracy there is absolute (about 1e-16 per term), not relative.
+    is mathematically independent of the others, but not bit for bit: its
+    last bits depend on the other points of the call (a column of a
+    three-point table differs from the one-point table by up to about 1e-18
+    relative).  F_k(0) = 0 exactly.  Near z = 0 the recurrence cancels, so
+    the accuracy there is absolute (about 1e-16 per term), not relative.
 
     Returns a complex array of shape (n_terms, len(points)); n_terms >= 1.
-    DomainError where cayley(z) rounds to 1, far up the imaginary axis
-    (Im z beyond about 1e16).  SpecFunError, naming k and z, where a value
+    DomainError, naming the point, at a NaN or infinite z, and where
+    cayley(z) rounds to 1, far up the imaginary axis (Im z beyond about
+    1e16).  SpecFunError, naming k and z, where a value
     is past the double range: below the real axis |cayley(z)| > 1, and F_k
     grows with k.
     """
@@ -358,6 +373,9 @@ def fk_table(n_terms, points, params):
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or len(pts) == 0:
         raise ValueError("points must be a non-empty 1-d sequence")
+    bad = ~np.isfinite(pts)
+    if np.any(bad):
+        raise DomainError(f"fk_table requires finite points (z={pts[bad][0]})")
     cut = pts.imag <= -1.0
     if np.any(cut):
         raise BranchCutError(f"fk_table requires Im z > -1 at every point (z={pts[cut][0]})")
@@ -395,9 +413,10 @@ def cov_fbm(s, t, params):
 def sample_gamma_plus(draw, points, params):
     """Integrated process sum_k F_k(z) xi_k^+ at points of the closed UHP.
 
-    The value at each point is independent of the other points and of their
-    order.  Near z = 0 the accuracy is absolute (about 1e-16 per term times
-    |xi_k|), not relative; see `fk_table`.
+    The value at each point is mathematically independent of the other
+    points, but its last bits depend on them, through `fk_table` and the
+    product with the coefficients.  Near z = 0 the accuracy is absolute
+    (about 1e-16 per term times |xi_k|), not relative; see `fk_table`.
     """
     pts = np.asarray(points, dtype=complex)
     if np.any(pts.imag < 0):

@@ -326,11 +326,12 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     # stream keyed (seed, p), for every set alike (common random numbers),
     # batches are fixed-size and reduced in path order, so the result is
     # independent of n_threads, and of the batch size up to the BLAS
-    # product's rounding.  Each component path is its own triangular
-    # product, whichever components share its factor.  Sets run two at a
-    # time, each pair drawing every path once and holding one n x n factor
-    # per distinct shift: at most two for levy-area, whose sets need one
-    # each; levy-volume passes a single set, up to three.
+    # product's rounding.  The components of a set that share a factor are
+    # one triangular product, so an estimate's last bits depend on which
+    # components share its factor.  Sets run two at a time, each pair
+    # drawing every path once and holding one n x n factor per distinct
+    # shift: at most two for levy-area, whose sets need one each;
+    # levy-volume passes a single set, up to three.
     from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
 
     if not 0 < t < math.inf:
@@ -361,13 +362,20 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
 
         def run_batch(p0):
             # Batch p0 of the pair.  Path p's normals are the (n, n_comp)
-            # block of stream (seed, p) in w.  Each component path is one
-            # BLAS dtrmm (half the flops of a dense product) of its shift's
-            # F-order factor on a copy of that component's normals.
+            # block of stream (seed, p) in w.  Each distinct shift of a set
+            # is one BLAS dtrmm (half the flops of a dense product) of its
+            # F-order factor, in place on an (n, k m) copy of the normals of
+            # the k components using it; a component path is its m columns.
             m = min(p0 + _MC_BATCH, n_paths) - p0
             w = _normal_block(seed, p0, m, (n, n_comp))
             for v, s in zip(out, sets):
-                paths = [dtrmm(1.0, factors[e], w[:, :, c].T, lower=1) for c, e in enumerate(s)]
+                paths = [None] * len(s)
+                for e in dict.fromkeys(s):
+                    cs = [c for c, x in enumerate(s) if x == e]
+                    b = w.transpose(2, 0, 1)[cs].reshape(-1, n).T  # F-order, component-major
+                    b = dtrmm(1.0, factors[e], b, lower=1, overwrite_b=1)
+                    for j, c in enumerate(cs):
+                        paths[c] = b[:, j * m:(j + 1) * m]
                 v[p0:p0 + m] = _iterated_trapezoid(paths)
 
         if n_threads > 1:
@@ -389,9 +397,9 @@ def mc_levy_area_moments(alpha, eps_list, t, n_paths, grid_n, seed, n_threads=1)
     """Sample second moments of the Levy area, one MCEstimate per shift.
 
     For each eps, two independent components are drawn from the exact
-    Gamma(eps) grid covariance, each component path its own triangular
-    product with the shift's factor.  Path p of every shift reads the
-    Philox stream (seed, p), drawn once per pair of shifts (at most two
+    Gamma(eps) grid covariance; the two components' paths are one
+    triangular product with the shift's factor.  Path p of every shift
+    reads the Philox stream (seed, p), drawn once per pair of shifts (at most two
     n x n factors are held), so the estimates of different shifts have
     correlated errors (common random numbers), and each equals
     `mc_levy_area_moment` for its shift alone.  For a given
@@ -422,10 +430,11 @@ def mc_levy_area_moment(alpha, eps, t, n_paths, grid_n, seed, n_threads=1):
 def mc_levy_volume_moment(alpha, eps1, eps2, eps3, t, n_paths, grid_n, seed, n_threads=1):
     """Sample second moment of the third iterated integral (Levy volume).
 
-    Three independent components, component c an exact Gamma(eps_c) path,
-    each its own triangular product; one n x n factor is held per distinct
-    shift (up to three), and equal shifts share it.  Deterministic,
-    thread and batch invariant, with the BLAS caveat of
+    Three independent components, component c an exact Gamma(eps_c) path.
+    One n x n factor is held per distinct shift (up to three), and the
+    components with equal shifts share it in one triangular product, so
+    the estimate's last bits depend on which components share a factor.
+    Deterministic, thread and batch invariant, with the BLAS caveat of
     `mc_levy_area_moments`; the third-order functional carries the factor's
     rounding noise further, up to about 3e-4 relative.
     """

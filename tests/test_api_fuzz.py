@@ -1,7 +1,8 @@
 """Seeded fuzz of the public analytic API at the input edges.
 
 Each function is called on draws with alpha in 0.01 ... 0.99 and arguments
-of magnitude 1e-12 ... 1e12 (and 0, and points on and below the real axis).
+of magnitude 1e-12 ... 1e12 (and 0, points on and below the real axis, and
+NaN or infinite points).
 The contract: a finite value (every entry of an array), or a ValueError,
 which covers SpecFunError, DomainError and the argument checks; never
 another exception or a numpy RuntimeWarning.
@@ -39,9 +40,17 @@ def _upper(rng):
     return complex(_real(rng), _mag(rng))
 
 
+_NON_FINITE_POINTS = (
+    complex(np.nan, 0.5), complex(0.5, np.nan), complex(np.inf, 0.5),
+    complex(-np.inf, 0.5), complex(0.5, np.inf),
+)
+
+
 def _point(rng):
     # above the real axis, on it, or in the strip -1 < Im z < 0 below it,
-    # 1e-12 ... 1 from either edge
+    # 1e-12 ... 1 from either edge; one draw in twenty NaN or infinite
+    if rng.random() < 0.05:
+        return _NON_FINITE_POINTS[rng.integers(len(_NON_FINITE_POINTS))]
     im = (_mag(rng), 0.0, 10.0 ** rng.uniform(-12.0, 0.0) - 1.0)[rng.integers(3)]
     return complex(_real(rng), im)
 

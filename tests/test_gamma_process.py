@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -135,6 +136,11 @@ class TestKernelIdentity:
             kernel_closed(0.4, 0.2 + 0.1j, p)
         with pytest.raises(DomainError):
             kernel_partial_sum(0.2 + 0.1j, 0.4 - 0.1j, 10, p)
+        for z in (complex(math.nan, 0.5), complex(0.2, math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                kernel_closed(z, 0.2 + 0.1j, p)
+            with pytest.raises(DomainError, match="finite"):
+                kernel_partial_sum(0.2 + 0.1j, z, 10, p)
 
     def test_convergence_rate_matches_cayley_ratio(self):
         # error shrinks by |cayley(z) cayley(w)| per extra term, times the
@@ -193,6 +199,23 @@ class TestIntegratedBasis:
         p = ModelParams(0.35)
         for k, z in ((0, 0.7), (5, -0.4 + 0.2j), (31, 2.5), (32, 0.1 + 3j), (400, 0.3 - 0.2j)):
             assert F_k(k, z, p) == fk_table(k + 1, [z], p)[-1, 0]
+
+    @pytest.mark.parametrize("z", [
+        complex(math.nan, 0.0), complex(0.5, math.nan), complex(math.inf, 0.0),
+        complex(-math.inf, 0.3), complex(0.0, math.inf),
+    ], ids=["nan", "nan-imag", "inf", "minus-inf", "inf-imag"])
+    @pytest.mark.parametrize("call", [
+        lambda z, p: fk_table(3, [0.5, z], p),
+        lambda z, p: F_k(3, z, p),
+        lambda z, p: f_k(3, z, p),
+    ], ids=["fk_table", "F_k", "f_k"])
+    def test_non_finite_point_raises_naming_it(self, call, z):
+        # before the Cayley transform: fk_table and F_k returned NaN with a
+        # numpy warning, and f_k blamed an overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"finite.*z={re.escape(str(z))}"):
+                call(z, ModelParams(0.35))
 
     def test_table_rejects_a_cayley_variable_rounded_to_one(self):
         # far up the imaginary axis (z - i)/(z + i) rounds to 1, where the

@@ -80,6 +80,21 @@ def _dense_second_moment(alpha, shifts, grid_n, n_paths, seed):
     return float(np.mean(np.square(values)))
 
 
+def _dtrmm_widths(monkeypatch):
+    # the width (columns) of every BLAS dtrmm product the Monte Carlo makes,
+    # in call order; the engine imports dtrmm on use, so the patch holds
+    from scipy.linalg import blas
+
+    widths, dtrmm = [], blas.dtrmm
+
+    def counting_dtrmm(alpha, a, b, **kwargs):
+        widths.append(b.shape[1])
+        return dtrmm(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(blas, "dtrmm", counting_dtrmm)
+    return widths
+
+
 def _random_params(rng):
     alpha = rng.uniform(0.15, 0.85)
     while abs(alpha - 0.5) < 0.03:
@@ -471,12 +486,17 @@ class TestMonteCarloArea:
         with pytest.raises(ValueError, match=match):
             mc_levy_area_moment(**args)
 
-    def test_triangular_product_matches_dense_per_path(self):
-        # 300 paths span three batches; each path is rebuilt from a fresh
-        # stream through the dense factor product
-        est = mc_levy_area_moment(0.4, 0.1, 1.0, 300, 256, seed=13)
-        mean = _dense_second_moment(0.4, (0.1, 0.1), 256, 300, 13)
-        assert est.mean == pytest.approx(mean, rel=1e-12)
+    def test_triangular_product_matches_dense_per_path(self, monkeypatch):
+        # 300 paths span three batches (128, 128 and 44); per batch each
+        # shift is one product of both components' normals, 2 m wide.  Each
+        # path is rebuilt from a fresh stream through the dense factor product
+        widths = _dtrmm_widths(monkeypatch)
+        eps = [0.1, 0.05]
+        ests = mc_levy_area_moments(0.4, eps, 1.0, 300, 256, seed=13)
+        assert widths == [256, 256, 256, 256, 88, 88]
+        for e, est in zip(eps, ests):
+            mean = _dense_second_moment(0.4, (e, e), 256, 300, 13)
+            assert est.mean == pytest.approx(mean, rel=1e-12)
 
     @pytest.mark.parametrize("n_threads", [1, 3])
     def test_shifts_of_one_run_match_one_shift_calls(self, n_threads):
@@ -640,7 +660,17 @@ class TestVolumeMoments:
         b = mc_levy_volume_moment(0.3, 0.08, 0.05, 0.04, 1.0, 600, 128, seed=8, n_threads=3)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
 
-    # (0.08, 0.05, 0.08) shares a factor between non-adjacent components
+    # components per product, one product per distinct shift in first-use
+    # order: (0.08, 0.05, 0.08) shares a factor between components 0 and 2
+    # that component 1 does not use
+    @pytest.mark.parametrize("shifts, ks", [
+        ((0.08, 0.05, 0.04), [1, 1, 1]), ((0.08, 0.05, 0.08), [2, 1]), ((0.05, 0.05, 0.05), [3]),
+    ], ids=["distinct", "outer-pair", "all-equal"])
+    def test_mc_volume_components_sharing_a_factor_are_one_product(self, shifts, ks, monkeypatch):
+        widths = _dtrmm_widths(monkeypatch)
+        mc_levy_volume_moment(0.3, *shifts, 1.0, 300, 128, seed=14)
+        assert widths == [k * m for m in (128, 128, 44) for k in ks]
+
     @pytest.mark.parametrize(
         "shifts", [(0.08, 0.05, 0.04), (0.08, 0.05, 0.08), (0.05, 0.05, 0.05)]
     )
