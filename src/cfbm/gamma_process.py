@@ -298,8 +298,9 @@ def _fk_columns(n_terms, pts, params):
     # F_k = prefactor * sqrt(r_k) * 2i * J_k = 2i prefactor S_k / sqrt(r_k).
     # Every step is elementwise or a cumsum along k, so each point's column
     # is mathematically independent of the other points; its last bits are
-    # not, because numpy's complex multiply (tail *= ...) takes a SIMD or a
-    # scalar loop by the array's length, and the two round differently.
+    # not, because numpy's complex multiply tail *= powers[-1] rounds by the
+    # array's length: done one point at a time, a column of a three-point
+    # table equals the one-point table's bit for bit.
     # 1 - w = 2i/(z+i) has positive real part for Im z > -1, so the power
     # stays off its cut.
     a = params.alpha

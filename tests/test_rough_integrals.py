@@ -660,22 +660,16 @@ class TestVolumeMoments:
         b = mc_levy_volume_moment(0.3, 0.08, 0.05, 0.04, 1.0, 600, 128, seed=8, n_threads=3)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
 
-    # components per product, one product per distinct shift in first-use
-    # order: (0.08, 0.05, 0.08) shares a factor between components 0 and 2
-    # that component 1 does not use
+    # ks: components per product, one product per distinct shift in
+    # first-use order; (0.08, 0.05, 0.08) shares a factor between components
+    # 0 and 2 that component 1 does not use
     @pytest.mark.parametrize("shifts, ks", [
         ((0.08, 0.05, 0.04), [1, 1, 1]), ((0.08, 0.05, 0.08), [2, 1]), ((0.05, 0.05, 0.05), [3]),
     ], ids=["distinct", "outer-pair", "all-equal"])
-    def test_mc_volume_components_sharing_a_factor_are_one_product(self, shifts, ks, monkeypatch):
+    def test_mc_volume_triangular_product_matches_dense_per_path(self, shifts, ks, monkeypatch):
         widths = _dtrmm_widths(monkeypatch)
-        mc_levy_volume_moment(0.3, *shifts, 1.0, 300, 128, seed=14)
-        assert widths == [k * m for m in (128, 128, 44) for k in ks]
-
-    @pytest.mark.parametrize(
-        "shifts", [(0.08, 0.05, 0.04), (0.08, 0.05, 0.08), (0.05, 0.05, 0.05)]
-    )
-    def test_mc_volume_triangular_product_matches_dense_per_path(self, shifts):
         est = mc_levy_volume_moment(0.3, *shifts, 1.0, 300, 128, seed=14)
+        assert widths == [k * m for m in (128, 128, 44) for k in ks]
         mean = _dense_second_moment(0.3, shifts, 128, 300, 14)
         assert est.mean == pytest.approx(mean, rel=1e-12)
 

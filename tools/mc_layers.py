@@ -12,7 +12,7 @@ is timed apart and not counted in it.  ``product_s`` is the time inside
 ``dtrmm``: where a checkout passes it normals that are not F-contiguous,
 that includes scipy's copy of them, which a checkout that gathers them
 first counts in ``rest_s``, so compare checkouts on their sum.  Times are
-medians over ``--repeats`` runs, scaled to 1000 paths.  It prints one JSON
+medians over ``REPEATS`` runs of ``N_PATHS`` paths, scaled to 1000 paths.  It prints one JSON
 object.  ``--root`` names the checkout whose ``src`` and ``perfbench`` are
 imported (default: the one holding this script), so one copy of the script
 times any checkout:
@@ -31,6 +31,8 @@ import sys
 import time
 from pathlib import Path
 
+N_PATHS = 1024  # paths per run: eight batches of the engine's 128
+REPEATS = 3  # runs per covariance
 LAYERS = ("normals_s", "product_s", "trapezoid_s")
 # the engine's module names wrapped by a timer, by the total they add to
 WRAPPED = {"normals_s": "_normal_block", "trapezoid_s": "_iterated_trapezoid",
@@ -61,7 +63,7 @@ def _shift_sets(workloads):
     return [(cov, order[cov]) for cov in workloads.MC_COVARIANCES]
 
 
-def layer_times(root, n_paths, repeats):
+def layer_times(root):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import numpy as np
     import scipy
@@ -76,17 +78,17 @@ def layer_times(root, n_paths, repeats):
     try:
         for (alpha, eps, grid_n), order in _shift_sets(workloads):
             runs = []
-            for _ in range(repeats):
+            for _ in range(REPEATS):
                 totals = dict.fromkeys((*LAYERS, "factor_s"), 0.0)
                 for name, fn in originals.items():
                     setattr(ri, WRAPPED[name], _timed(name, fn, totals))
                 blas.dtrmm = _timed("product_s", dtrmm, totals)
                 t0 = time.perf_counter()
-                ri._mc_second_moment(alpha, [(eps,) * order], 1.0, grid_n, n_paths, 0, 1)
+                ri._mc_second_moment(alpha, [(eps,) * order], 1.0, grid_n, N_PATHS, 0, 1)
                 wall = time.perf_counter() - t0
                 totals["rest_s"] = wall - sum(totals.values())
                 runs.append(totals)
-            per_1k = 1000.0 / n_paths
+            per_1k = 1000.0 / N_PATHS
             row = {k: statistics.median(r[k] for r in runs) * per_1k
                    for k in (*LAYERS, "rest_s")}
             row["factor_s"] = statistics.median(r["factor_s"] for r in runs)
@@ -98,7 +100,7 @@ def layer_times(root, n_paths, repeats):
         blas.dtrmm = dtrmm
     machine = {"python": platform.python_version(), "numpy": np.__version__,
                "scipy": scipy.__version__, "machine": platform.machine()}
-    return {"n_paths": n_paths, "repeats": repeats, "machine": machine,
+    return {"n_paths": N_PATHS, "repeats": REPEATS, "machine": machine,
             "per_1k_paths": out}
 
 
@@ -106,12 +108,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout to time (default: this script's)")
-    parser.add_argument("--paths", type=int, default=1024, help="paths per run")
-    parser.add_argument("--repeats", type=int, default=3, help="runs per covariance")
     args = parser.parse_args()
-    if args.paths < 2 or args.repeats < 1:
-        parser.error("--paths must be >= 2 and --repeats >= 1")
-    print(json.dumps(layer_times(args.root.resolve(), args.paths, args.repeats), indent=1))
+    print(json.dumps(layer_times(args.root.resolve()), indent=1))
 
 
 if __name__ == "__main__":
