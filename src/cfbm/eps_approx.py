@@ -86,62 +86,40 @@ def cov_eps(s, eps1, t, eps2, params):
     return 2.0 * (params.kappa * i_val).real
 
 
-_COV_ROWS = 64  # rows per block of the covariance build
-
-
 def covariance_matrix(spec, params):
     """Symmetric covariance matrix of Gamma(eps) on the spec grid.
 
-    Entry (i, j) is 2 Re(kappa I), with
-    I = (D_ij - V_i - W_j) / (2a(2a-1)) as in `cov_eps`. kappa is real, so
-    the build is real arithmetic on Re(I), doing per element the steps of
-    the complex form (the division as a product with the reciprocal, as
-    numpy divides a complex array by a real scalar). W is conj V, so
-    Re W = Re V bit for bit and is computed once; the result is C + C^T for
-    C = Re(kappa I), exactly symmetric, built in blocks of rows with both
-    terms read from D and its transpose. Each block computes its columns
-    from the diagonal on and copies the rest from the transposed strip above
-    it, which holds the same sums in the other order, so only the upper
-    triangle is computed. D is Toeplitz on uniform grids:
-    its 2n-1 distinct powers are read through strided views, and the peak
-    is about one real n x n array, the result. Non-uniform grids evaluate
-    D as an n x n complex power. ValueError if spec.alpha and params.alpha
-    differ.
+    Entry (i, j) is 2 Re(kappa I) for I of `cov_eps` at eps1 = eps2 = eps.
+    kappa is real and Re(eps + it)^2a = Re(eps - it)^2a, so
+
+        C_ij = 2 kappa (Re(2 eps - i|g_i - g_j|)^2a - (v_i + v_j)) / (2a(2a-1)),
+
+    with v = Re(eps - i g)^2a. The result is built as the outer sum v_i + v_j,
+    then D - (v_i + v_j) and the one scale in place. It is exactly symmetric:
+    IEEE addition commutes, and D reads |g_i - g_j|, which is symmetric too.
+    On uniform grids D_ij = half[|i - j|] for the n powers half, read through
+    a strided view, so the peak is about one real n x n array, the result.
+    Non-uniform grids evaluate D as an n x n complex power. ValueError if
+    spec.alpha and params.alpha differ.
     """
     if spec.alpha != params.alpha:
         raise ValueError(f"spec.alpha={spec.alpha} differs from params.alpha={params.alpha}")
     g = np.asarray(spec.grid, dtype=float)
     n = len(g)
     a2 = 2.0 * params.alpha
-    scale = 1.0 / (a2 * (a2 - 1.0))
     e = spec.eps
     # every base has Re >= eps > 0: off the cut and never zero
     v = _pow(e - 1j * g, a2).real
     steps = np.diff(g)
     if n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        d = np.arange(-(n - 1), n) * steps[0]
-        pv = np.ascontiguousarray(_pow(2.0 * e - 1j * d, a2).real)
-        # read-only views whose entry (i, j) is pv[n - 1 + i - j], pv[n - 1 + j - i]
-        windows = sliding_window_view(pv, n)
-        diff_term, diff_term_t = windows[:, ::-1], windows[::-1]
+        half = _pow(2.0 * e - 1j * np.arange(n) * steps[0], a2).real
+        # read-only view whose entry (i, j) is half[|i - j|]
+        diff_term = sliding_window_view(np.concatenate([half[:0:-1], half]), n)[::-1]
     else:
-        diff_term = _pow(2.0 * e - 1j * np.subtract.outer(g, g), a2).real
-        diff_term_t = diff_term.T
-    cov = np.empty((n, n))
-    for lo in range(0, n, _COV_ROWS):
-        rows, cols = slice(lo, lo + _COV_ROWS), slice(lo, None)
-        c = diff_term[rows, cols] - v[rows, None]
-        c -= v[cols]
-        c *= scale
-        c *= params.kappa
-        c_t = diff_term_t[rows, cols] - v[cols]
-        c_t -= v[rows, None]
-        c_t *= scale
-        c_t *= params.kappa
-        np.add(c, c_t, out=cov[rows, cols])
-        # C^T(i, j) = C(j, i), so the block left of the diagonal is the
-        # transpose of the strip above it, bit for bit
-        cov[rows, :lo] = cov[:lo, rows].T
+        diff_term = _pow(2.0 * e - 1j * np.abs(np.subtract.outer(g, g)), a2).real
+    cov = np.add.outer(v, v)
+    np.subtract(diff_term, cov, out=cov)
+    cov *= 2.0 * params.kappa / (a2 * (a2 - 1.0))
     return cov
 
 
@@ -195,8 +173,8 @@ def l2_error_law(t, eps, params):
     `contour_vv_piece(eps)`; assembled from `cov_eps`, its t-dependent powers
     would cancel in conjugate pairs.
     """
-    if eps <= 0:
-        raise DomainError(f"eps must be > 0, got {eps}")
+    if not (0 < eps < np.inf and math.isfinite(t)):
+        raise DomainError(f"l2_error_law needs a finite t and eps > 0, got t={t}, eps={eps}")
     return 2.0 * params.kappa * contour_vv_piece(eps, params)
 
 
@@ -217,8 +195,8 @@ def sup_error_experiment(params, eps_list, n_mc, n_terms, seed, grid):
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list):
         raise DomainError("all eps must be > 0")
-    # block 0 is the grid, block b the grid + i eps_list[b-1]; the recurrence
-    # runs point by point, so each block equals its own table bit for bit
+    # block 0 is the grid, block b the grid + i eps_list[b-1]: columns of one
+    # table, equal to their own tables only up to last-bit rounding (`fk_table`)
     pts = np.concatenate([grid] + [grid + 1j * e for e in eps_list])
     table = fk_table(n_terms, pts, params).reshape(n_terms, 1 + len(eps_list), len(grid))
     variants = [(n_terms, b) for b in range(1, 1 + len(eps_list))]
@@ -252,8 +230,8 @@ def contour_kernel_pieces(s, t, params):
     Returns a dict keyed by (i, j) piece indices, 0 = vertical at 0,
     1 = horizontal, 2 = vertical at t.
     """
-    if s <= 0 or t <= 0:
-        raise DomainError(f"contour integral needs s, t > 0 (s={s}, t={t})")
+    if not (0 < s < np.inf and 0 < t < np.inf):
+        raise DomainError(f"contour integral needs finite s, t > 0 (s={s}, t={t})")
     am2 = 2.0 * params.alpha - 2.0
     # horizontal x horizontal: |z - conj w| = sqrt((x1-x2)^2 + 4 s^2), of
     # weight 2(t - u) in u = |x1 - x2|; panels graded from u = 0 at scale s

@@ -317,9 +317,11 @@ def _fk_columns(n_terms, pts, params):
     S = np.empty((n_terms, len(pts)), dtype=complex)
     S[0] = (tail - head) / (2.0 * a - 1.0)
     # below the real axis |w| > 1, so w^k grows with k and may pass the double
-    # range: such a table is built without warnings and checked once built
-    below = np.any(pts.imag < 0)
-    with np.errstate(**({"over": "ignore", "invalid": "ignore"} if below else {})):
+    # range: every table is built without warnings and checked once built.
+    # Each block continues the running sum from the last row of the one
+    # before, so a value past the range stays non-finite down its column;
+    # |F_k| grows with k there, so the last row shows every column past it
+    with np.errstate(over="ignore", invalid="ignore"):
         powers = np.cumprod(np.broadcast_to(w, (min(_ROW_BLOCK, n_terms), len(pts))), axis=0)
         for k0 in range(0, n_terms - 1, _ROW_BLOCK):
             k1 = min(k0 + _ROW_BLOCK, n_terms - 1)
@@ -331,7 +333,7 @@ def _fk_columns(n_terms, pts, params):
             tail *= powers[-1]
         # in place: a second table would double peak memory
         S *= (2j * _fk_prefactor(params) / np.sqrt(r))[:, None]
-    if below and not np.all(np.isfinite(S)):
+    if not np.all(np.isfinite(S[-1])):
         k, i = np.argwhere(~np.isfinite(S))[0]
         raise SpecFunError(f"F_{k} at z={pts[i]} overflows double precision")
     # the two powers of 2 can differ in the last bit, so z = 0 would leave
@@ -394,7 +396,10 @@ def cov_C(s, t, params):
      - e^(i pi a sgn(t-s))|t-s|^2a) / (4 cos pi a),
 
     where e^(i pi a sgn x)|x|^2a is the principal power (ix)^2a, 0 at x = 0.
+    DomainError at a NaN or infinite time.
     """
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise DomainError(f"cov_C: times must be finite, got s={s}, t={t}")
     a2 = 2.0 * params.alpha
     return (
         np.conj(principal_pow(1j * s, a2)) + principal_pow(1j * t, a2)

@@ -19,6 +19,7 @@ assembly of the same moment, an independent route, shares both devices.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -79,8 +80,11 @@ class PowerIntegralParams:
     t: float
 
     def __post_init__(self):
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise ValueError("eps1 and eps2 must be > 0")
+        for name in ("a", "b", "beta1", "beta2", "s", "t"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (0 < self.eps1 < math.inf and 0 < self.eps2 < math.inf):
+            raise ValueError(f"eps1 and eps2 must be finite and > 0, got {self.eps1}, {self.eps2}")
         if complex(self.beta2).real <= -1:
             raise ValueError(f"Re beta2 must be > -1, got beta2={self.beta2}")
 
@@ -474,8 +478,11 @@ def volume_inner_closed(x2, y2, sigma3, eps3, alpha):
     """
     if sigma3 not in (1, -1, 1.0, -1.0):
         raise ValueError(f"sigma3 must be +-1, got {sigma3}")
-    if eps3 <= 0:
-        raise DomainError("eps3 must be > 0")
+    if not (math.isfinite(x2) and math.isfinite(y2)):
+        raise DomainError(f"x2 and y2 must be finite, got {x2}, {y2}")
+    if not 0 < eps3 < math.inf:
+        raise DomainError(f"eps3 must be finite and > 0, got {eps3}")
+    ModelParams(alpha)  # the alpha rule of the model
     a2 = 2.0 * alpha
     e = 2.0 * eps3
     return (
@@ -534,6 +541,8 @@ def levy_volume_w1(alpha, eps1, eps2, eps3, t):
     Equals 2 kappa (2 eps3)^2a / (2a(2a-1)) times the Levy-area second
     moment at (eps1, eps2); finite for every positive shift.
     """
+    if not 0 < eps3 < math.inf:
+        raise DomainError(f"eps3 must be finite and > 0, got {eps3}")
     a2 = 2.0 * alpha
     kappa = ModelParams(alpha).kappa
     v = levy_area_variance(LevyAreaSpec(alpha, t, eps1, eps2))

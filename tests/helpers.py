@@ -225,31 +225,6 @@ def covariance_by_complex_broadcast(spec, params):
     return 0.5 * (cov + cov.T)
 
 
-def covariance_by_transposed_sum(spec, params):
-    """Grid covariance of Gamma(eps) as one n x n C plus its transpose.
-
-    C = Re(kappa I), with D gathered through an index array on uniform
-    grids, and C + C^T summed as whole arrays; each element takes the steps
-    of the library's blocked build in the same order, so the two agree bit
-    for bit.
-    """
-    from cfbm.specfun import _pow
-
-    g = np.asarray(spec.grid, dtype=float)
-    n = len(g)
-    a2 = 2.0 * params.alpha
-    e = spec.eps
-    v = _pow(e - 1j * g, a2).real
-    steps = np.diff(g)
-    if n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        pv = _pow(2.0 * e - 1j * np.arange(-(n - 1), n) * steps[0], a2).real
-        diff_term = pv[np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)]
-    else:
-        diff_term = _pow(2.0 * e - 1j * np.subtract.outer(g, g), a2).real
-    cov = (diff_term - v[:, None] - v[None, :]) * (1.0 / (a2 * (a2 - 1.0))) * params.kappa
-    return cov + cov.T
-
-
 def levy_area_variance_dblquad(alpha, e1, e2, t):
     """Second Levy-area moment by 2-d quadrature of the inner-integrated forms."""
     a2 = 2 * alpha

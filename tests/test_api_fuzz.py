@@ -2,12 +2,13 @@
 
 Each function is called on draws with alpha in 0.01 ... 0.99 and arguments
 of magnitude 1e-12 ... 1e12 (and 0, points on and below the real axis, and
-NaN or infinite points).
+one time in twenty a NaN or infinite alpha, real argument or point).
 The contract: a finite value (every entry of an array), or a ValueError,
 which covers SpecFunError, DomainError and the argument checks; never
 another exception or a numpy RuntimeWarning.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -20,8 +21,24 @@ from cfbm import rough_integrals as ri
 DRAWS = 200  # per function
 
 
+_NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+def _or_non_finite(rng, draw):
+    # draw(rng), or one time in twenty NaN or an infinity
+    return _NON_FINITE[rng.integers(3)] if rng.random() < 0.05 else draw(rng)
+
+
+def _finite_mag(rng):
+    return 10.0 ** rng.uniform(-12.0, 12.0)
+
+
+def _finite_real(rng):
+    return 0.0 if rng.random() < 0.1 else _finite_mag(rng) * rng.choice((-1.0, 1.0))
+
+
 def _alpha(rng):
-    return rng.uniform(0.01, 0.99)
+    return _or_non_finite(rng, lambda r: r.uniform(0.01, 0.99))
 
 
 def _params(rng):
@@ -29,15 +46,15 @@ def _params(rng):
 
 
 def _mag(rng):
-    return 10.0 ** rng.uniform(-12.0, 12.0)
+    return _or_non_finite(rng, _finite_mag)
 
 
 def _real(rng):
-    return 0.0 if rng.random() < 0.1 else _mag(rng) * rng.choice((-1.0, 1.0))
+    return _or_non_finite(rng, _finite_real)
 
 
 def _upper(rng):
-    return complex(_real(rng), _mag(rng))
+    return complex(_finite_real(rng), _finite_mag(rng))
 
 
 _NON_FINITE_POINTS = (
@@ -51,15 +68,15 @@ def _point(rng):
     # 1e-12 ... 1 from either edge; one draw in twenty NaN or infinite
     if rng.random() < 0.05:
         return _NON_FINITE_POINTS[rng.integers(len(_NON_FINITE_POINTS))]
-    im = (_mag(rng), 0.0, 10.0 ** rng.uniform(-12.0, 0.0) - 1.0)[rng.integers(3)]
-    return complex(_real(rng), im)
+    im = (_finite_mag(rng), 0.0, 10.0 ** rng.uniform(-12.0, 0.0) - 1.0)[rng.integers(3)]
+    return complex(_finite_real(rng), im)
 
 
 def _grid(rng):
     n = int(rng.integers(1, 41))
     if rng.random() < 0.5:
-        return tuple(np.linspace(0.0, _mag(rng), n))
-    return tuple(sorted({_real(rng) for _ in range(n)}))
+        return tuple(np.linspace(0.0, _finite_mag(rng), n))
+    return tuple(sorted({_finite_real(rng) for _ in range(n)}))
 
 
 def _power_params(rng):
@@ -111,3 +128,36 @@ def test_a_finite_value_or_a_value_error(name):
         outcomes["finite"] += 1
     # the draws reach past the error paths into finite values
     assert outcomes["finite"] >= DRAWS // 4, outcomes
+
+
+_P = gp.ModelParams(0.3)
+_POWER_ARGS = dict(a=0.1, b=0.2, beta1=-0.4, beta2=-0.4, eps1=0.2, eps2=0.1, s=0.0, t=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call, message", [
+    (lambda x: gp.cov_C(x, 0.5, _P), "s={}"),
+    (lambda x: gp.cov_C(0.5, x, _P), "t={}"),
+    (lambda x: ea.l2_error_law(0.5, x, _P), "eps={}"),
+    (lambda x: ea.l2_error_law(x, 0.5, _P), "t={}"),
+    (lambda x: ri.volume_inner_closed(x, 0.5, 1, 0.1, 0.3), "x2 and y2 must be finite, got {}, 0.5"),
+    (lambda x: ri.volume_inner_closed(0.5, x, 1, 0.1, 0.3), "x2 and y2 must be finite, got 0.5, {}"),
+    (lambda x: ri.volume_inner_closed(0.5, 0.5, 1, x, 0.3), "eps3 must be finite and > 0, got {}"),
+    (lambda x: ri.volume_inner_closed(0.5, 0.5, 1, 0.1, x), "alpha must be in (0, 1), got {}"),
+    (lambda x: ri.levy_volume_w1(0.3, 0.1, 0.1, x, 1.0), "eps3 must be finite and > 0, got {}"),
+    (lambda x: ri.PowerIntegralParams(**{**_POWER_ARGS, "eps1": x}), "eps1 and eps2 must be finite and > 0, got {}"),
+    (lambda x: ri.PowerIntegralParams(**{**_POWER_ARGS, "beta2": x}), "beta2 must be finite, got {}"),
+    (lambda x: ri.PowerIntegralParams(**{**_POWER_ARGS, "s": x}), "s must be finite, got {}"),
+    (lambda x: ea.contour_kernel_integral(x, 1.0, _P), "s={}"),
+    (lambda x: ea.contour_kernel_integral(1.0, x, _P), "t={}"),
+], ids=["cov_C-s", "cov_C-t", "l2_error_law-eps", "l2_error_law-t", "volume_inner_closed-x2",
+        "volume_inner_closed-y2", "volume_inner_closed-eps3", "volume_inner_closed-alpha",
+        "levy_volume_w1-eps3", "PowerIntegralParams-eps1", "PowerIntegralParams-beta2",
+        "PowerIntegralParams-s", "contour_kernel_integral-s", "contour_kernel_integral-t"])
+def test_non_finite_argument_raises_naming_it(call, message, bad):
+    # at entry, before any arithmetic: these returned NaN, an infinity or 0j,
+    # or blamed the quadrature
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message.format(bad))):
+            call(bad)

