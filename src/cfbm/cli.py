@@ -469,8 +469,8 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    except (SpecFunError, DomainError, ArithmeticError) as exc:
-        # a library error (a failed guard, an overflow) ends the run on one line
+    except (SpecFunError, DomainError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # a library error (a failed guard or factor, an overflow) ends the run on one line
         print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     for msg in failures:

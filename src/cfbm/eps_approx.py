@@ -20,6 +20,7 @@ from .gamma_process import (
     PathSample,
     _coupled_sup_experiment,
     _philox,
+    cov_C,
     fk_table,
 )
 from .specfun import _graded_edges, _graded_quad, _pow
@@ -59,38 +60,25 @@ class EpsApproxSpec:
 
 
 def cov_eps(s, eps1, t, eps2, params):
-    """E[Gamma(eps1)_s Gamma(eps2)_t], exact.
+    """E[Gamma(eps1)_s Gamma(eps2)_t] = 2 Re cov_C(s + i eps1, t + i eps2), exact.
 
-    Path-pair integral of the analytic kernel from 0 to s+i eps1 and
-    0 to t+i eps2:
-
-        I = [(e1+e2-i(s-t))^2a - (e1-is)^2a - (e2+it)^2a] / (2a(2a-1))
-
-    and the covariance is 2 Re(kappa I).  At eps1 = eps2 = 0 this reduces to
-    (|s|^2a + |t|^2a - |t-s|^2a)/2.
+    The path-pair integral of the analytic kernel from 0 to s + i eps1 and
+    from 0 to t + i eps2, in `cov_C`'s closed form, so it is exactly
+    symmetric under (s, eps1) <-> (t, eps2). At eps1 = eps2 = 0 it is the
+    FBM covariance (|s|^2a + |t|^2a - |t-s|^2a)/2.
     """
     if not (0 <= eps1 < np.inf and 0 <= eps2 < np.inf):
         raise DomainError(f"imaginary shifts must be finite and >= 0, got {eps1}, {eps2}")
     if not (math.isfinite(s) and math.isfinite(t)):
         raise DomainError(f"times must be finite, got s={s}, t={t}")
-    a2 = 2.0 * params.alpha
-    denom = a2 * (a2 - 1.0)
-
-    def pow0(base):
-        # bases have Re >= 0, so only base = 0 (continuous value 0) needs care
-        return 0j if base == 0 else complex(_pow(base, a2))
-
-    i_val = (
-        pow0(eps1 + eps2 - 1j * (s - t)) - pow0(eps1 - 1j * s) - pow0(eps2 + 1j * t)
-    ) / denom
-    return 2.0 * (params.kappa * i_val).real
+    return 2.0 * cov_C(complex(s, eps1), complex(t, eps2), params).real
 
 
 def covariance_matrix(spec, params):
     """Symmetric covariance matrix of Gamma(eps) on the spec grid.
 
-    Entry (i, j) is 2 Re(kappa I) for I of `cov_eps` at eps1 = eps2 = eps.
-    kappa is real and Re(eps + it)^2a = Re(eps - it)^2a, so
+    Entry (i, j) is 2 Re cov_C(g_i + i eps, g_j + i eps), `cov_eps` on the
+    grid. kappa is real and Re(eps + it)^2a = Re(eps - it)^2a, so
 
         C_ij = 2 kappa (Re(2 eps - i|g_i - g_j|)^2a - (v_i + v_j)) / (2a(2a-1)),
 
@@ -134,8 +122,10 @@ def cholesky_factor(spec, params):
     strictly upper part LAPACK sets to zero, so the path synthesis applies
     it as a triangular operator. Its trailing columns are rounding noise of
     size sqrt(jitter), so samples drawn through it depend on the BLAS build
-    and thread count. RuntimeError on failure, which signals a covariance
-    bug (wrong branch or formula), not statistical noise.
+    and thread count. numpy.linalg.LinAlgError, naming n, eps, alpha and
+    dpotrf's info, if the jittered matrix does not factor: near alpha = 1/2
+    the covariance's cancellation error, about 1e-16/|alpha - 1/2|, can
+    outgrow the jitter.
     """
     from scipy.linalg.lapack import dpotrf  # on use: the sampling commands never load scipy
 
@@ -144,9 +134,9 @@ def cholesky_factor(spec, params):
     cov.flat[:: n + 1] += 1e-12 * np.trace(cov) / n
     factor, info = dpotrf(cov.T, lower=1, clean=1, overwrite_a=1)
     if info != 0:
-        raise RuntimeError(
-            "covariance matrix not positive semidefinite after jitter; "
-            "this indicates a formula or branch bug"
+        raise np.linalg.LinAlgError(
+            f"the covariance on {n} points at eps={spec.eps}, alpha={params.alpha} "
+            f"does not factor after the jitter (dpotrf info={info})"
         )
     return factor
 
@@ -193,8 +183,9 @@ def sup_error_experiment(params, eps_list, n_mc, n_terms, seed, grid):
     """
     grid = np.asarray(grid, dtype=float)
     eps_list = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_list):
-        raise DomainError("all eps must be > 0")
+    for e in eps_list:
+        if not 0 < e < np.inf:
+            raise DomainError(f"every eps must be finite and > 0, got eps={e}")
     # block 0 is the grid, block b the grid + i eps_list[b-1]: columns of one
     # table, equal to their own tables only up to last-bit rounding (`fk_table`)
     pts = np.concatenate([grid] + [grid + 1j * e for e in eps_list])
@@ -208,7 +199,9 @@ def sup_error_experiment(params, eps_list, n_mc, n_terms, seed, grid):
 # ---------------------------------------------------------------------------
 
 def contour_vv_piece(s, params):
-    """Vertical x vertical piece in closed form: (2^2a - 2)/(2a(2a-1)) s^2a."""
+    """Vertical x vertical piece (2^2a - 2)/(2a(2a-1)) s^2a, for finite s > 0."""
+    if not 0 < s < np.inf:
+        raise DomainError(f"contour piece needs a finite s > 0 (s={s})")
     a2 = 2.0 * params.alpha
     return (2.0 ** a2 - 2.0) / (a2 * (a2 - 1.0)) * s ** a2
 

@@ -16,6 +16,7 @@ standard FBM covariance (|s|^2a + |t|^2a - |t-s|^2a)/2 with Var B_1 = 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -392,19 +393,24 @@ def fk_table(n_terms, points, params):
 def cov_C(s, t, params):
     """Complex covariance sum_k F_k(s) conj(F_k(t)) in closed form.
 
-    (e^(-i pi a sgn s)|s|^2a + e^(i pi a sgn t)|t|^2a
-     - e^(i pi a sgn(t-s))|t-s|^2a) / (4 cos pi a),
+    s and t lie in the closed upper half-plane: real times are the boundary
+    case, and `cov_eps` is 2 Re cov_C(s + i eps1, t + i eps2). With a2 = 2a,
 
-    where e^(i pi a sgn x)|x|^2a is the principal power (ix)^2a, 0 at x = 0.
-    DomainError at a NaN or infinite time.
+        kappa [(-i(s - conj t))^a2 - (-is)^a2 - (i conj t)^a2] / (a2 (a2 - 1))
+
+    in principal powers; every base has Re >= 0, and a zero base gives 0.
+    The swap s <-> t conjugates each power and exchanges the last two, so
+    cov_C(t, s) == conj(cov_C(s, t)) bit for bit. DomainError at a NaN,
+    infinite or Im < 0 point.
     """
-    if not (math.isfinite(s) and math.isfinite(t)):
-        raise DomainError(f"cov_C: times must be finite, got s={s}, t={t}")
+    z, w = complex(s), complex(t)
+    if not (cmath.isfinite(z) and cmath.isfinite(w) and z.imag >= 0 and w.imag >= 0):
+        raise DomainError(f"cov_C: points must be finite with Im >= 0, got s={s}, t={t}")
     a2 = 2.0 * params.alpha
-    return (
-        np.conj(principal_pow(1j * s, a2)) + principal_pow(1j * t, a2)
-        - principal_pow(1j * (t - s), a2)
-    ) / (4.0 * math.cos(math.pi * params.alpha))
+    # bases built from real parts, so that the swap conjugates each exactly
+    bracket = principal_pow(complex(z.imag + w.imag, w.real - z.real), a2) - (
+        principal_pow(complex(z.imag, -z.real), a2) + principal_pow(complex(w.imag, w.real), a2))
+    return params.kappa * bracket / (a2 * (a2 - 1.0))
 
 
 def cov_fbm(s, t, params):

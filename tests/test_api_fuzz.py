@@ -72,6 +72,11 @@ def _point(rng):
     return complex(_finite_real(rng), im)
 
 
+def _time_or_point(rng):
+    # a real time, or one draw in two a point on, above or below the real axis
+    return _real(rng) if rng.random() < 0.5 else _point(rng)
+
+
 def _grid(rng):
     n = int(rng.integers(1, 41))
     if rng.random() < 0.5:
@@ -99,12 +104,13 @@ CASES = {
     "kernel_closed": lambda r: gp.kernel_closed(_upper(r), _point(r), _params(r)),
     "kernel_partial_sum": lambda r: gp.kernel_partial_sum(
         _upper(r), _point(r), int(r.integers(1, 300)), _params(r)),
-    "cov_C": lambda r: gp.cov_C(_real(r), _real(r), _params(r)),
+    "cov_C": lambda r: gp.cov_C(_time_or_point(r), _time_or_point(r), _params(r)),
     "cov_eps": lambda r: ea.cov_eps(_real(r), _mag(r), _real(r), _mag(r), _params(r)),
     "l2_error_law": lambda r: ea.l2_error_law(_real(r), _mag(r), _params(r)),
     "covariance_matrix": _covariance_matrix,
     "volume_inner_closed": lambda r: ri.volume_inner_closed(
         _real(r), _real(r), r.choice((1, -1)), _mag(r), _alpha(r)),
+    "contour_vv_piece": lambda r: ea.contour_vv_piece(_real(r), _params(r)),
     "contour_kernel_integral": lambda r: ea.contour_kernel_integral(_mag(r), _mag(r), _params(r)),
     "I1": lambda r: ri.I1(_power_params(r)),
     "I2": lambda r: ri.I2(_power_params(r)),
@@ -150,10 +156,12 @@ _POWER_ARGS = dict(a=0.1, b=0.2, beta1=-0.4, beta2=-0.4, eps1=0.2, eps2=0.1, s=0
     (lambda x: ri.PowerIntegralParams(**{**_POWER_ARGS, "s": x}), "s must be finite, got {}"),
     (lambda x: ea.contour_kernel_integral(x, 1.0, _P), "s={}"),
     (lambda x: ea.contour_kernel_integral(1.0, x, _P), "t={}"),
+    (lambda x: ea.contour_vv_piece(x, _P), "s={}"),
 ], ids=["cov_C-s", "cov_C-t", "l2_error_law-eps", "l2_error_law-t", "volume_inner_closed-x2",
         "volume_inner_closed-y2", "volume_inner_closed-eps3", "volume_inner_closed-alpha",
         "levy_volume_w1-eps3", "PowerIntegralParams-eps1", "PowerIntegralParams-beta2",
-        "PowerIntegralParams-s", "contour_kernel_integral-s", "contour_kernel_integral-t"])
+        "PowerIntegralParams-s", "contour_kernel_integral-s", "contour_kernel_integral-t",
+        "contour_vv_piece-s"])
 def test_non_finite_argument_raises_naming_it(call, message, bad):
     # at entry, before any arithmetic: these returned NaN, an infinity or 0j,
     # or blamed the quadrature

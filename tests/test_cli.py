@@ -707,6 +707,15 @@ class TestSpecfunAndVolumeCommands:
 # and horizons at 1e+-300, alpha near 0, 1/4, 1/2 and 1, the smallest grids,
 # path counts and truncations, and the extreme seeds.
 _SEED_MAX = str(2 ** 64 - 1)
+# near alpha = 1/2 the grid covariance's cancellation error outgrows the
+# factor's jitter, so these end in a failed factor
+_FACTOR_FAILURES = [
+    ["levy-area", "--alpha", "0.4999", "--eps", "0.5", "--n-mc", "4", "--grid-n", "16"],
+    ["levy-area", "--alpha", "0.5001", "--eps", "0.1", "--n-mc", "4", "--grid-n", "64"],
+    ["levy-volume", "--alpha", "0.4999", "--eps", "0.25", "--n-mc", "4", "--grid-n", "64"],
+    ["levy-volume", "--alpha", "0.5001", "--eps", "0.1", "--n-mc", "4", "--grid-n", "64"],
+]
+
 ARGV_EDGES = [
     ["sample", "--n-terms", "1", "--grid-n", "2"],
     ["sample", "--n-terms", "3", "--grid-n", "4", "--t-max", "1e300"],
@@ -755,6 +764,7 @@ ARGV_EDGES = [
      "--eps", "1e300"],
     ["specfun-test", "--n-mc", "1"],
     ["specfun-test", "--n-mc", "2", "--seed", _SEED_MAX],
+    *_FACTOR_FAILURES,
 ]
 
 
@@ -772,3 +782,13 @@ class TestArgvEdges:
         for line in capsys.readouterr().err.splitlines():
             assert line.startswith(("config error: ", f"{argv[0]}: ")), line
         assert [str(w.message) for w in caught if w.category is not UserWarning] == []
+
+    @pytest.mark.parametrize("argv", _FACTOR_FAILURES, ids=" ".join)
+    def test_failed_factor_is_one_library_error_line(self, argv, capsys, tmp_path):
+        # a covariance that does not factor is a library error: exit 1, one
+        # line naming numpy's LinAlgError, and no CSV
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{argv[0]}: LinAlgError: ")
+        assert not out.exists()

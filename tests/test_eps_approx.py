@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,8 @@ class TestCovEps:
             assert cov_eps(s, e1, t, e2, p) == pytest.approx(
                 cov_eps(t, e2, s, e1, p), rel=1e-12, abs=1e-14
             )
+            # one closed form, whose swap is its conjugate bit for bit
+            assert cov_eps(s, e1, t, e2, p) == cov_eps(t, e2, s, e1, p)
 
     def test_zero_limit_identity_on_grid(self):
         for alpha in (0.3, 0.35, 0.45, 0.7):
@@ -151,7 +154,7 @@ class TestCovarianceMatrix:
 
         g = np.array([[1.0, 1.0], [1.0, 1.0]])
         factor_of(g + 1e-15 * np.eye(2))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(np.linalg.LinAlgError):
             factor_of(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
 
     @pytest.mark.parametrize(
@@ -400,6 +403,12 @@ class TestSupErrorExperiment:
         with pytest.raises(DomainError):
             sup_error_experiment(ModelParams(0.35), [0.1, 0.0], 1, 32, 0, np.linspace(0, 1, 33))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_rejected_eps_is_named(self, bad):
+        # NaN and inf passed the sign check, and fk_table then blamed a point
+        with pytest.raises(DomainError, match=re.escape(f"eps={bad}")):
+            sup_error_experiment(ModelParams(0.35), [0.1, bad], 1, 32, 0, np.linspace(0, 1, 33))
+
     def test_one_table_equals_the_table_of_each_shift(self, monkeypatch):
         # the one table over the grid and every shifted grid holds, column
         # block by column block, each grid's own fk_table bit for bit
@@ -447,6 +456,12 @@ class TestContourKernelIntegral:
                 pieces = contour_kernel_pieces(s, 1.0, p)
                 assert pieces[(0, 0)] == pytest.approx(expected, rel=1e-10)
                 assert pieces[(2, 2)] == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [-0.5, 0.0])
+    def test_vertical_piece_rejects_nonpositive_s(self, s):
+        # a negative s returned a complex number
+        with pytest.raises(DomainError, match=re.escape(f"s={s}")):
+            contour_vv_piece(s, ModelParams(0.3))
 
     def test_smooth_pieces_match_dblquad_oracle(self):
         p = ModelParams(0.3)

@@ -336,17 +336,35 @@ class TestCovariance:
     def test_series_converges_at_tail_rate(self):
         # partial sums approach the closed form at the intrinsic N^(-2a)
         # tail rate (the stated example tolerance 1e-4 at N = 2000 is not
-        # reachable: the non-oscillating tail is Theta(N^(-2a)), see ledger)
+        # reachable: the non-oscillating tail is Theta(N^(-2a)), see ledger),
+        # at real times and at points above the real axis alike
         p = ModelParams(0.3)
-        s, t = 0.5, 1.2
-        closed = cov_C(s, t, p)
-        table = fk_table(16000, np.array([s + 0j, t + 0j]), p)
-        partial = np.cumsum(table[:, 0] * np.conj(table[:, 1]))
-        errs = {n: abs(partial[n - 1] - closed) for n in (2000, 4000, 16000)}
-        assert errs[2000] < 2e-3
-        assert errs[16000] < errs[4000] < errs[2000]
-        rate = (errs[16000] / errs[2000]) / (2000 / 16000) ** (2 * p.alpha)
-        assert 0.5 < rate < 2.0
+        for s, t in ((0.5, 1.2), (0.4 + 0.5j, 1.1 + 0.3j)):
+            closed = cov_C(s, t, p)
+            table = fk_table(16000, np.array([s + 0j, t + 0j]), p)
+            partial = np.cumsum(table[:, 0] * np.conj(table[:, 1]))
+            errs = {n: abs(partial[n - 1] - closed) for n in (2000, 4000, 16000)}
+            assert errs[2000] < 2e-3
+            assert errs[16000] < errs[4000] < errs[2000]
+            rate = (errs[16000] / errs[2000]) / (2000 / 16000) ** (2 * p.alpha)
+            assert 0.5 < rate < 2.0
+
+    def test_hermitian_bit_for_bit(self):
+        # swapping the points conjugates each power and exchanges the two
+        # one-point powers, which the closed form adds before subtracting
+        rng = np.random.default_rng(31)
+        for alpha in (0.05, 0.3, 0.45, 0.55, 0.7, 0.95):
+            p = ModelParams(alpha)
+            for _ in range(300):
+                z, w = (complex(rng.uniform(-3.0, 3.0), rng.choice((0.0, rng.uniform(0.0, 2.0))))
+                        for _ in range(2))
+                assert cov_C(z, w, p) == cov_C(w, z, p).conjugate(), (alpha, z, w)
+
+    @pytest.mark.parametrize("s, t", [(0.5 - 1e-12j, 1.0), (0.5, 1.0 - 0.3j)])
+    def test_lower_half_plane_rejected(self, s, t):
+        # below the real axis the bases reach the cut; the error names the point
+        with pytest.raises(DomainError, match=re.escape(f"s={s}, t={t}")):
+            cov_C(s, t, ModelParams(0.3))
 
     @given(
         s=st.floats(-1.5, 1.5),
