@@ -59,8 +59,10 @@ class ModelParams:
     """Hurst exponent; the coefficient components have the fixed variance 1/2.
 
     alpha must lie in (0,1) and differ from 1/2 exactly (the kernel prefactor
-    degenerates to 0/0 there); values within 1e-6 of 1/2 trigger a warning
-    because cos(pi*alpha) amplifies rounding.
+    degenerates to 0/0 there).  Near 1/2 every closed form divides by
+    2 alpha - 1 and loses about 1e-16/|alpha - 1/2| of its relative accuracy
+    (about 1e-12 at alpha = 0.4999); values within 1e-6 of 1/2 trigger a
+    warning.  A grid covariance can fail to factor farther out, as at 0.4999.
     """
 
     alpha: float
@@ -72,8 +74,8 @@ class ModelParams:
             raise ValueError("alpha = 1/2 is rejected: the kernel prefactor is 0/0")
         if abs(self.alpha - 0.5) < 1e-6:
             warnings.warn(
-                f"alpha={self.alpha} is within 1e-6 of 1/2; cos(pi*alpha) "
-                "amplifies rounding error",
+                f"alpha={self.alpha} is within 1e-6 of 1/2; the closed forms divide "
+                "by 2*alpha - 1 and lose about 1e-16/|alpha - 1/2| relative accuracy",
                 stacklevel=2,
             )
 
@@ -161,8 +163,13 @@ class PathSample:
 # ---------------------------------------------------------------------------
 
 def cayley(t):
-    """Moebius map t -> (t-i)/(t+i); upper half-plane onto the unit disk."""
+    """Moebius map t -> (t-i)/(t+i); upper half-plane onto the unit disk.
+
+    DomainError at a NaN or infinite t; PoleError at t = -i.
+    """
     t = complex(t)
+    if not cmath.isfinite(t):
+        raise DomainError(f"cayley requires a finite t, got t={t}")
     if t == -1j:
         raise PoleError("cayley has a pole at t = -i")
     return (t - 1j) / (t + 1j)

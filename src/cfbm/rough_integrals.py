@@ -3,10 +3,9 @@
 Covers the closed-form power-integral family (hypergeometric antiderivatives
 and the integrals they give), the Levy-area second moment and its small-shift
 limit constant, Monte Carlo estimators with deterministic per-path random
-streams, divergence diagnostics below the 1/4 threshold, and the dyadic
-q-variation machinery.  The path area and volume, the dyadic level-2 blocks
-and the Monte Carlo share one nested-trapezoid discretization of the
-iterated integrals (`_iterated_trapezoid`).
+streams, and divergence diagnostics below the 1/4 threshold.  The path
+area and volume and the Monte Carlo share one nested-trapezoid
+discretization of the iterated integrals (`_iterated_trapezoid`).
 
 The Levy-area second moment is reduced analytically to a one-dimensional
 integral of elementary power kernels (the inner time integrals are exact,
@@ -27,7 +26,7 @@ import numpy as np
 
 from .eps_approx import EpsApproxSpec, cholesky_factor
 from .gamma_process import DomainError, ModelParams, _loglog_slope, _normal_block, _philox, _philox_key
-from .specfun import NonConvergenceError, _graded_edges, _graded_quad, _pow, hyp2f1, principal_pow
+from .specfun import _graded_edges, _graded_quad, _pow, hyp2f1, principal_pow
 
 __all__ = [
     "PowerIntegralParams",
@@ -48,11 +47,6 @@ __all__ = [
     "mc_levy_volume_moment",
     "volume_inner_closed",
     "levy_volume_w1",
-    "dyadic_dk",
-    "dyadic_increment_blocks",
-    "dyadic_level2_blocks",
-    "dyadic_scale_sum",
-    "dyadic_tail_sum",
 ]
 
 
@@ -214,9 +208,11 @@ def levy_area_sign_sum(alpha, eps1, eps2, t):
     a lump of size (2 eps1)^(2a-1) at the ridge x = 0, losing digits for
     small alpha and eps1 << t.  The twelve terms are integrated on the fold
     of levy_area_variance (`_folded_quad`), which raises
-    NonConvergenceError where its guard fails.  The QUADPACK version is in
-    ``tests/helpers``.
+    NonConvergenceError where its guard fails.  The arguments are checked
+    as `LevyAreaSpec` checks them, with a ValueError naming the bad one.
+    The QUADPACK version is in ``tests/helpers``.
     """
+    LevyAreaSpec(alpha, t, eps1, eps2)
     a2 = 2.0 * alpha
     c1, c2 = 2.0 * eps1, 2.0 * eps2
     s1 = np.array([1.0, 1.0, -1.0, -1.0])
@@ -547,111 +543,3 @@ def levy_volume_w1(alpha, eps1, eps2, eps3, t):
     kappa = ModelParams(alpha).kappa
     v = levy_area_variance(LevyAreaSpec(alpha, t, eps1, eps2))
     return 2.0 * kappa * (2.0 * eps3) ** a2 / (a2 * (a2 - 1.0)) * v
-
-
-# ---------------------------------------------------------------------------
-# dyadic q-variation machinery
-# ---------------------------------------------------------------------------
-
-def _block_norms(arr):
-    arr = np.asarray(arr)
-    if arr.ndim == 1:
-        return np.abs(arr)
-    return np.sqrt(np.sum(np.abs(arr) ** 2, axis=tuple(range(1, arr.ndim))))
-
-
-def dyadic_dk(w_tables, v_tables, q, k, level):
-    """Dyadic-partition q-variation distance between level-k block tables.
-
-    (sum_blocks ||w_block - v_block||^(q/k))^(k/q) over the 2^level blocks.
-    Tables map level -> array whose leading axis enumerates blocks.
-    """
-    if q <= 1:
-        raise ValueError(f"q must be > 1, got {q}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    try:
-        bw = np.asarray(w_tables[level])
-        bv = np.asarray(v_tables[level])
-    except KeyError as exc:
-        raise LookupError(f"level {level} not available in the tables") from exc
-    if bw.shape != bv.shape:
-        raise ValueError("block tables must have matching shapes")
-    norms = _block_norms(bw - bv)
-    return float(np.sum(norms ** (q / k)) ** (k / q))
-
-
-def _dyadic_blocks(n_points, level):
-    # (block count, points per block - 1) of a grid split into 2^level blocks
-    n_blocks = 2 ** level
-    if (n_points - 1) % n_blocks:
-        raise ValueError(
-            f"grid with {n_points} points cannot be split into {n_blocks} blocks"
-        )
-    return n_blocks, (n_points - 1) // n_blocks
-
-
-def dyadic_increment_blocks(values, level):
-    """First-level block table: the increment over each of 2^level blocks."""
-    values = np.asarray(values, dtype=float)
-    n_blocks, m = _dyadic_blocks(len(values), level)
-    idx = np.arange(n_blocks + 1) * m
-    return np.diff(values[idx])
-
-
-def dyadic_level2_blocks(grid, x, y, level):
-    """Second-level block table of a two-component path.
-
-    For each dyadic block, the 2x2 matrix of discretized second iterated
-    integrals int dX^(i) int dX^(j) (trapezoid); the diagonal entries equal
-    half the squared block increments exactly.
-    """
-    x, y = _equal_length(grid, x, y)
-    n_blocks, m = _dyadic_blocks(len(x), level)
-    # column l holds the m+1 points of block l (neighbours share an endpoint)
-    idx = np.arange(m + 1)[:, None] + m * np.arange(n_blocks)[None, :]
-    cols = (x[idx], y[idx])
-    out = np.empty((n_blocks, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            out[:, i, j] = _iterated_trapezoid([cols[i], cols[j]])
-    return out
-
-
-def dyadic_scale_sum(kappa, eps, alpha1, alpha2, q):
-    """Finite dyadic-scale sum controlling level-1 block differences.
-
-    [sum_(n=0)^(E(|log2 eps|)) n^kappa 2^n (eps^alpha1 2^(-n alpha2))^(q/2)]^(2/q).
-    """
-    if eps <= 0 or eps >= 1:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if q <= 1:
-        raise ValueError(f"q must be > 1, got {q}")
-    n_max = int(math.floor(abs(math.log2(eps))))
-    total = 0.0
-    for n in range(n_max + 1):
-        total += n ** kappa * 2.0 ** n * (eps ** alpha1 * 2.0 ** (-n * alpha2)) ** (q / 2.0)
-    return total ** (2.0 / q)
-
-
-def dyadic_tail_sum(kappa, d, eps, eta, q, level_norms, max_levels=400):
-    """Tail sum over fine dyadic levels of block-difference norms.
-
-    [sum_(n >= E(|log2 eta|)) n^kappa sum_blocks ||.||^(q/d)]^(d/q), with the
-    level loop truncated once a level contributes at most 1e-14 of the
-    running total.  ``level_norms(n)`` must return the block norms at level n.
-    """
-    if not eps > eta > 0:
-        raise ValueError(f"need eps > eta > 0, got eps={eps}, eta={eta}")
-    if q <= 1:
-        raise ValueError(f"q must be > 1, got {q}")
-    n0 = int(math.floor(abs(math.log2(eta))))
-    total = 0.0
-    for n in range(n0, n0 + max_levels):
-        contrib = n ** kappa * float(np.sum(np.asarray(level_norms(n)) ** (q / d)))
-        total += contrib
-        if total > 0.0 and contrib <= 1e-14 * total:
-            return total ** (d / q)
-    raise NonConvergenceError(
-        f"dyadic tail sum did not settle within {max_levels} levels"
-    )

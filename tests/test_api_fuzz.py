@@ -115,6 +115,15 @@ CASES = {
     "I1": lambda r: ri.I1(_power_params(r)),
     "I2": lambda r: ri.I2(_power_params(r)),
     "levy_volume_w1": lambda r: ri.levy_volume_w1(_alpha(r), _mag(r), _mag(r), _mag(r), _mag(r)),
+    "levy_area_sign_sum": lambda r: ri.levy_area_sign_sum(_alpha(r), _mag(r), _mag(r), _mag(r)),
+    "levy_area_variance": lambda r: ri.levy_area_variance(
+        ri.LevyAreaSpec(_alpha(r), _mag(r), _mag(r), _mag(r))),
+    "levy_const": lambda r: ri.levy_const(_alpha(r)),
+    "divergence_slope": lambda r: ri.divergence_slope(
+        _alpha(r), [_mag(r) for _ in range(r.integers(2, 5))], _mag(r)),
+    "kernel_terms_needed": lambda r: gp.kernel_terms_needed(_upper(r), _point(r), _params(r)),
+    "F_k": lambda r: gp.F_k(int(r.integers(0, 600)), _point(r), _params(r)),
+    "cayley": lambda r: gp.cayley(_point(r)),
 }
 
 
@@ -157,11 +166,18 @@ _POWER_ARGS = dict(a=0.1, b=0.2, beta1=-0.4, beta2=-0.4, eps1=0.2, eps2=0.1, s=0
     (lambda x: ea.contour_kernel_integral(x, 1.0, _P), "s={}"),
     (lambda x: ea.contour_kernel_integral(1.0, x, _P), "t={}"),
     (lambda x: ea.contour_vv_piece(x, _P), "s={}"),
+    (lambda x: ri.levy_area_sign_sum(x, 0.1, 0.1, 1.0), "alpha must be in (0, 1), got {}"),
+    (lambda x: ri.levy_area_sign_sum(0.3, x, 0.1, 1.0), "eps1 and eps2 must be finite and > 0, got {}, 0.1"),
+    (lambda x: ri.levy_area_sign_sum(0.3, 0.1, x, 1.0), "eps1 and eps2 must be finite and > 0, got 0.1, {}"),
+    (lambda x: ri.levy_area_sign_sum(0.3, 0.1, 0.1, x), "t must be finite and > 0, got {}"),
+    (lambda x: gp.cayley(complex(0.5, x)), "cayley requires a finite t, got t=(0.5+{}j)"),
+    (lambda x: gp.cayley(complex(x, 0.5)), "cayley requires a finite t, got t=({}+0.5j)"),
 ], ids=["cov_C-s", "cov_C-t", "l2_error_law-eps", "l2_error_law-t", "volume_inner_closed-x2",
         "volume_inner_closed-y2", "volume_inner_closed-eps3", "volume_inner_closed-alpha",
         "levy_volume_w1-eps3", "PowerIntegralParams-eps1", "PowerIntegralParams-beta2",
         "PowerIntegralParams-s", "contour_kernel_integral-s", "contour_kernel_integral-t",
-        "contour_vv_piece-s"])
+        "contour_vv_piece-s", "levy_area_sign_sum-alpha", "levy_area_sign_sum-eps1",
+        "levy_area_sign_sum-eps2", "levy_area_sign_sum-t", "cayley-im", "cayley-re"])
 def test_non_finite_argument_raises_naming_it(call, message, bad):
     # at entry, before any arithmetic: these returned NaN, an infinity or 0j,
     # or blamed the quadrature

@@ -792,3 +792,68 @@ class TestArgvEdges:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"{argv[0]}: LinAlgError: ")
         assert not out.exists()
+
+
+# The seeded argv fuzz: every command but specfun-test, each flag a small
+# valid value or, one time in eight, an edge value (NaN, inf, 0, negatives,
+# 1e300, 0.4999, a non-number), one to three --eps, and small sizes only.
+_FUZZ_DRAWS = 150
+_FUZZ_EDGE = 1 / 8
+_FUZZ_FLAGS = {  # flag: (valid values, edge values)
+    "--alpha": (("0.1", "0.3", "0.4", "0.7"),
+                ("nan", "inf", "-inf", "0", "-0.3", "1", "1e300", "0.4999", "0.5", "0.25", "x")),
+    "--t-max": (("1", "0.5", "2"), ("nan", "inf", "0", "-1", "1e300", "1e-300", "x")),
+    "--grid-n": (("16", "32", "64"), ("0", "-4", "1", "2", "3", "48", "nan", "1e300", "x")),
+    "--n-terms": (("16", "32", "64"), ("0", "-1", "1", "2", "3", "nan", "1e300", "x")),
+    "--n-mc": (("2", "4", "8"), ("0", "-1", "1", "nan", "1e300", "x")),
+    "--seed": (("0", "7"), ("-1", str(2 ** 64), _SEED_MAX, "nan", "x")),
+    "--threads": (("1", "2"), ("0", "-1", "x")),
+}
+_FUZZ_SIZES = ("--grid-n", "--n-terms", "--n-mc")  # always given: the defaults are large
+_FUZZ_EPS = (("0.5", "0.25", "0.1"), ("nan", "inf", "0", "-0.1", "1e300", "1e-300", "x"))
+
+
+def _fuzz_value(rng, valid, edge):
+    return str(rng.choice(edge if rng.random() < _FUZZ_EDGE else valid))
+
+
+def _fuzz_argv(rng, tmp_path):
+    argv = [str(rng.choice([c for c in ALL_COMMANDS if c != "specfun-test"]))]
+    for flag, values in _FUZZ_FLAGS.items():
+        if flag in _FUZZ_SIZES or rng.random() < 0.5:
+            argv += [flag, _fuzz_value(rng, *values)]
+    if rng.random() < 0.75:
+        # a decreasing schedule of valid shifts, reversed one time in eight
+        eps = sorted(rng.choice(_FUZZ_EPS[0], rng.integers(1, 4), replace=False),
+                     key=float, reverse=rng.random() >= _FUZZ_EDGE)
+        for e in eps:
+            argv += ["--eps", str(e) if rng.random() >= _FUZZ_EDGE else str(rng.choice(_FUZZ_EPS[1]))]
+    if rng.random() < 1 / 16:
+        argv += ["--config", str(tmp_path / "missing.cfg")]
+    # a directory as the output path fails the write
+    out = tmp_path if rng.random() < 1 / 16 else tmp_path / "out.csv"
+    return [*argv, "--out", str(out)]
+
+
+class TestArgvFuzz:
+    def test_exit_code_and_a_message_for_every_failure(self, capsys, tmp_path):
+        # the exception contract at the CLI over seeded argv: exit 0, 1 or 2
+        # with no exception escaping main, a message on stderr for every exit
+        # 1 or 2 and none for exit 0, and no numpy RuntimeWarning
+        rng = np.random.default_rng(2024)
+        codes = []
+        for _ in range(_FUZZ_DRAWS):
+            argv = _fuzz_argv(rng, tmp_path)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage errors
+                    code = exc.code
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, code)
+            assert bool(err.strip()) == (code != 0), (argv, code, err)
+            assert [str(w.message) for w in caught if w.category is not UserWarning] == [], argv
+            codes.append(code)
+        # the draws reach past the argument checks into the library
+        assert sum(code in (0, 1) for code in codes) >= _FUZZ_DRAWS // 3, codes

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -16,11 +17,6 @@ from cfbm.rough_integrals import (
     PowerIntegralParams,
     area_path,
     divergence_slope,
-    dyadic_dk,
-    dyadic_increment_blocks,
-    dyadic_level2_blocks,
-    dyadic_scale_sum,
-    dyadic_tail_sum,
     levy_area_sign_sum,
     levy_area_variance,
     levy_const,
@@ -332,6 +328,21 @@ class TestLevyAreaSignSum:
         with pytest.raises(NonConvergenceError, match="Levy-area sign sum"):
             levy_area_sign_sum(0.4, 0.05, 0.04, 1.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((0.3, 0.0, 0.1, 1.0), "eps1 and eps2 must be finite and > 0, got 0.0, 0.1"),
+        ((0.3, -0.1, 0.1, 1.0), "eps1 and eps2 must be finite and > 0, got -0.1, 0.1"),
+        ((0.3, -math.inf, 0.1, 1.0), "eps1 and eps2 must be finite and > 0, got -inf, 0.1"),
+        ((1.5, 0.1, 0.1, 1.0), "alpha must be in (0, 1), got 1.5"),
+        ((0.3, 0.1, 0.1, -1.0), "t must be finite and > 0, got -1.0"),
+        ((0.5, 0.1, 0.1, 1.0), "alpha = 1/2 is rejected"),
+    ])
+    def test_bad_argument_raises_naming_it(self, args, message):
+        # at entry: a zero, negative or -inf shift grew the graded panel list
+        # without end, alpha 1.5 returned 0.04, and t < 0 and alpha = 1/2
+        # blamed the quadrature
+        with pytest.raises(ValueError, match=re.escape(message)):
+            levy_area_sign_sum(*args)
+
 
 class TestLevyConst:
     def test_alpha_to_one(self):
@@ -401,7 +412,7 @@ class TestIteratedTrapezoid:
         grid, short = np.arange(5.0), np.arange(4.0)
         for call in (
             lambda: volume_path(grid, grid, grid, short),
-            lambda: dyadic_level2_blocks(grid, short, grid, 1),
+            lambda: area_path(grid, short, grid),
         ):
             with pytest.raises(ValueError, match="equal length"):
                 call()
@@ -673,124 +684,3 @@ class TestVolumeMoments:
         mean = _dense_second_moment(0.3, shifts, 128, 300, 14)
         assert est.mean == pytest.approx(mean, rel=1e-12)
 
-
-class TestDyadic:
-    def test_distance_to_self_is_zero(self):
-        tables = {3: np.arange(8.0)}
-        assert dyadic_dk(tables, tables, q=3.0, k=1, level=3) == 0.0
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_order_below_one_rejected(self, k):
-        # k = 0 would divide by zero, and k = -1 return a distance
-        w, v = {1: np.zeros(2)}, {1: np.ones(2)}
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            dyadic_dk(w, v, q=3.0, k=k, level=1)
-
-    def test_missing_level(self):
-        with pytest.raises(LookupError):
-            dyadic_dk({1: np.zeros(2)}, {1: np.zeros(2)}, q=3.0, k=1, level=2)
-
-    def test_four_block_brute_force(self):
-        w = {2: np.array([0.3, -0.1, 0.25, 0.07])}
-        v = {2: np.array([0.1, 0.04, -0.2, 0.3])}
-        q, k = 2.6, 2
-        brute = sum(abs(a - b) ** (q / k) for a, b in zip(w[2], v[2])) ** (k / q)
-        assert dyadic_dk(w, v, q=q, k=k, level=2) == pytest.approx(brute, rel=1e-13)
-
-    def test_matrix_blocks_use_frobenius(self):
-        w = {1: np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 2.0], [0.0, 0.0]]])}
-        v = {1: np.zeros((2, 2, 2))}
-        q = 4.0
-        expected = (math.sqrt(2.0) ** 2 + 2.0 ** 2) ** (2 / q)
-        assert dyadic_dk(w, v, q=q, k=2, level=1) == pytest.approx(expected, rel=1e-13)
-
-    def test_increment_blocks(self):
-        values = np.array([0.0, 1.0, 3.0, 2.0, 7.0])
-        assert np.array_equal(dyadic_increment_blocks(values, 1), [3.0, 4.0])
-        assert np.array_equal(dyadic_increment_blocks(values, 2), [1.0, 2.0, -1.0, 5.0])
-        with pytest.raises(ValueError):
-            dyadic_increment_blocks(values, 3)
-
-    def test_level2_diagonal_is_half_squared_increment(self):
-        rng = np.random.default_rng(2)
-        grid = np.linspace(0, 1, 65)
-        x, y = rng.standard_normal(65), rng.standard_normal(65)
-        blocks = dyadic_level2_blocks(grid, x, y, 2)
-        incr_x = dyadic_increment_blocks(x, 2)
-        incr_y = dyadic_increment_blocks(y, 2)
-        assert np.allclose(blocks[:, 0, 0], 0.5 * incr_x ** 2, atol=1e-12)
-        assert np.allclose(blocks[:, 1, 1], 0.5 * incr_y ** 2, atol=1e-12)
-
-    def test_scale_sum_flat_geometric_case(self):
-        # when alpha2 q/2 = 1 the 2^n factor cancels and the sum is
-        # (sum n^kappa)^(2/q) * eps^alpha1
-        kappa, alpha1, q = 1.3, 0.4, 2.5
-        alpha2 = 2.0 / q
-        eps = 2.0 ** -6
-        n_max = 6
-        expected = sum(n ** kappa for n in range(n_max + 1)) ** (2 / q) * eps ** alpha1
-        assert dyadic_scale_sum(kappa, eps, alpha1, alpha2, q) == pytest.approx(
-            expected, rel=1e-12
-        )
-
-    def test_scale_sum_brute_force(self):
-        kappa, eps, a1, a2, q = 0.7, 0.03, 0.3, 0.5, 3.0
-        n_max = int(math.floor(abs(math.log2(eps))))
-        brute = sum(
-            n ** kappa * 2 ** n * (eps ** a1 * 2 ** (-n * a2)) ** (q / 2)
-            for n in range(n_max + 1)
-        ) ** (2 / q)
-        assert dyadic_scale_sum(kappa, eps, a1, a2, q) == pytest.approx(brute, rel=1e-12)
-
-    def test_tail_sum_geometric_oracle(self):
-        # synthetic geometric block norms admit an explicit partial-sum limit
-        q, d, kappa = 3.0, 2.0, 1.0
-        eps, eta = 0.1, 0.05
-
-        def level_norms(n):
-            return np.full(2 ** n, 16.0 ** -n)
-
-        # summand: n^kappa 2^n (16^-n)^(q/d) = n 2^(-5n)
-        n0 = int(math.floor(abs(math.log2(eta))))
-        brute = sum(n * 2.0 ** (-5 * n) for n in range(n0, 60)) ** (d / q)
-        val = dyadic_tail_sum(kappa, d, eps, eta, q, level_norms)
-        assert val == pytest.approx(brute, rel=1e-10)
-
-    def test_tail_sum_requires_decay(self):
-        from cfbm.specfun import NonConvergenceError
-
-        with pytest.raises(NonConvergenceError):
-            dyadic_tail_sum(1.0, 2.0, 0.1, 0.05, 2.5, lambda n: np.ones(2 ** n), max_levels=12)
-
-    def test_d2_cauchy_trend_diagnostic(self):
-        # coupled shift samples: the dyadic level-2 distance between
-        # successive regularizations trends down once the shifts sit well
-        # below the block scale (diagnostic only: finiteness is asserted,
-        # the trend is reported as a warning if absent)
-        from cfbm.gamma_process import fk_table, gaussian_draw
-
-        p = ModelParams(0.45)
-        grid = np.linspace(0.0, 1.0, 257)
-        eps_seq = [0.08, 0.04, 0.02, 0.01, 0.005]
-        n_terms, level, reps = 1500, 2, 16
-        tables = {e: fk_table(n_terms, grid + 1j * e, p) for e in eps_seq}
-        dists = []
-        for j in range(len(eps_seq) - 1):
-            acc = 0.0
-            for r in range(reps):
-                x_xi = gaussian_draw(71, n_terms, p, stream=2 * r).xi_plus
-                y_xi = gaussian_draw(71, n_terms, p, stream=2 * r + 1).xi_plus
-                paths = {
-                    e: (
-                        2 * (x_xi @ tables[e]).real,
-                        2 * (y_xi @ tables[e]).real,
-                    )
-                    for e in (eps_seq[j], eps_seq[j + 1])
-                }
-                w = {level: dyadic_level2_blocks(grid, *paths[eps_seq[j]], level)}
-                v = {level: dyadic_level2_blocks(grid, *paths[eps_seq[j + 1]], level)}
-                acc += dyadic_dk(w, v, q=2.5, k=2, level=level)
-            dists.append(acc / reps)
-        assert all(math.isfinite(d) and d > 0 for d in dists)
-        if not dists[-1] < dists[0]:
-            warnings.warn(f"dyadic d2 Cauchy trend not visible: {dists}")
