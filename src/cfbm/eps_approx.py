@@ -74,6 +74,67 @@ def cov_eps(s, eps1, t, eps2, params):
     return 2.0 * cov_C(complex(s, eps1), complex(t, eps2), params).real
 
 
+# columns per block of the covariance build and of the mirror copy
+_COV_COLS = 64
+
+
+def _covariance_lower(spec, params, out):
+    # Writes the grid covariance's lower triangle, diagonal included, into the
+    # n x n array out, one block of _COV_COLS columns at a time, and never
+    # touches its strict upper triangle.  Each entry is the outer sum
+    # v_i + v_j, then D - (v_i + v_j) and the one scale, all in place: in out
+    # itself below each diagonal block, in a small temporary on the diagonal
+    # block, whose lower triangle is then copied in.
+    if spec.alpha != params.alpha:
+        raise ValueError(f"spec.alpha={spec.alpha} differs from params.alpha={params.alpha}")
+    g = np.asarray(spec.grid, dtype=float)
+    n = len(g)
+    a2 = 2.0 * params.alpha
+    e = spec.eps
+    scale = 2.0 * params.kappa / (a2 * (a2 - 1.0))
+    # every base has Re >= eps > 0: off the cut and never zero
+    v = _pow(e - 1j * g, a2).real
+    steps = np.diff(g)
+    if n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        half = _pow(2.0 * e - 1j * np.arange(n) * steps[0], a2).real
+        # read-only view whose entry (i, j) is half[|i - j|]
+        strided = sliding_window_view(np.concatenate([half[:0:-1], half]), n)[::-1]
+
+        def diff_term(rows, cols):
+            return strided[rows, cols]
+    else:
+        def diff_term(rows, cols):
+            return _pow(2.0 * e - 1j * np.abs(np.subtract.outer(g[rows], g[cols])), a2).real
+
+    def fill(rows, cols, dst):
+        np.add.outer(v[rows], v[cols], out=dst)
+        np.subtract(diff_term(rows, cols), dst, out=dst)
+        dst *= scale
+        return dst
+
+    lower = np.tri(_COV_COLS, dtype=bool)
+    for j0 in range(0, n, _COV_COLS):
+        cols = slice(j0, min(j0 + _COV_COLS, n))
+        b = cols.stop - j0
+        np.copyto(out[cols, cols], fill(cols, cols, np.empty((b, b))), where=lower[:b, :b])
+        fill(slice(cols.stop, n), cols, out[cols.stop:, cols])
+    return out
+
+
+def _mirror_lower(a):
+    # copies the strict lower triangle of the square array a onto its strict
+    # upper one, transposed, in blocks of _COV_COLS columns and in place
+    n = len(a)
+    upper = ~np.tri(_COV_COLS, dtype=bool)
+    for j0 in range(0, n, _COV_COLS):
+        cols = slice(j0, min(j0 + _COV_COLS, n))
+        b = cols.stop - j0
+        block = a[cols, cols]
+        np.copyto(block, block.T.copy(), where=upper[:b, :b])
+        a[cols, cols.stop:] = a[cols.stop:, cols].T
+    return a
+
+
 def covariance_matrix(spec, params):
     """Symmetric covariance matrix of Gamma(eps) on the spec grid.
 
@@ -82,57 +143,48 @@ def covariance_matrix(spec, params):
 
         C_ij = 2 kappa (Re(2 eps - i|g_i - g_j|)^2a - (v_i + v_j)) / (2a(2a-1)),
 
-    with v = Re(eps - i g)^2a. The result is built as the outer sum v_i + v_j,
-    then D - (v_i + v_j) and the one scale in place. It is exactly symmetric:
-    IEEE addition commutes, and D reads |g_i - g_j|, which is symmetric too.
-    On uniform grids D_ij = half[|i - j|] for the n powers half, read through
-    a strided view, so the peak is about one real n x n array, the result.
-    Non-uniform grids evaluate D as an n x n complex power. ValueError if
-    spec.alpha and params.alpha differ.
+    with v = Re(eps - i g)^2a. The lower triangle is built in blocks of
+    columns, in the result itself: the outer sum v_i + v_j, then
+    D - (v_i + v_j) and the one scale in place; the strict upper triangle is
+    then its transposed copy, so the result is exactly symmetric. On uniform
+    grids D_ij = half[|i - j|] for the n powers half, read through a strided
+    view; other grids evaluate D one block of columns at a time. Either way
+    the peak is about one real n x n array, the result, which is F-order.
+    ValueError if spec.alpha and params.alpha differ.
     """
-    if spec.alpha != params.alpha:
-        raise ValueError(f"spec.alpha={spec.alpha} differs from params.alpha={params.alpha}")
-    g = np.asarray(spec.grid, dtype=float)
-    n = len(g)
-    a2 = 2.0 * params.alpha
-    e = spec.eps
-    # every base has Re >= eps > 0: off the cut and never zero
-    v = _pow(e - 1j * g, a2).real
-    steps = np.diff(g)
-    if n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        half = _pow(2.0 * e - 1j * np.arange(n) * steps[0], a2).real
-        # read-only view whose entry (i, j) is half[|i - j|]
-        diff_term = sliding_window_view(np.concatenate([half[:0:-1], half]), n)[::-1]
-    else:
-        diff_term = _pow(2.0 * e - 1j * np.abs(np.subtract.outer(g, g)), a2).real
-    cov = np.add.outer(v, v)
-    np.subtract(diff_term, cov, out=cov)
-    cov *= 2.0 * params.kappa / (a2 * (a2 - 1.0))
-    return cov
+    n = len(spec.grid)
+    return _mirror_lower(_covariance_lower(spec, params, np.empty((n, n), order="F")))
 
 
-def cholesky_factor(spec, params):
+def cholesky_factor(spec, params, out=None):
     """Lower Cholesky factor of the Gamma(eps) covariance on the spec grid.
 
-    Grid covariances of Gamma(eps) are numerically rank-deficient, so
-    `covariance_matrix(spec, params)` gets the diagonal jitter 1e-12 trace/n
-    and is factored once, with no unjittered attempt, by scipy's LAPACK
-    dpotrf (the BLAS build of the Monte Carlo path product) in place on its
-    F-order transpose. The result is that memory, lower-triangular with a
-    strictly upper part LAPACK sets to zero, so the path synthesis applies
-    it as a triangular operator. Its trailing columns are rounding noise of
-    size sqrt(jitter), so samples drawn through it depend on the BLAS build
-    and thread count. numpy.linalg.LinAlgError, naming n, eps, alpha and
-    dpotrf's info, if the jittered matrix does not factor: near alpha = 1/2
-    the covariance's cancellation error, about 1e-16/|alpha - 1/2|, can
-    outgrow the jitter.
+    The covariance's lower triangle is built into out, an F-order float64
+    n x n array, or into a fresh zeroed one when out is None. Grid
+    covariances of Gamma(eps) are numerically rank-deficient, so it gets the
+    diagonal jitter 1e-12 trace/n and is factored once, with no unjittered
+    attempt, by scipy's LAPACK dpotrf (the BLAS build of the Monte Carlo
+    path product) in place. The result is that array: its lower triangle is
+    the factor, and its strict upper triangle is never touched (zero when
+    out is None), so a caller can keep another factor's transpose there.
+    The path synthesis applies it as a triangular operator. Its trailing
+    columns are rounding noise of size sqrt(jitter), so samples drawn
+    through it depend on the BLAS build and thread count.
+    numpy.linalg.LinAlgError, naming n, eps, alpha and dpotrf's info, if the
+    jittered matrix does not factor: near alpha = 1/2 the covariance's
+    cancellation error, about 1e-16/|alpha - 1/2|, can outgrow the jitter.
+    ValueError if out is not such an array.
     """
     from scipy.linalg.lapack import dpotrf  # on use: the sampling commands never load scipy
 
-    cov = covariance_matrix(spec, params)
-    n = cov.shape[0]
-    cov.flat[:: n + 1] += 1e-12 * np.trace(cov) / n
-    factor, info = dpotrf(cov.T, lower=1, clean=1, overwrite_a=1)
+    n = len(spec.grid)
+    if out is None:
+        out = np.zeros((n, n), order="F")
+    elif out.shape != (n, n) or out.dtype != np.float64 or not out.flags.f_contiguous:
+        raise ValueError(f"out must be an F-order float64 array of shape ({n}, {n})")
+    _covariance_lower(spec, params, out)
+    np.fill_diagonal(out, out.diagonal() + 1e-12 * np.trace(out) / n)
+    factor, info = dpotrf(out, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"the covariance on {n} points at eps={spec.eps}, alpha={params.alpha} "

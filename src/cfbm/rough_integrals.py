@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eps_approx import EpsApproxSpec, cholesky_factor
+from .eps_approx import EpsApproxSpec, _mirror_lower, cholesky_factor
 from .gamma_process import DomainError, ModelParams, _loglog_slope, _normal_block, _philox, _philox_key
 from .specfun import _graded_edges, _graded_quad, _pow, hyp2f1, principal_pow
 
@@ -318,6 +319,27 @@ def _finest_shift(t, grid_n):
     return 4.0 * t / grid_n
 
 
+def _shared_factors(alpha, grid, params, shifts):
+    # The Cholesky factors of the Gamma(e) covariances on grid, e in shifts,
+    # two to an F-order n x n array: the first of two is factored, copied
+    # transposed onto the strict upper triangle, and its lower one then holds
+    # the second (`cholesky_factor` never touches the strict upper one).  A
+    # diagonal is shared, so each factor keeps its own apart.  Returns
+    # {e: (array, diagonal, lower, lock)}: the factor is the array's lower
+    # triangle if lower, else the transpose of its upper one, once the
+    # diagonal is written into it; the lock is the array's.
+    factors = {}
+    shifts = list(shifts)
+    for pair in (shifts[k:k + 2] for k in range(0, len(shifts), 2)):
+        lock = threading.Lock()
+        a = cholesky_factor(EpsApproxSpec(alpha, pair[0], grid), params)
+        if len(pair) == 2:
+            factors[pair[0]] = (_mirror_lower(a), a.diagonal().copy(), 0, lock)
+            cholesky_factor(EpsApproxSpec(alpha, pair[1], grid), params, out=a)
+        factors[pair[-1]] = (a, a.diagonal().copy(), 1, lock)
+    return factors
+
+
 def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     # Second moments of `_iterated_trapezoid` of the components, one MCEstimate
     # per shift set: component c of set s is an exact Gamma(s[c]) path on the
@@ -329,9 +351,9 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     # product's rounding.  The components of a set that share a factor are
     # one triangular product, so an estimate's last bits depend on which
     # components share its factor.  Sets run two at a time, each pair
-    # drawing every path once and holding one n x n factor per distinct
-    # shift: at most two for levy-area, whose sets need one each;
-    # levy-volume passes a single set, up to three.
+    # drawing every path once and holding one n x n array per two distinct
+    # shifts (`_shared_factors`): one for levy-area, whose sets need one
+    # shift each; levy-volume passes a single set, up to three shifts.
     from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
 
     if not 0 < t < math.inf:
@@ -355,17 +377,17 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     values = np.empty((len(shift_sets), n_paths))
 
     for lo in range(0, len(shift_sets), 2):
-        # the pair's factors, one per distinct shift
         sets, out = shift_sets[lo:lo + 2], values[lo:lo + 2]
-        factors = {e: cholesky_factor(EpsApproxSpec(alpha, e, grid), params)
-                   for e in dict.fromkeys(e for s in sets for e in s)}
+        factors = _shared_factors(alpha, grid, params, dict.fromkeys(e for s in sets for e in s))
 
         def run_batch(p0):
             # Batch p0 of the pair.  Path p's normals are the (n, n_comp)
             # block of stream (seed, p) in w.  Each distinct shift of a set
             # is one BLAS dtrmm (half the flops of a dense product) of its
-            # F-order factor, in place on an (n, k m) copy of the normals of
-            # the k components using it; a component path is its m columns.
+            # factor, in place on an (n, k m) copy of the normals of the k
+            # components using it; a component path is its m columns.  The
+            # array's diagonal is the factor's from its write to the end of
+            # the product: the lock keeps another thread's factor out.
             m = min(p0 + _MC_BATCH, n_paths) - p0
             w = _normal_block(seed, p0, m, (n, n_comp))
             for v, s in zip(out, sets):
@@ -373,7 +395,10 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
                 for e in dict.fromkeys(s):
                     cs = [c for c, x in enumerate(s) if x == e]
                     b = w.transpose(2, 0, 1)[cs].reshape(-1, n).T  # F-order, component-major
-                    b = dtrmm(1.0, factors[e], b, lower=1, overwrite_b=1)
+                    a, diag, lower, lock = factors[e]
+                    with lock:
+                        np.fill_diagonal(a, diag)
+                        b = dtrmm(1.0, a, b, lower=lower, trans_a=1 - lower, overwrite_b=1)
                     for j, c in enumerate(cs):
                         paths[c] = b[:, j * m:(j + 1) * m]
                 v[p0:p0 + m] = _iterated_trapezoid(paths)
@@ -399,18 +424,18 @@ def mc_levy_area_moments(alpha, eps_list, t, n_paths, grid_n, seed, n_threads=1)
     For each eps, two independent components are drawn from the exact
     Gamma(eps) grid covariance; the two components' paths are one
     triangular product with the shift's factor.  Path p of every shift
-    reads the Philox stream (seed, p), drawn once per pair of shifts (at most two
-    n x n factors are held), so the estimates of different shifts have
-    correlated errors (common random numbers), and each equals
-    `mc_levy_area_moment` for its shift alone.  For a given
-    numpy/scipy/BLAS set-up the estimates are deterministic in (seed,
-    n_paths, grid_n) and do not change with n_threads; the batch size moves
-    them only as far as OpenBLAS rounds a path's last entries differently
-    in products of different widths (about 4e-16 relative).  They change
-    with the BLAS builds and the BLAS thread count, by about 1e-5 relative
-    (up to 6e-5 seen), because each covariance is factored once with a
-    diagonal jitter (see `cholesky_factor`) and the factor's
-    trailing columns carry rounding noise into every path.  The factor and
+    reads the Philox stream (seed, p), drawn once per pair of shifts, whose
+    two factors share one n x n array (one in each triangle, each keeping its
+    diagonal apart), so the estimates of different shifts have correlated
+    errors (common random numbers), and each equals `mc_levy_area_moment`
+    for its shift alone.  For a given numpy/scipy/BLAS set-up the estimates
+    are deterministic in (seed, n_paths, grid_n) and do not change with
+    n_threads; the batch size moves them only as far as OpenBLAS rounds a
+    path's last entries differently in products of different widths (about
+    4e-16 relative).  They change with the BLAS builds and the BLAS thread
+    count, by about 1e-5 relative (up to 6e-5 seen), because each covariance
+    is factored once with a diagonal jitter (see `cholesky_factor`) and the
+    factor's trailing columns carry rounding noise into every path.  The factor and
     the path product run on one BLAS build, scipy's.
     """
     return _mc_second_moment(
@@ -431,9 +456,10 @@ def mc_levy_volume_moment(alpha, eps1, eps2, eps3, t, n_paths, grid_n, seed, n_t
     """Sample second moment of the third iterated integral (Levy volume).
 
     Three independent components, component c an exact Gamma(eps_c) path.
-    One n x n factor is held per distinct shift (up to three), and the
-    components with equal shifts share it in one triangular product, so
-    the estimate's last bits depend on which components share a factor.
+    One factor is held per distinct shift, two to an n x n array (so up to
+    two arrays), and the components with equal shifts share it in one
+    triangular product, so the estimate's last bits depend on which
+    components share a factor.
     Deterministic, thread and batch invariant, with the BLAS caveat of
     `mc_levy_area_moments`; the third-order functional carries the factor's
     rounding noise further, up to about 3e-4 relative.

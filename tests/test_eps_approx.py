@@ -106,6 +106,16 @@ class TestEpsApproxSpec:
             EpsApproxSpec(0.4, eps, grid)
 
 
+def _lower_of(cov):
+    # a stand-in for the covariance build that writes cov's lower triangle,
+    # diagonal included, into out and leaves the strict upper one
+    def build(spec, params, out):
+        np.copyto(out, cov, where=np.tri(len(cov), dtype=bool))
+        return out
+
+    return build
+
+
 class TestCovarianceMatrix:
     def test_matches_scalar_and_is_psd(self):
         p = ModelParams(0.35)
@@ -147,9 +157,9 @@ class TestCovarianceMatrix:
 
     def test_jitter_then_hard_error(self, monkeypatch):
         # the jitter factors a rank-deficient Gram matrix; an indefinite one
-        # raises (both fed in as the covariance the factor builds)
+        # raises (both fed in as the covariance's lower triangle the factor builds)
         def factor_of(cov):
-            monkeypatch.setattr(ea, "covariance_matrix", lambda spec, params: cov.copy())
+            monkeypatch.setattr(ea, "_covariance_lower", _lower_of(cov))
             return cholesky_factor(EpsApproxSpec(0.4, 0.1, (0.0, 1.0)), ModelParams(0.4))
 
         g = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -196,6 +206,52 @@ class TestCovarianceMatrix:
                 cov = covariance_matrix(EpsApproxSpec(alpha, eps, tuple(grid)), p)
                 assert np.array_equal(cov, cov.T)
 
+    def test_peak_memory_nonuniform_grid(self):
+        # other grids evaluate D one block of columns at a time, not as n x n
+        # complex powers: at n = 1025 the traced peak (1.36 real n x n arrays;
+        # 6.0 with the complex temporaries) stays within 1.5
+        n = 1025
+        grid = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, n))
+        spec = EpsApproxSpec(0.4, 0.05, tuple(grid))
+        p = ModelParams(0.4)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            covariance_matrix(spec, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.5 * 8 * n * n
+
+    def test_lower_build_leaves_upper_triangle(self):
+        # the build writes the lower triangle, diagonal included, with the
+        # bits of covariance_matrix, and never the strict upper one
+        p = ModelParams(0.4)
+        for grid in (np.linspace(0.0, 1.0, 200), np.array([0.0, 0.07, 0.5, 0.52, 1.3])):
+            spec = EpsApproxSpec(0.4, 0.05, tuple(grid))
+            n = len(grid)
+            out = np.full((n, n), np.nan, order="F")
+            ea._covariance_lower(spec, p, out)
+            lower = np.tri(n, dtype=bool)
+            assert np.array_equal(out[lower], covariance_matrix(spec, p)[lower])
+            assert np.isnan(out[~lower]).all()
+
+    def test_factor_into_given_array(self):
+        # out= takes the factor, and its strict upper triangle is kept
+        p = ModelParams(0.4)
+        spec = EpsApproxSpec(0.4, 0.1, tuple(np.linspace(0.0, 1.0, 130)))
+        out = np.asfortranarray(np.triu(np.random.default_rng(1).normal(size=(130, 130)), 1))
+        upper = out.copy()
+        factor = cholesky_factor(spec, p, out=out)
+        assert np.shares_memory(factor, out)
+        assert np.array_equal(np.tril(factor), cholesky_factor(spec, p))
+        assert np.array_equal(np.triu(factor, 1), upper)
+        for bad in (np.zeros((130, 130)), np.zeros((129, 129), order="F"),
+                    np.zeros((130, 130), order="F", dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must"):
+                cholesky_factor(spec, p, out=bad)
+
     def test_peak_memory_uniform_grid(self):
         # the uniform build keeps no n x n temporaries beside its result: at
         # n = 1025 its traced allocation peak (1.02 real n x n arrays) stays
@@ -214,15 +270,17 @@ class TestCovarianceMatrix:
         assert peak - base <= 1.25 * 8 * n * n
 
     @staticmethod
-    def _factor_with_built(build, spec, p, monkeypatch):
-        # cholesky_factor(spec, p) with its covariance built by `build`; returns
-        # the factor, the array it built and dpotrf of a jittered copy of it
+    def _factor_with_built(write, spec, p, monkeypatch):
+        # cholesky_factor(spec, p) with its covariance's lower triangle written
+        # by `write`; returns the factor, the array written into and dpotrf of
+        # a jittered copy of that triangle
         from scipy.linalg.lapack import dpotrf
 
+        n = len(spec.grid)
+        cov = write(spec, p, np.zeros((n, n), order="F"))
         built = []
-        monkeypatch.setattr(ea, "covariance_matrix",
-                            lambda spec, params: built.append(build(spec, params)) or built[-1])
-        cov = build(spec, p)
+        monkeypatch.setattr(ea, "_covariance_lower",
+                            lambda spec, params, out: built.append(out) or write(spec, params, out))
         work = cov.copy()
         work.flat[:: len(cov) + 1] += 1e-12 * np.trace(cov) / len(cov)
         ref, info = dpotrf(work, lower=1, clean=1)
@@ -234,10 +292,11 @@ class TestCovarianceMatrix:
         # one code path: a positive-definite covariance gets the jitter too,
         # and the factor has the bits of dpotrf on a jittered copy
         p = ModelParams(0.4)
-        spec = EpsApproxSpec(0.4, 0.1, tuple(np.linspace(0.0, 1.0, 257)))
         mat = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]])
-        build = (lambda spec, params: mat.copy()) if pd else covariance_matrix
-        factor, built, ref = self._factor_with_built(build, spec, p, monkeypatch)
+        # the factor's array has the grid's size, so the matrix fed in has too
+        spec = EpsApproxSpec(0.4, 0.1, tuple(np.linspace(0.0, 1.0, 3 if pd else 257)))
+        write = _lower_of(mat) if pd else ea._covariance_lower
+        factor, built, ref = self._factor_with_built(write, spec, p, monkeypatch)
         assert np.shares_memory(factor, built)
         assert np.array_equal(factor, ref)
 
@@ -247,7 +306,7 @@ class TestCovarianceMatrix:
         # cholesky_factor builds, with the bits of dpotrf on a jittered copy
         p = ModelParams(0.4)
         spec = EpsApproxSpec(0.4, eps, tuple(np.linspace(0.0, 1.0, 257)))
-        factor, built, ref = self._factor_with_built(covariance_matrix, spec, p, monkeypatch)
+        factor, built, ref = self._factor_with_built(ea._covariance_lower, spec, p, monkeypatch)
         assert np.shares_memory(factor, built)
         assert np.array_equal(factor, ref)
 

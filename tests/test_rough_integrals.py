@@ -522,16 +522,20 @@ class TestMonteCarloArea:
 
     def test_four_shifts_hold_two_factors_and_draw_twice(self, monkeypatch):
         # at most one factor beyond the one a shift needs is alive, so four
-        # shifts run as two pairs, each drawing every path's normals once
+        # shifts run as two pairs, each drawing every path's normals once and
+        # holding both its factors in one n x n array
         import weakref
 
         cholesky, normal_block = rough_integrals.cholesky_factor, rough_integrals._normal_block
-        made, sizes, draws = [], [], [0]
+        made, sizes, arrays, draws = [], [], [], [0]
 
-        def counting_cholesky(spec, params):
+        def counting_cholesky(spec, params, out=None):
             if all(r() is None for r in made):  # a new pair: the last pair's factors are freed
                 sizes.append(0)
-            factor = cholesky(spec, params)
+                arrays.append(0)
+            factor = cholesky(spec, params, out=out)
+            if out is None:
+                arrays[-1] += 1
             made.append(weakref.ref(factor))
             sizes[-1] += 1
             return factor
@@ -543,7 +547,58 @@ class TestMonteCarloArea:
         monkeypatch.setattr(rough_integrals, "cholesky_factor", counting_cholesky)
         monkeypatch.setattr(rough_integrals, "_normal_block", counting_normal_block)
         mc_levy_area_moments(0.4, [0.2, 0.1, 0.05, 0.025], 1.0, 50, 256, seed=1)
-        assert (sizes, draws[0]) == ([2, 2], 2 * 50)
+        assert (sizes, arrays, draws[0]) == ([2, 2], [1, 1], 2 * 50)
+
+    def test_pair_holds_one_array(self):
+        # a pair of shifts keeps both factors in one n x n array: at n = 1025
+        # the traced peak of a pair run (1.90 real n x n arrays; 2.89 with a
+        # factor per shift) stays within 2.4
+        import tracemalloc
+
+        from scipy.linalg import blas, lapack  # noqa: F401  (loaded before the trace)
+
+        n = 1025
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 256, n - 1, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.4 * 8 * n * n
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_array_is_thread_safe(self, seed, monkeypatch):
+        # the two factors of a pair share one array's diagonal, so each
+        # product writes its factor's diagonal and runs under the array's
+        # lock.  Ten batches on four threads, with a short switch interval,
+        # give the products many chances to interleave, and a 2 ms sleep
+        # before each product (the engine imports dtrmm on use, so the patch
+        # holds) lets another thread write its diagonal in between.  Without
+        # the lock this test can catch the race only by chance (the sleep
+        # makes it likely); the lock is what prevents it
+        import sys
+        import time
+
+        from scipy.linalg import blas
+
+        dtrmm = blas.dtrmm
+
+        def slow_dtrmm(*args, **kwargs):
+            time.sleep(0.002)
+            return dtrmm(*args, **kwargs)
+
+        monkeypatch.setattr(blas, "dtrmm", slow_dtrmm)
+        monkeypatch.setattr(rough_integrals, "_MC_BATCH", 32)
+        one = mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 320, 512, seed=seed, n_threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            four = mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 320, 512, seed=seed, n_threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(e.mean, e.stderr) for e in one] == [(e.mean, e.stderr) for e in four]
 
     @pytest.mark.parametrize("batch", [64, 256])
     def test_batch_size_moves_estimates_only_by_rounding(self, batch, monkeypatch):

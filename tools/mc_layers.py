@@ -10,12 +10,13 @@ the benchmark's tracer cannot see: the normals (``_normal_block``), the triangul
 ``rest_s`` is the batch time left over (copies and bookkeeping); the factor
 is timed apart and not counted in it.  ``factor_s`` is the time in
 ``cholesky_factor`` per covariance, including ``covariance_s``, its build
-of the covariance (``covariance_matrix``).  ``product_s`` is the time inside
-``dtrmm``: where a checkout passes it normals that are not F-contiguous,
-that includes scipy's copy of them, which a checkout that gathers them
-first counts in ``rest_s``, so compare checkouts on their sum.  Times are
-medians over ``REPEATS`` runs of ``N_PATHS`` paths, scaled to 1000 paths.  It prints one JSON
-object.  ``--root`` names the checkout whose ``src`` and ``perfbench`` are
+of the covariance's lower triangle (``eps_approx._covariance_lower``, or
+``covariance_matrix`` in a checkout whose factor still calls that).
+``product_s`` is the time inside ``dtrmm``: where a checkout passes it
+normals that are not F-contiguous, that includes scipy's copy of them, which
+a checkout that gathers them first counts in ``rest_s``, so compare
+checkouts on their sum.  Times are medians over ``REPEATS`` runs of
+``N_PATHS`` paths, scaled to 1000 paths.  It prints one JSON object.  ``--root`` names the checkout whose ``src`` and ``perfbench`` are
 imported (default: the one holding this script), so one copy of the script
 times any checkout:
 
@@ -43,7 +44,7 @@ WRAPPED = {"normals_s": ("cfbm.rough_integrals", "_normal_block"),
            "product_s": ("scipy.linalg.blas", "dtrmm"),
            "trapezoid_s": ("cfbm.rough_integrals", "_iterated_trapezoid"),
            "factor_s": ("cfbm.rough_integrals", "cholesky_factor"),
-           "covariance_s": ("cfbm.eps_approx", "covariance_matrix")}
+           "covariance_s": ("cfbm.eps_approx", "_covariance_lower")}
 PER_COVARIANCE = ("factor_s", "covariance_s")  # timed once per run, not per path
 
 
@@ -80,6 +81,8 @@ def layer_times(root):
     import workloads
 
     targets = {name: (importlib.import_module(mod), attr) for name, (mod, attr) in WRAPPED.items()}
+    if not hasattr(targets["covariance_s"][0], "_covariance_lower"):  # an older checkout
+        targets["covariance_s"] = (targets["covariance_s"][0], "covariance_matrix")
     originals = {name: getattr(mod, attr) for name, (mod, attr) in targets.items()}
     out = {}
     try:
