@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -321,23 +321,27 @@ def _finest_shift(t, grid_n):
 
 def _shared_factors(alpha, grid, params, shifts):
     # The Cholesky factors of the Gamma(e) covariances on grid, e in shifts,
-    # two to an F-order n x n array: the first of two is factored, copied
-    # transposed onto the strict upper triangle, and its lower one then holds
-    # the second (`cholesky_factor` never touches the strict upper one).  A
-    # diagonal is shared, so each factor keeps its own apart.  Returns
-    # {e: (array, diagonal, lower, lock)}: the factor is the array's lower
-    # triangle if lower, else the transpose of its upper one, once the
-    # diagonal is written into it; the lock is the array's.
-    factors = {}
+    # two to an F-order n x (n + 1) array a (the idea of LAPACK's rectangular
+    # full packed format): the first of two is factored into the lower
+    # triangle of a[:, 1:] and copied transposed onto its upper one, where it
+    # stays, diagonal included; the second is then factored into the lower
+    # triangle of a[:, :n], whose strict upper triangle is that upper one
+    # (`cholesky_factor` never touches it).  The two triangles are disjoint,
+    # so the threads share the array read-only.  Returns {e: product}, where
+    # product(b) overwrites an F-order (n, k) b with the factor times b.
+    from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
+
+    products = {}
     shifts = list(shifts)
+    n = len(grid)
     for pair in (shifts[k:k + 2] for k in range(0, len(shifts), 2)):
-        lock = threading.Lock()
-        a = cholesky_factor(EpsApproxSpec(alpha, pair[0], grid), params)
+        a = np.zeros((n, n + 1), order="F")
         if len(pair) == 2:
-            factors[pair[0]] = (_mirror_lower(a), a.diagonal().copy(), 0, lock)
-            cholesky_factor(EpsApproxSpec(alpha, pair[1], grid), params, out=a)
-        factors[pair[-1]] = (a, a.diagonal().copy(), 1, lock)
-    return factors
+            first = cholesky_factor(EpsApproxSpec(alpha, pair[0], grid), params, out=a[:, 1:])
+            products[pair[0]] = partial(dtrmm, 1.0, _mirror_lower(first), lower=0, trans_a=1, overwrite_b=1)
+        last = cholesky_factor(EpsApproxSpec(alpha, pair[-1], grid), params, out=a[:, :n])
+        products[pair[-1]] = partial(dtrmm, 1.0, last, lower=1, overwrite_b=1)
+    return products
 
 
 def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
@@ -351,11 +355,9 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     # product's rounding.  The components of a set that share a factor are
     # one triangular product, so an estimate's last bits depend on which
     # components share its factor.  Sets run two at a time, each pair
-    # drawing every path once and holding one n x n array per two distinct
-    # shifts (`_shared_factors`): one for levy-area, whose sets need one
-    # shift each; levy-volume passes a single set, up to three shifts.
-    from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
-
+    # drawing every path once and holding one n x (n + 1) array per two
+    # distinct shifts (`_shared_factors`): one for levy-area, whose sets need
+    # one shift each; levy-volume passes a single set, up to three shifts.
     if not 0 < t < math.inf:
         raise DomainError(f"t must be finite and > 0, got {t}")
     if not (isinstance(grid_n, (int, np.integer)) and grid_n >= 2 and not grid_n & (grid_n - 1)):
@@ -378,16 +380,14 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
 
     for lo in range(0, len(shift_sets), 2):
         sets, out = shift_sets[lo:lo + 2], values[lo:lo + 2]
-        factors = _shared_factors(alpha, grid, params, dict.fromkeys(e for s in sets for e in s))
+        products = _shared_factors(alpha, grid, params, dict.fromkeys(e for s in sets for e in s))
 
         def run_batch(p0):
             # Batch p0 of the pair.  Path p's normals are the (n, n_comp)
             # block of stream (seed, p) in w.  Each distinct shift of a set
             # is one BLAS dtrmm (half the flops of a dense product) of its
             # factor, in place on an (n, k m) copy of the normals of the k
-            # components using it; a component path is its m columns.  The
-            # array's diagonal is the factor's from its write to the end of
-            # the product: the lock keeps another thread's factor out.
+            # components using it; a component path is its m columns.
             m = min(p0 + _MC_BATCH, n_paths) - p0
             w = _normal_block(seed, p0, m, (n, n_comp))
             for v, s in zip(out, sets):
@@ -395,10 +395,7 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
                 for e in dict.fromkeys(s):
                     cs = [c for c, x in enumerate(s) if x == e]
                     b = w.transpose(2, 0, 1)[cs].reshape(-1, n).T  # F-order, component-major
-                    a, diag, lower, lock = factors[e]
-                    with lock:
-                        np.fill_diagonal(a, diag)
-                        b = dtrmm(1.0, a, b, lower=lower, trans_a=1 - lower, overwrite_b=1)
+                    b = products[e](b)
                     for j, c in enumerate(cs):
                         paths[c] = b[:, j * m:(j + 1) * m]
                 v[p0:p0 + m] = _iterated_trapezoid(paths)
@@ -411,7 +408,7 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
         else:
             for p0 in starts:
                 run_batch(p0)
-        del factors  # freed before the next pair is built
+        del products  # the pair's array is freed before the next pair is built
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the caller's gate
         sq = values * values
         se = np.std(sq, axis=1, ddof=1) / math.sqrt(n_paths)
@@ -425,10 +422,10 @@ def mc_levy_area_moments(alpha, eps_list, t, n_paths, grid_n, seed, n_threads=1)
     Gamma(eps) grid covariance; the two components' paths are one
     triangular product with the shift's factor.  Path p of every shift
     reads the Philox stream (seed, p), drawn once per pair of shifts, whose
-    two factors share one n x n array (one in each triangle, each keeping its
-    diagonal apart), so the estimates of different shifts have correlated
-    errors (common random numbers), and each equals `mc_levy_area_moment`
-    for its shift alone.  For a given numpy/scipy/BLAS set-up the estimates
+    two factors share one n x (n + 1) array (one in each of two disjoint
+    triangles, read by every thread), so the estimates of different shifts
+    have correlated errors (common random numbers), and each equals
+    `mc_levy_area_moment` for its shift alone.  For a given numpy/scipy/BLAS set-up the estimates
     are deterministic in (seed, n_paths, grid_n) and do not change with
     n_threads; the batch size moves them only as far as OpenBLAS rounds a
     path's last entries differently in products of different widths (about
@@ -456,8 +453,8 @@ def mc_levy_volume_moment(alpha, eps1, eps2, eps3, t, n_paths, grid_n, seed, n_t
     """Sample second moment of the third iterated integral (Levy volume).
 
     Three independent components, component c an exact Gamma(eps_c) path.
-    One factor is held per distinct shift, two to an n x n array (so up to
-    two arrays), and the components with equal shifts share it in one
+    One factor is held per distinct shift, two to an n x (n + 1) array (so up
+    to two arrays), and the components with equal shifts share it in one
     triangular product, so the estimate's last bits depend on which
     components share a factor.
     Deterministic, thread and batch invariant, with the BLAS caveat of

@@ -523,7 +523,7 @@ class TestMonteCarloArea:
     def test_four_shifts_hold_two_factors_and_draw_twice(self, monkeypatch):
         # at most one factor beyond the one a shift needs is alive, so four
         # shifts run as two pairs, each drawing every path's normals once and
-        # holding both its factors in one n x n array
+        # holding both its factors in one array
         import weakref
 
         cholesky, normal_block = rough_integrals.cholesky_factor, rough_integrals._normal_block
@@ -534,8 +534,8 @@ class TestMonteCarloArea:
                 sizes.append(0)
                 arrays.append(0)
             factor = cholesky(spec, params, out=out)
-            if out is None:
-                arrays[-1] += 1
+            if not any(r() is not None and np.shares_memory(r(), factor) for r in made):
+                arrays[-1] += 1  # in no array of a live factor
             made.append(weakref.ref(factor))
             sizes[-1] += 1
             return factor
@@ -550,9 +550,9 @@ class TestMonteCarloArea:
         assert (sizes, arrays, draws[0]) == ([2, 2], [1, 1], 2 * 50)
 
     def test_pair_holds_one_array(self):
-        # a pair of shifts keeps both factors in one n x n array: at n = 1025
-        # the traced peak of a pair run (1.90 real n x n arrays; 2.89 with a
-        # factor per shift) stays within 2.4
+        # a pair of shifts keeps both factors in one n x (n + 1) array: at
+        # n = 1025 the traced peak of a pair run (1.90 real n x n arrays; 2.89
+        # with a factor per shift) stays within 2.4
         import tracemalloc
 
         from scipy.linalg import blas, lapack  # noqa: F401  (loaded before the trace)
@@ -570,14 +570,15 @@ class TestMonteCarloArea:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_shared_array_is_thread_safe(self, seed, monkeypatch):
-        # the two factors of a pair share one array's diagonal, so each
-        # product writes its factor's diagonal and runs under the array's
-        # lock.  Ten batches on four threads, with a short switch interval,
-        # give the products many chances to interleave, and a 2 ms sleep
-        # before each product (the engine imports dtrmm on use, so the patch
-        # holds) lets another thread write its diagonal in between.  Without
-        # the lock this test can catch the race only by chance (the sleep
-        # makes it likely); the lock is what prevents it
+        # the two factors of a pair share one array, which every thread
+        # reads at once: nothing may write it after the factors are built.
+        # Ten batches on four threads, with a short switch interval, give the
+        # products many chances to interleave, and a 2 ms sleep before each
+        # product (the engine imports dtrmm on use, so the patch holds) lets
+        # another thread's product start in between.  A write to the shared
+        # array during the products is caught only by chance, though the
+        # sleep makes it likely; the disjoint triangles of `_shared_factors`
+        # are what rule it out
         import sys
         import time
 
