@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .gamma_process import (
     DomainError,
@@ -74,17 +73,11 @@ def cov_eps(s, eps1, t, eps2, params):
     return 2.0 * cov_C(complex(s, eps1), complex(t, eps2), params).real
 
 
-# columns per block of the covariance build and of the mirror copy
-_COV_COLS = 64
-
-
 def _covariance_lower(spec, params, out):
     # Writes the grid covariance's lower triangle, diagonal included, into the
-    # n x n array out, one block of _COV_COLS columns at a time, and never
-    # touches its strict upper triangle.  Each entry is the outer sum
-    # v_i + v_j, then D - (v_i + v_j) and the one scale, all in place: in out
-    # itself below each diagonal block, in a small temporary on the diagonal
-    # block, whose lower triangle is then copied in.
+    # n x n array out, one column at a time, and never touches its strict
+    # upper triangle.  Each column j holds v_i + v_j for i >= j, then
+    # D - (v_i + v_j) and the one scale, all in place in out itself.
     if spec.alpha != params.alpha:
         raise ValueError(f"spec.alpha={spec.alpha} differs from params.alpha={params.alpha}")
     g = np.asarray(spec.grid, dtype=float)
@@ -95,43 +88,24 @@ def _covariance_lower(spec, params, out):
     # every base has Re >= eps > 0: off the cut and never zero
     v = _pow(e - 1j * g, a2).real
     steps = np.diff(g)
-    if n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+    uniform = n > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=0.0)
+    if uniform:
+        # D_ij = half[|i - j|]
         half = _pow(2.0 * e - 1j * np.arange(n) * steps[0], a2).real
-        # read-only view whose entry (i, j) is half[|i - j|]
-        strided = sliding_window_view(np.concatenate([half[:0:-1], half]), n)[::-1]
-
-        def diff_term(rows, cols):
-            return strided[rows, cols]
-    else:
-        def diff_term(rows, cols):
-            return _pow(2.0 * e - 1j * np.abs(np.subtract.outer(g[rows], g[cols])), a2).real
-
-    def fill(rows, cols, dst):
-        np.add.outer(v[rows], v[cols], out=dst)
-        np.subtract(diff_term(rows, cols), dst, out=dst)
-        dst *= scale
-        return dst
-
-    lower = np.tri(_COV_COLS, dtype=bool)
-    for j0 in range(0, n, _COV_COLS):
-        cols = slice(j0, min(j0 + _COV_COLS, n))
-        b = cols.stop - j0
-        np.copyto(out[cols, cols], fill(cols, cols, np.empty((b, b))), where=lower[:b, :b])
-        fill(slice(cols.stop, n), cols, out[cols.stop:, cols])
+    for j in range(n):
+        col = out[j:, j]
+        np.add(v[j:], v[j], out=col)
+        d = half[:n - j] if uniform else _pow(2.0 * e - 1j * np.abs(g[j:] - g[j]), a2).real
+        np.subtract(d, col, out=col)
+        col *= scale
     return out
 
 
 def _mirror_lower(a):
     # copies the strict lower triangle of the square array a onto its strict
-    # upper one, transposed, in blocks of _COV_COLS columns and in place
-    n = len(a)
-    upper = ~np.tri(_COV_COLS, dtype=bool)
-    for j0 in range(0, n, _COV_COLS):
-        cols = slice(j0, min(j0 + _COV_COLS, n))
-        b = cols.stop - j0
-        block = a[cols, cols]
-        np.copyto(block, block.T.copy(), where=upper[:b, :b])
-        a[cols, cols.stop:] = a[cols.stop:, cols].T
+    # upper one, transposed, one column at a time and in place
+    for j in range(1, len(a)):
+        a[:j, j] = a[j, :j]
     return a
 
 
@@ -143,13 +117,13 @@ def covariance_matrix(spec, params):
 
         C_ij = 2 kappa (Re(2 eps - i|g_i - g_j|)^2a - (v_i + v_j)) / (2a(2a-1)),
 
-    with v = Re(eps - i g)^2a. The lower triangle is built in blocks of
-    columns, in the result itself: the outer sum v_i + v_j, then
-    D - (v_i + v_j) and the one scale in place; the strict upper triangle is
-    then its transposed copy, so the result is exactly symmetric. On uniform
-    grids D_ij = half[|i - j|] for the n powers half, read through a strided
-    view; other grids evaluate D one block of columns at a time. Either way
-    the peak is about one real n x n array, the result, which is F-order.
+    with v = Re(eps - i g)^2a. The lower triangle is built one column at a
+    time, in the result itself: the sum v_i + v_j, then D - (v_i + v_j) and
+    the one scale in place; the strict upper triangle is then its transposed
+    copy, so the result is exactly symmetric. On uniform grids
+    D_ij = half[|i - j|] for the n powers half; other grids evaluate D one
+    column at a time. Either way the peak is about one real n x n array, the
+    result, which is F-order.
     ValueError if spec.alpha and params.alpha differ.
     """
     n = len(spec.grid)
