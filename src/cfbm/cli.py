@@ -448,7 +448,8 @@ def build_parser():
                         "points); grid points for converge-series and converge-eps")
     parser.add_argument("--t-max", type=float, help="time horizon")
     parser.add_argument("--eps", dest="eps_list", metavar="EPS", action="append", type=float,
-                        help="imaginary shift; repeat for a decreasing schedule")
+                        help="imaginary shift; repeat for a decreasing schedule "
+                        "(levy-volume uses only the first)")
     parser.add_argument("--n-mc", type=int, help="Monte Carlo replicates/paths")
     parser.add_argument("--out", type=str, help="output CSV path")
     parser.add_argument("--threads", type=int, help="max worker threads (output-invariant)")

@@ -278,18 +278,32 @@ def _equal_length(grid, *paths):
     return paths
 
 
+_TRAPEZOID_COLS = 16  # columns per block of `_iterated_trapezoid`
+
+
 def _iterated_trapezoid(comps):
     # The nested trapezoid discretization of int dX1 int dX2 ... int dXk over
     # (n, m) batches, X1 = comps[0] outermost: the innermost component less
     # its start value, a running trapezoid sum from 0 at each inner level and
-    # one sum at the outermost.  A sum past the double range is left inf or
-    # NaN, without numpy's warnings, for its caller's gate to report.
+    # one sum at the outermost, on blocks of _TRAPEZOID_COLS columns, so its
+    # temporaries are about n x _TRAPEZOID_COLS.  The columns are independent,
+    # so each has the bits of the whole-batch expressions; the last block has
+    # two or more columns unless m = 1, as numpy sums a one-column block
+    # pairwise and a wider C-order one row by row.  A sum past the double
+    # range is left inf or NaN, without numpy's warnings, for its caller's
+    # gate to report.
+    m = comps[0].shape[1]
+    out = np.empty(m)
+    bounds = [*range(0, max(m - 1, 1), _TRAPEZOID_COLS), m]
     with np.errstate(over="ignore", invalid="ignore"):
-        y = comps[-1] - comps[-1][0]
-        for x in comps[-2:0:-1]:
-            steps = 0.5 * (y[:-1] + y[1:]) * np.diff(x, axis=0)
-            y = np.vstack([np.zeros(steps.shape[1]), np.cumsum(steps, axis=0)])
-        return np.sum(0.5 * (y[:-1] + y[1:]) * np.diff(comps[0], axis=0), axis=0)
+        for lo, hi in zip(bounds, bounds[1:]):
+            x0, *inner, y = (x[:, lo:hi] for x in comps)
+            y = y - y[0]
+            for x in inner[::-1]:
+                steps = 0.5 * (y[:-1] + y[1:]) * np.diff(x, axis=0)
+                y = np.vstack([np.zeros(steps.shape[1]), np.cumsum(steps, axis=0)])
+            out[lo:hi] = np.sum(0.5 * (y[:-1] + y[1:]) * np.diff(x0, axis=0), axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +400,23 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
             # Batch p0 of the pair.  Path p's normals are the (n, n_comp)
             # block of stream (seed, p) in w.  Each distinct shift of a set
             # is one BLAS dtrmm (half the flops of a dense product) of its
-            # factor, in place on an (n, k m) copy of the normals of the k
-            # components using it; a component path is its m columns.
+            # factor, in place on the normals of the k components using it,
+            # copied into k consecutive m-column slices of the batch's one
+            # F-order path buffer b, which every set reuses; a component
+            # path is its m columns.
             m = min(p0 + _MC_BATCH, n_paths) - p0
             w = _normal_block(seed, p0, m, (n, n_comp))
+            b = np.empty((n, n_comp * m), order="F")
             for v, s in zip(out, sets):
-                paths = [None] * len(s)
+                paths, j = [None] * len(s), 0
                 for e in dict.fromkeys(s):
                     cs = [c for c, x in enumerate(s) if x == e]
-                    b = w.transpose(2, 0, 1)[cs].reshape(-1, n).T  # F-order, component-major
-                    b = products[e](b)
-                    for j, c in enumerate(cs):
-                        paths[c] = b[:, j * m:(j + 1) * m]
+                    for i, c in enumerate(cs, j):
+                        b[:, i * m:(i + 1) * m] = w[:, :, c].T
+                    prod = products[e](b[:, j * m:(j + len(cs)) * m])
+                    for i, c in enumerate(cs):
+                        paths[c] = prod[:, i * m:(i + 1) * m]
+                    j += len(cs)
                 v[p0:p0 + m] = _iterated_trapezoid(paths)
 
         if n_threads > 1:

@@ -665,6 +665,18 @@ class TestSpecfunAndVolumeCommands:
         assert main(argv + ["--n-mc", "150", "--out", str(again)]) == 0
         assert again.read_bytes() == out.read_bytes()
 
+    def test_levy_volume_reads_only_the_first_eps(self, tmp_path):
+        # every levy-volume check runs at the first shift of the schedule,
+        # so a longer schedule writes the same bytes
+        outs = [tmp_path / "one.csv", tmp_path / "two.csv"]
+        base = ["levy-volume", "--grid-n", "64", "--n-mc", "8"]
+        codes = [
+            main([*base, *schedule, "--out", str(out)])
+            for schedule, out in zip([["--eps", "0.1"], ["--eps", "0.1", "--eps", "0.05"]], outs)
+        ]
+        assert codes == [0, 0]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     @pytest.mark.parametrize("flags", [["--eps", "1e300"], ["--t-max", "1e-200"]])
     def test_levy_volume_underflowed_sub_term_fails_its_gate(self, flags, capsys, tmp_path):
         # the sign-resolved assembly underflows to 0, and w1 with it: the

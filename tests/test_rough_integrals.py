@@ -400,13 +400,19 @@ class TestAreaPath:
 
 class TestIteratedTrapezoid:
     # the one nested-trapezoid functional equals the written-out area and
-    # volume bit for bit, on batches of odd and even path length
+    # volume bit for bit, on batches of odd and even path length, at widths
+    # on both sides of its 16-column blocks, both on C-order batches and on
+    # the F-order column slices of one buffer that the engine passes
     @pytest.mark.parametrize("n", [2, 3, 64, 257])
+    @pytest.mark.parametrize("m", [1, 5, 16, 17, 33, 130])
     @pytest.mark.parametrize("order, oracle", [(2, areas_batch), (3, volumes_batch)])
-    def test_matches_written_out_forms(self, n, order, oracle):
-        rng = np.random.default_rng(n + order)
-        comps = list(np.cumsum(rng.standard_normal((order, n, 5)), axis=1))
-        assert _iterated_trapezoid(comps).tobytes() == oracle(comps).tobytes()
+    def test_matches_written_out_forms(self, n, m, order, oracle):
+        rng = np.random.default_rng(n + order + m)
+        comps = list(np.cumsum(rng.standard_normal((order, n, m)), axis=1))
+        buf = np.asfortranarray(np.hstack([comps[0], *comps]))  # a leading slice unused
+        slices = [buf[:, (i + 1) * m:(i + 2) * m] for i in range(order)]
+        for batch in (comps, slices):
+            assert _iterated_trapezoid(batch).tobytes() == oracle(batch).tobytes()
 
     def test_path_functions_share_the_length_check(self):
         grid, short = np.arange(5.0), np.arange(4.0)
@@ -549,24 +555,43 @@ class TestMonteCarloArea:
         mc_levy_area_moments(0.4, [0.2, 0.1, 0.05, 0.025], 1.0, 50, 256, seed=1)
         assert (sizes, arrays, draws[0]) == ([2, 2], [1, 1], 2 * 50)
 
-    def test_pair_holds_one_array(self):
-        # a pair of shifts keeps both factors in one n x (n + 1) array: at
-        # n = 1025 the traced peak of a pair run (1.90 real n x n arrays; 2.89
-        # with a factor per shift) stays within 2.4
+    @staticmethod
+    def _traced_peak(run):
+        # the tracemalloc peak of run() above what was allocated before it
         import tracemalloc
 
         from scipy.linalg import blas, lapack  # noqa: F401  (loaded before the trace)
 
-        n = 1025
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base, _ = tracemalloc.get_traced_memory()
-            mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 256, n - 1, seed=0)
+            run()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - base <= 2.4 * 8 * n * n
+        return peak - base
+
+    def test_pair_holds_one_array(self):
+        # a pair of shifts keeps both factors in one n x (n + 1) array, and a
+        # batch its paths in one buffer: at n = 1025 the traced peak of a
+        # pair run (1.57 real n x n arrays; 1.90 with a copy of the normals
+        # per shift, 2.89 with a factor per shift) stays within 1.7
+        n = 1025
+        peak = self._traced_peak(
+            lambda: mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 256, n - 1, seed=0)
+        )
+        assert peak <= 1.7 * 8 * n * n
+
+    def test_volume_batch_holds_one_path_buffer(self):
+        # three distinct shifts hold two factor arrays, and each batch one
+        # (n, 3 m) path buffer: at n = 1025 the traced peak (2.83 real n x n
+        # arrays; 3.27 with a copy of the normals per shift) stays within 3.0
+        n = 1025
+        peak = self._traced_peak(
+            lambda: mc_levy_volume_moment(0.4, 0.1, 0.05, 0.025, 1.0, 256, n - 1, seed=0)
+        )
+        assert peak <= 3.0 * 8 * n * n
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_shared_array_is_thread_safe(self, seed, monkeypatch):

@@ -16,7 +16,10 @@ of the covariance's lower triangle (``eps_approx._covariance_lower``, or
 normals that are not F-contiguous, that includes scipy's copy of them, which
 a checkout that gathers them first counts in ``rest_s``, so compare
 checkouts on their sum.  Times are medians over ``REPEATS`` runs of
-``N_PATHS`` paths, scaled to 1000 paths.  It prints one JSON object.  ``--root`` names the checkout whose ``src`` and ``perfbench`` are
+``N_PATHS`` paths, scaled to 1000 paths.  ``peak_n2`` is the ``tracemalloc``
+peak of one more run, untimed and after the timed ones, above what was
+allocated before it, in real n x n arrays (8 n^2 bytes, n = grid_n + 1
+points).  It prints one JSON object.  ``--root`` names the checkout whose ``src`` and ``perfbench`` are
 imported (default: the one holding this script), so one copy of the script
 times any checkout:
 
@@ -33,6 +36,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 N_PATHS = 1024  # paths per run: eight batches of the engine's 128
@@ -58,6 +62,18 @@ def _timed(name, fn, totals):
             totals[name] += time.perf_counter() - t0
 
     return wrapper
+
+
+def _traced_peak(run):
+    # the tracemalloc peak of run() above what was allocated before it, in bytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def _shift_sets(workloads):
@@ -98,10 +114,15 @@ def layer_times(root):
                 # covariance_s is part of factor_s
                 totals["rest_s"] = wall - sum(totals[k] for k in (*LAYERS, "factor_s"))
                 runs.append(totals)
+            for name, (mod, attr) in targets.items():
+                setattr(mod, attr, originals[name])
+            peak = _traced_peak(lambda: ri._mc_second_moment(
+                alpha, [(eps,) * order], 1.0, grid_n, N_PATHS, 0, 1))
             per_1k = 1000.0 / N_PATHS
             row = {k: statistics.median(r[k] for r in runs) * per_1k
                    for k in (*LAYERS, "rest_s")}
             row.update({k: statistics.median(r[k] for r in runs) for k in PER_COVARIANCE})
+            row["peak_n2"] = peak / (8.0 * (grid_n + 1) ** 2)
             row["order"] = order
             out[f"a{alpha}-e{eps}-n{grid_n}"] = row
     finally:
