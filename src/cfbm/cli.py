@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eps_approx import cov_eps, sup_error_experiment
+from .eps_approx import _finest_shift, cov_eps, sup_error_experiment
 from .gamma_process import (
     DomainError,
     ModelParams,
@@ -229,8 +229,6 @@ _DIVERGENCE_EPS = (3e-4, 1e-4, 3e-5, 1e-5)
 
 
 def _unresolved(cfg, e):
-    from .rough_integrals import _finest_shift  # on use, as in the levy-* commands
-
     if e < _finest_shift(cfg.t_max, cfg.grid_n):
         return f"eps={e}: grid_n={cfg.grid_n} too coarse to resolve"
     return None

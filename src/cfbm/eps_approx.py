@@ -1,5 +1,6 @@
-"""The eps-regularized process: exact covariances, a Cholesky sampler, and
-the uniform-approximation experiments.
+"""The eps-regularized process: exact covariances, their Cholesky factors,
+the exact sampler and the Monte Carlo's path product, and the
+uniform-approximation experiments.
 
 Gamma(eps)_t is the boundary process evaluated after shifting time by
 i*eps into the upper half-plane.  Its covariance with any other shifted value
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from .gamma_process import (
     DomainError,
     PathSample,
     _coupled_sup_experiment,
-    _philox,
+    _normal_block,
     cov_C,
     fk_table,
 )
@@ -167,15 +169,43 @@ def cholesky_factor(spec, params, out=None):
     return factor
 
 
+def _finest_shift(t, grid_n):
+    # the smallest shift the Monte Carlo resolves on the uniform grid_n-grid
+    # of [0, t]
+    return 4.0 * t / grid_n
+
+
+def _shared_factors(specs, params):
+    # The Cholesky factors of the Gamma(eps) covariances of the list specs,
+    # which share one grid, two to an F-order n x (n + 1) array a (the idea
+    # of LAPACK's rectangular full packed format): the first of two is
+    # factored into the lower triangle of a[:, 1:] and copied transposed onto
+    # its upper one, where it stays, diagonal included; the second is then
+    # factored into the lower triangle of a[:, :n], whose strict upper
+    # triangle is that upper one (`cholesky_factor` never touches it).  The
+    # two triangles are disjoint, so threads can share the array read-only.
+    # Returns {spec.eps: product}, where product(b) overwrites an F-order
+    # (n, k) b with the factor times b, by scipy's BLAS dtrmm.
+    from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
+
+    products = {}
+    n = len(specs[0].grid)
+    for pair in (specs[k:k + 2] for k in range(0, len(specs), 2)):
+        a = np.zeros((n, n + 1), order="F")
+        if len(pair) == 2:
+            first = cholesky_factor(pair[0], params, out=a[:, 1:])
+            products[pair[0].eps] = partial(dtrmm, 1.0, _mirror_lower(first), lower=0, trans_a=1, overwrite_b=1)
+        last = cholesky_factor(pair[-1], params, out=a[:, :n])
+        products[pair[-1].eps] = partial(dtrmm, 1.0, last, lower=1, overwrite_b=1)
+    return products
+
+
 def sample_gamma_eps_exact(seed, spec, params, stream=0):
     """Exact Gaussian sample of Gamma(eps) on the grid (Cholesky transport)."""
-    from scipy.linalg.blas import dtrmm  # the Monte Carlo's path product, on scipy's BLAS
-
-    z = _philox(seed, stream).standard_normal((len(spec.grid), 1))
-    factor = cholesky_factor(spec, params)
+    z = _normal_block(seed, stream, 1, (len(spec.grid), 1))[0]
     return PathSample(
         grid=np.asarray(spec.grid, dtype=float),
-        values=dtrmm(1.0, factor, z, lower=1)[:, 0],
+        values=_shared_factors([spec], params)[spec.eps](z)[:, 0],
         n_terms=0,
         provenance="cholesky",
     )

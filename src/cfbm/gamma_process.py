@@ -464,10 +464,10 @@ def sample_fbm_series(draw, grid, params):
 # ---------------------------------------------------------------------------
 
 def _loglog_slope(xs, ys):
-    # least-squares slope of log ys against log xs; nan below two points, or
-    # where a value is not finite and > 0 (its log is not finite)
+    # least-squares slope of log ys against log xs; nan below two distinct xs,
+    # or where a value is not finite and > 0 (its log is not finite)
     both = np.array([xs, ys], dtype=float)
-    if both.shape[1] < 2 or not np.all((both > 0) & (both < np.inf)):
+    if both.shape[1] < 2 or not np.all((both > 0) & (both < np.inf)) or np.ptp(both[0]) == 0:
         return float("nan")
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
@@ -493,6 +493,8 @@ def _coupled_sup_experiment(labels, table, variants, n_mc, seed):
     # cuts are summed cut by cut, reading each row of the (n_ref, n_blocks,
     # n_points) table once.  The table is the caller's to give up: it is
     # overwritten by its real rows.  Returns ([(label, e_sup)], log-log slope).
+    if not (isinstance(n_mc, (int, np.integer)) and n_mc >= 1):
+        raise ValueError(f"n_mc must be an integer >= 1, got {n_mc!r}")
     n_ref, *path_shape = table.shape
     rows = _stack_real_rows(table.reshape(n_ref, -1))
     cuts = sorted({n for n, _ in variants} | {n_ref})

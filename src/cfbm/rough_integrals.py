@@ -21,11 +21,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .eps_approx import EpsApproxSpec, _mirror_lower, cholesky_factor
+from .eps_approx import EpsApproxSpec, _finest_shift, _shared_factors
 from .gamma_process import DomainError, ModelParams, _loglog_slope, _normal_block, _philox, _philox_key
 from .specfun import _graded_edges, _graded_quad, _pow, hyp2f1, principal_pow
 
@@ -271,8 +270,11 @@ def volume_path(grid, path1, path2, path3):
 
 
 def _equal_length(grid, *paths):
-    # the paths as float arrays, checked to be as long as the grid
+    # the paths as float arrays, checked to be non-empty, 1-d and as long as
+    # the grid
     grid, *paths = (np.asarray(x, dtype=float) for x in (grid, *paths))
+    if any(x.ndim != 1 for x in (grid, *paths)) or len(grid) == 0:
+        raise ValueError("grid and every path must be non-empty 1-d sequences")
     if any(len(x) != len(grid) for x in paths):
         raise ValueError("grid and every path must have equal length")
     return paths
@@ -327,37 +329,6 @@ class MCEstimate:
 _MC_BATCH = 128  # paths per batch
 
 
-def _finest_shift(t, grid_n):
-    # the smallest shift the Monte Carlo resolves on the uniform grid_n-grid
-    # of [0, t]
-    return 4.0 * t / grid_n
-
-
-def _shared_factors(alpha, grid, params, shifts):
-    # The Cholesky factors of the Gamma(e) covariances on grid, e in shifts,
-    # two to an F-order n x (n + 1) array a (the idea of LAPACK's rectangular
-    # full packed format): the first of two is factored into the lower
-    # triangle of a[:, 1:] and copied transposed onto its upper one, where it
-    # stays, diagonal included; the second is then factored into the lower
-    # triangle of a[:, :n], whose strict upper triangle is that upper one
-    # (`cholesky_factor` never touches it).  The two triangles are disjoint,
-    # so the threads share the array read-only.  Returns {e: product}, where
-    # product(b) overwrites an F-order (n, k) b with the factor times b.
-    from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
-
-    products = {}
-    shifts = list(shifts)
-    n = len(grid)
-    for pair in (shifts[k:k + 2] for k in range(0, len(shifts), 2)):
-        a = np.zeros((n, n + 1), order="F")
-        if len(pair) == 2:
-            first = cholesky_factor(EpsApproxSpec(alpha, pair[0], grid), params, out=a[:, 1:])
-            products[pair[0]] = partial(dtrmm, 1.0, _mirror_lower(first), lower=0, trans_a=1, overwrite_b=1)
-        last = cholesky_factor(EpsApproxSpec(alpha, pair[-1], grid), params, out=a[:, :n])
-        products[pair[-1]] = partial(dtrmm, 1.0, last, lower=1, overwrite_b=1)
-    return products
-
-
 def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     # Second moments of `_iterated_trapezoid` of the components, one MCEstimate
     # per shift set: component c of set s is an exact Gamma(s[c]) path on the
@@ -378,6 +349,8 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
         raise ValueError(f"grid_n must be a power of two, got {grid_n!r}")
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 2):
         raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
+    if not (isinstance(n_threads, (int, np.integer)) and n_threads >= 1):
+        raise ValueError(f"n_threads must be an integer >= 1, got {n_threads!r}")
     _philox_key(seed, 0)  # a bad seed raises here, before any covariance is built
     finest = _finest_shift(t, grid_n)
     for e in (e for s in shift_sets for e in s):
@@ -394,7 +367,8 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
 
     for lo in range(0, len(shift_sets), 2):
         sets, out = shift_sets[lo:lo + 2], values[lo:lo + 2]
-        products = _shared_factors(alpha, grid, params, dict.fromkeys(e for s in sets for e in s))
+        shifts = dict.fromkeys(e for s in sets for e in s)
+        products = _shared_factors([EpsApproxSpec(alpha, e, grid) for e in shifts], params)
 
         def run_batch(p0):
             # Batch p0 of the pair.  Path p's normals are the (n, n_comp)
@@ -444,19 +418,21 @@ def mc_levy_area_moments(alpha, eps_list, t, n_paths, grid_n, seed, n_threads=1)
     two factors share one n x (n + 1) array (one in each of two disjoint
     triangles, read by every thread), so the estimates of different shifts
     have correlated errors (common random numbers), and each equals
-    `mc_levy_area_moment` for its shift alone.  For a given numpy/scipy/BLAS set-up the estimates
-    are deterministic in (seed, n_paths, grid_n) and do not change with
-    n_threads; the batch size moves them only as far as OpenBLAS rounds a
-    path's last entries differently in products of different widths (about
-    4e-16 relative).  They change with the BLAS builds and the BLAS thread
-    count, by about 1e-5 relative (up to 6e-5 seen), because each covariance
-    is factored once with a diagonal jitter (see `cholesky_factor`) and the
-    factor's trailing columns carry rounding noise into every path.  The factor and
-    the path product run on one BLAS build, scipy's.
+    `mc_levy_area_moment` for its shift alone.  For a given set of numpy and
+    BLAS builds the estimates are deterministic in (seed, n_paths, grid_n)
+    and do not change with n_threads; the batch size moves them only as far
+    as OpenBLAS rounds a path's last entries differently in products of
+    different widths (about 4e-16 relative).  They change with the BLAS
+    builds and the BLAS thread count, by about 1e-5 relative (up to 6e-5
+    seen), because each covariance is factored once with a diagonal jitter
+    (see `eps_approx.cholesky_factor`) and the factor's trailing columns
+    carry rounding noise into every path.  The factor and the path product
+    run on one BLAS build, the one `eps_approx` factors with.
     """
-    return _mc_second_moment(
-        alpha, [(e, e) for e in eps_list], t, grid_n, n_paths, seed, n_threads
-    )
+    sets = [(e, e) for e in eps_list]
+    if not sets:
+        raise ValueError("eps_list must hold at least one shift")
+    return _mc_second_moment(alpha, sets, t, grid_n, n_paths, seed, n_threads)
 
 
 def mc_levy_area_moment(alpha, eps, t, n_paths, grid_n, seed, n_threads=1):

@@ -105,6 +105,14 @@ class TestEpsApproxSpec:
         with pytest.raises(ValueError, match="finite"):
             EpsApproxSpec(0.4, eps, grid)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            EpsApproxSpec(0.4, 0.1, ())
+
+    def test_duplicate_points_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            EpsApproxSpec(0.4, 0.1, (0.0, 0.5, 0.5))
+
 
 def _lower_of(cov):
     # a stand-in for the covariance build that writes cov's lower triangle,
@@ -371,9 +379,9 @@ class TestExactSampler:
         calls = []
         factor = ea.cholesky_factor
 
-        def counting_factor(spec, params):
+        def counting_factor(spec, params, out=None):
             calls.append(spec)
-            return factor(spec, params)
+            return factor(spec, params, out=out)
 
         monkeypatch.setattr(ea, "cholesky_factor", counting_factor)
         spec = EpsApproxSpec(0.35, 0.1, tuple(np.linspace(0.1, 1, 6)))
@@ -468,6 +476,13 @@ class TestSupErrorExperiment:
         rows2, slope2 = sup_error_experiment(p, [0.1], 1, 128, 7, grid)
         assert rows1 == rows2
         assert np.isnan(slope1) and np.isnan(slope2)  # single eps: no fit
+
+    @pytest.mark.parametrize("n_mc", [0, -1, 2.0])
+    def test_replicate_count_checked(self, n_mc):
+        # 0 replicates returned NaN with numpy's empty-mean warnings, and -1
+        # raised numpy's negative-dimensions error
+        with pytest.raises(ValueError, match=f"n_mc must be an integer >= 1, got {n_mc}"):
+            sup_error_experiment(ModelParams(0.35), [0.1], n_mc, 32, 0, np.linspace(0, 1, 8))
 
     def test_grid_refinement_non_decreasing(self):
         p = ModelParams(0.35)

@@ -13,6 +13,7 @@ from cfbm.gamma_process import (
     DomainError,
     ModelParams,
     F_k,
+    PathSample,
     cayley,
     cov_C,
     cov_fbm,
@@ -142,6 +143,10 @@ class TestKernelIdentity:
             with pytest.raises(DomainError, match="finite"):
                 kernel_partial_sum(0.2 + 0.1j, z, 10, p)
 
+    def test_partial_sum_needs_a_term(self):
+        with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+            kernel_partial_sum(0.2 + 0.1j, 0.4 + 0.1j, 0, ModelParams(0.3))
+
     def test_convergence_rate_matches_cayley_ratio(self):
         # error shrinks by |cayley(z) cayley(w)| per extra term, times the
         # slowly varying (N2/N1)^(1-2a) Pochhammer factor
@@ -194,6 +199,10 @@ class TestIntegratedBasis:
             F_k(3, 0.2 - 1.5j, ModelParams(0.3))
         with pytest.raises(BranchCutError, match=r"z=\(0.5-2j\)"):
             fk_table(4, [0.5, 0.5 - 2j, -3j], ModelParams(0.3))
+
+    def test_empty_points_rejected(self):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            fk_table(4, [], ModelParams(0.3))
 
     def test_single_value_is_the_table_row(self):
         p = ModelParams(0.35)
@@ -511,6 +520,15 @@ class TestSamplers:
         assert np.array_equal(path1.values, path2.values)
         assert path1.provenance == "series"
 
+    def test_unsorted_grid_rejected(self):
+        p = ModelParams(0.4)
+        with pytest.raises(ValueError, match="sorted"):
+            sample_fbm_series(gaussian_draw(11, 16, p), [0.0, 0.5, 0.25], p)
+
+    def test_path_sample_lengths_checked(self):
+        with pytest.raises(ValueError, match="equal length"):
+            PathSample(grid=np.arange(3.0), values=np.arange(2.0), n_terms=0, provenance="series")
+
     def test_zero_vertex_exact_even_after_detour(self):
         p = ModelParams(0.4)
         d = gaussian_draw(11, 64, p)
@@ -625,6 +643,14 @@ class TestTruncationExperiment:
         with pytest.raises(ValueError):
             series_truncation_experiment(p, [128], 128, 2, np.linspace(0, 1, 8), seed=0)
 
+    @pytest.mark.parametrize("n_mc", [0, -1, 2.0])
+    def test_replicate_count_checked(self, n_mc):
+        # 0 replicates returned NaN with numpy's empty-mean warnings, and -1
+        # raised numpy's negative-dimensions error
+        p = ModelParams(0.35)
+        with pytest.raises(ValueError, match=f"n_mc must be an integer >= 1, got {n_mc}"):
+            series_truncation_experiment(p, [8], 32, n_mc, np.linspace(0, 1, 8), seed=0)
+
     def test_rejects_empty_level(self):
         # N = 0 used to reach the slope fit and fail there on log(0)
         p = ModelParams(0.35)
@@ -639,6 +665,7 @@ class TestTruncationExperiment:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert math.isnan(_loglog_slope([1.0, 2.0], ys))
+            assert math.isnan(_loglog_slope([2.0, 2.0], [0.5, 2.0]))  # no two distinct xs
         assert _loglog_slope([1.0, 2.0], [0.5, 2.0]) == pytest.approx(2.0, rel=1e-14)
 
     def test_real_products_match_complex_products(self):

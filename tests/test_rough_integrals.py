@@ -28,6 +28,7 @@ from cfbm.rough_integrals import (
     volume_path,
 )
 
+import cfbm.eps_approx as eps_approx
 import cfbm.rough_integrals as rough_integrals
 from cfbm.gamma_process import _philox
 from cfbm.rough_integrals import _iterated_trapezoid
@@ -422,6 +423,16 @@ class TestIteratedTrapezoid:
         ):
             with pytest.raises(ValueError, match="equal length"):
                 call()
+        # an empty grid ended in an IndexError, 2-d paths in numpy's
+        # concatenate message
+        square = np.ones((5, 5))
+        for call in (
+            lambda: area_path([], [], []),
+            lambda: volume_path(grid, square, square, square),
+            lambda: area_path(square, grid, grid),
+        ):
+            with pytest.raises(ValueError, match="non-empty 1-d"):
+                call()
 
 
 class TestVolumePath:
@@ -489,19 +500,22 @@ class TestMonteCarloArea:
         (dict(t=-1.0), "t must"), (dict(t=math.nan), "t must"), (dict(t=math.inf), "t must"),
         (dict(n_paths=0), "n_paths"), (dict(n_paths=1), "n_paths"), (dict(n_paths=2.0), "n_paths"),
         (dict(seed=-1), "seed"), (dict(seed=2.5), "seed"), (dict(seed=True), "seed"),
-        (dict(eps=math.nan), "eps=nan"), (dict(grid_n=16.0), "grid_n"),
+        (dict(eps_list=[math.nan]), "eps=nan"), (dict(grid_n=16.0), "grid_n"),
+        (dict(eps_list=[]), "eps_list"), (dict(n_threads=0), "n_threads"),
+        (dict(n_threads=-3), "n_threads"), (dict(n_threads=2.5), "n_threads"),
     ], ids=["t-negative", "t-nan", "t-inf", "n_paths-0", "n_paths-1", "n_paths-float",
-            "seed-negative", "seed-float", "seed-bool", "eps-nan", "grid_n-float"])
+            "seed-negative", "seed-float", "seed-bool", "eps-nan", "grid_n-float",
+            "eps_list-empty", "n_threads-0", "n_threads-negative", "n_threads-float"])
     def test_inputs_checked_before_any_covariance(self, kwargs, match, monkeypatch):
         # every input is checked up front, not after the factors are built
         # or all paths are drawn (t = -1 used to return a value)
-        def no_factor(spec, params):
+        def no_factor(spec, params, out=None):
             raise AssertionError("a covariance was built")
 
-        monkeypatch.setattr(rough_integrals, "cholesky_factor", no_factor)
-        args = dict(alpha=0.4, eps=0.3, t=1.0, n_paths=10, grid_n=16, seed=0) | kwargs
+        monkeypatch.setattr(eps_approx, "cholesky_factor", no_factor)
+        args = dict(alpha=0.4, eps_list=[0.3], t=1.0, n_paths=10, grid_n=16, seed=0) | kwargs
         with pytest.raises(ValueError, match=match):
-            mc_levy_area_moment(**args)
+            mc_levy_area_moments(**args)
 
     def test_triangular_product_matches_dense_per_path(self, monkeypatch):
         # 300 paths span three batches (128, 128 and 44); per batch each
@@ -532,7 +546,7 @@ class TestMonteCarloArea:
         # holding both its factors in one array
         import weakref
 
-        cholesky, normal_block = rough_integrals.cholesky_factor, rough_integrals._normal_block
+        cholesky, normal_block = eps_approx.cholesky_factor, rough_integrals._normal_block
         made, sizes, arrays, draws = [], [], [], [0]
 
         def counting_cholesky(spec, params, out=None):
@@ -550,7 +564,7 @@ class TestMonteCarloArea:
             draws[0] += m
             return normal_block(seed, p0, m, shape)
 
-        monkeypatch.setattr(rough_integrals, "cholesky_factor", counting_cholesky)
+        monkeypatch.setattr(eps_approx, "cholesky_factor", counting_cholesky)
         monkeypatch.setattr(rough_integrals, "_normal_block", counting_normal_block)
         mc_levy_area_moments(0.4, [0.2, 0.1, 0.05, 0.025], 1.0, 50, 256, seed=1)
         assert (sizes, arrays, draws[0]) == ([2, 2], [1, 1], 2 * 50)
@@ -674,6 +688,11 @@ class TestDivergenceSlope:
 
 
 class TestVolumeMoments:
+    @pytest.mark.parametrize("sigma3", [0, 2, -0.5])
+    def test_inner_closed_form_needs_a_kernel_sign(self, sigma3):
+        with pytest.raises(ValueError, match="sigma3 must be"):
+            volume_inner_closed(0.3, 0.4, sigma3, 0.05, 0.3)
+
     def test_inner_closed_form_against_quadrature(self):
         rng = np.random.default_rng(4)
         for _ in range(20):

@@ -498,6 +498,16 @@ class TestHyp2F1Routes:
         assert taken == routes | {("_taylor_2f1", False)}
         assert len(taken) == 7
 
+    def test_inv_z_term_at_a_gamma_pole_matches_mpmath(self):
+        # on the 1/z route c - a = -1, a pole of Gamma: the term in (-z)^-a
+        # has the coefficient 1/Gamma(c - a) = 0 and drops out
+        import mpmath
+
+        a, b, c, z = 2.5, 0.3, 1.5, 3 + 1j
+        assert specfun._cheapest_route(a, b, c, z)[0] is specfun._connection_inv_z
+        ref = complex(mpmath.hyp2f1(a, b, c, z))
+        assert abs(hyp2f1(a, b, c, z) - ref) <= 1e-14 * abs(ref)
+
 
 def _with_former_loops(f, *args):
     # f(*args) with the former integer-indexed series and list-built route

@@ -9,9 +9,10 @@ the benchmark's tracer cannot see: the normals (``_normal_block``), the triangul
 ``dtrmm``) and the iterated-integral functional (``_iterated_trapezoid``).
 ``rest_s`` is the batch time left over (copies and bookkeeping); the factor
 is timed apart and not counted in it.  ``factor_s`` is the time in
-``cholesky_factor`` per covariance, including ``covariance_s``, its build
-of the covariance's lower triangle (``eps_approx._covariance_lower``, or
-``covariance_matrix`` in a checkout whose factor still calls that).
+``cholesky_factor`` per covariance, under the name the engine calls it by
+(``eps_approx``'s, or ``rough_integrals``' in a checkout that imports it
+there), including ``covariance_s``, its build of the covariance's lower
+triangle (``eps_approx._covariance_lower``).
 ``product_s`` is the time inside ``dtrmm``: where a checkout passes it
 normals that are not F-contiguous, that includes scipy's copy of them, which
 a checkout that gathers them first counts in ``rest_s``, so compare
@@ -47,7 +48,7 @@ LAYERS = ("normals_s", "product_s", "trapezoid_s")
 WRAPPED = {"normals_s": ("cfbm.rough_integrals", "_normal_block"),
            "product_s": ("scipy.linalg.blas", "dtrmm"),
            "trapezoid_s": ("cfbm.rough_integrals", "_iterated_trapezoid"),
-           "factor_s": ("cfbm.rough_integrals", "cholesky_factor"),
+           "factor_s": ("cfbm.eps_approx", "cholesky_factor"),
            "covariance_s": ("cfbm.eps_approx", "_covariance_lower")}
 PER_COVARIANCE = ("factor_s", "covariance_s")  # timed once per run, not per path
 
@@ -97,8 +98,8 @@ def layer_times(root):
     import workloads
 
     targets = {name: (importlib.import_module(mod), attr) for name, (mod, attr) in WRAPPED.items()}
-    if not hasattr(targets["covariance_s"][0], "_covariance_lower"):  # an older checkout
-        targets["covariance_s"] = (targets["covariance_s"][0], "covariance_matrix")
+    if hasattr(ri, "cholesky_factor"):  # a checkout whose engine imports the factor
+        targets["factor_s"] = (ri, "cholesky_factor")
     originals = {name: getattr(mod, attr) for name, (mod, attr) in targets.items()}
     out = {}
     try:
