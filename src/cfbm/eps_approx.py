@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -198,6 +198,33 @@ def _shared_factors(specs, params):
         last = cholesky_factor(pair[-1], params, out=a[:, :n])
         products[pair[-1].eps] = partial(dtrmm, 1.0, last, lower=1, overwrite_b=1)
     return products
+
+
+@cache
+def _malloc_trim():
+    # the C library's malloc_trim, looked up on first use, or None where it
+    # has none (musl, macOS, Windows)
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _release_freed_heap():
+    # Hands the heap the C allocator holds free back to the system: glibc's
+    # malloc_trim(0) returns the main heap's top and the free pages inside
+    # every arena, but not the top of a --threads worker's arena.  Freeing a
+    # large factor array raises glibc's mmap threshold, so later arrays and
+    # batch buffers land on the heap, which glibc would keep resident; the
+    # Monte Carlo calls this once a factor pair is dropped.  Does nothing
+    # where the C library has no malloc_trim.
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def sample_gamma_eps_exact(seed, spec, params, stream=0):

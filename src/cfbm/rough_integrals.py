@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eps_approx import EpsApproxSpec, _finest_shift, _shared_factors
+from .eps_approx import EpsApproxSpec, _finest_shift, _release_freed_heap, _shared_factors
 from .gamma_process import DomainError, ModelParams, _loglog_slope, _normal_block, _philox, _philox_key
 from .specfun import _graded_edges, _graded_quad, _pow, hyp2f1, principal_pow
 
@@ -343,6 +343,10 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     # drawing every path once and holding one n x (n + 1) array per two
     # distinct shifts (`_shared_factors`): one for levy-area, whose sets need
     # one shift each; levy-volume passes a single set, up to three shifts.
+    # Above the imports, the peak is one pair array, a batch's normals block
+    # and path buffer, and OpenBLAS's workspace, which it keeps for the
+    # process.  The heap a pair frees is handed back before the next pair is
+    # built (`_release_freed_heap`, glibc only).
     if not 0 < t < math.inf:
         raise DomainError(f"t must be finite and > 0, got {t}")
     if not (isinstance(grid_n, (int, np.integer)) and grid_n >= 2 and not grid_n & (grid_n - 1)):
@@ -402,6 +406,7 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
             for p0 in starts:
                 run_batch(p0)
         del products  # the pair's array is freed before the next pair is built
+        _release_freed_heap()
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the caller's gate
         sq = values * values
         se = np.std(sq, axis=1, ddof=1) / math.sqrt(n_paths)
