@@ -21,6 +21,7 @@ from .eps_approx import _finest_shift, cov_eps, sup_error_experiment
 from .gamma_process import (
     DomainError,
     ModelParams,
+    _is_integer,
     _philox,
     cayley,
     gaussian_draw,
@@ -56,6 +57,9 @@ class ExperimentConfig:
             ModelParams(self.alpha)
         except ValueError as exc:
             raise ConfigError(f"alpha: {exc}") from exc
+        for name in ("seed", "n_terms", "grid_n", "n_mc", "threads"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name}: must be an integer, got {getattr(self, name)!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed: must be in [0, 2**64), got {self.seed}")
         if self.n_terms < 1:

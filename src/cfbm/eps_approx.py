@@ -1,5 +1,5 @@
 """The eps-regularized process: exact covariances, their Cholesky factors,
-the exact sampler and the Monte Carlo's path product, and the
+the exact grid paths that the sampler and the Monte Carlo both draw, and the
 uniform-approximation experiments.
 
 Gamma(eps)_t is the boundary process evaluated after shifting time by
@@ -11,6 +11,7 @@ sampling (the oracle for the series sampler) and exact L2 error laws.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
 
@@ -175,31 +176,6 @@ def _finest_shift(t, grid_n):
     return 4.0 * t / grid_n
 
 
-def _shared_factors(specs, params):
-    # The Cholesky factors of the Gamma(eps) covariances of the list specs,
-    # which share one grid, two to an F-order n x (n + 1) array a (the idea
-    # of LAPACK's rectangular full packed format): the first of two is
-    # factored into the lower triangle of a[:, 1:] and copied transposed onto
-    # its upper one, where it stays, diagonal included; the second is then
-    # factored into the lower triangle of a[:, :n], whose strict upper
-    # triangle is that upper one (`cholesky_factor` never touches it).  The
-    # two triangles are disjoint, so threads can share the array read-only.
-    # Returns {spec.eps: product}, where product(b) overwrites an F-order
-    # (n, k) b with the factor times b, by scipy's BLAS dtrmm.
-    from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
-
-    products = {}
-    n = len(specs[0].grid)
-    for pair in (specs[k:k + 2] for k in range(0, len(specs), 2)):
-        a = np.zeros((n, n + 1), order="F")
-        if len(pair) == 2:
-            first = cholesky_factor(pair[0], params, out=a[:, 1:])
-            products[pair[0].eps] = partial(dtrmm, 1.0, _mirror_lower(first), lower=0, trans_a=1, overwrite_b=1)
-        last = cholesky_factor(pair[-1], params, out=a[:, :n])
-        products[pair[-1].eps] = partial(dtrmm, 1.0, last, lower=1, overwrite_b=1)
-    return products
-
-
 @cache
 def _malloc_trim():
     # the C library's malloc_trim, looked up on first use, or None where it
@@ -214,28 +190,68 @@ def _malloc_trim():
     return trim
 
 
-def _release_freed_heap():
-    # Hands the heap the C allocator holds free back to the system: glibc's
-    # malloc_trim(0) returns the main heap's top and the free pages inside
-    # every arena, but not the top of a --threads worker's arena.  Freeing a
-    # large factor array raises glibc's mmap threshold, so later arrays and
-    # batch buffers land on the heap, which glibc would keep resident; the
-    # Monte Carlo calls this once a factor pair is dropped.  Does nothing
-    # where the C library has no malloc_trim.
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
+@contextmanager
+def _grid_paths(specs, params):
+    # Exact Gamma(eps) paths on the one grid of specs, for the sampler and the
+    # Monte Carlo alike.  Yields paths(seed, p0, m, sets), a generator that
+    # draws paths p0 ... p0 + m - 1 once (path p's normals are the (n, k)
+    # block of stream (seed, p)) and yields, for each set of k shifts in
+    # sets, its k component paths, (n, m) each.  The factors are held two to
+    # an F-order n x (n + 1) array a, as in LAPACK's rectangular full packed
+    # format: the first of two in the lower triangle of a[:, 1:], copied
+    # transposed onto its upper one, diagonal included; the second in the
+    # lower triangle of a[:, :n], which `cholesky_factor` fills without
+    # touching that upper one, so threads share the array read-only.  Each
+    # distinct shift of a set is one in-place BLAS dtrmm (half a dense
+    # product's flops) on its components' normals, copied into consecutive
+    # m-column slices of one F-order path buffer per draw; a path's last bits
+    # depend on which components share its factor.  On exit the arrays are
+    # freed and glibc's free heap is handed back (malloc_trim(0)): freeing a
+    # large array raises its mmap threshold, so later buffers land on the
+    # heap, which glibc would keep resident; a worker thread's arena top stays.
+    from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
+
+    products = {}
+    n = len(specs[0].grid)
+    for pair in (specs[k:k + 2] for k in range(0, len(specs), 2)):
+        a = np.zeros((n, n + 1), order="F")
+        if len(pair) == 2:
+            first = cholesky_factor(pair[0], params, out=a[:, 1:])
+            products[pair[0].eps] = partial(dtrmm, 1.0, _mirror_lower(first), lower=0, trans_a=1, overwrite_b=1)
+        last = cholesky_factor(pair[-1], params, out=a[:, :n])
+        products[pair[-1].eps] = partial(dtrmm, 1.0, last, lower=1, overwrite_b=1)
+
+    def paths(seed, p0, m, sets):
+        k = len(sets[0])
+        w = _normal_block(seed, p0, m, (n, k))
+        b = np.empty((n, k * m), order="F")
+        for s in sets:
+            comps, j = [None] * k, 0
+            for e in dict.fromkeys(s):
+                cs = [c for c, x in enumerate(s) if x == e]
+                for i, c in enumerate(cs, j):
+                    b[:, i * m:(i + 1) * m] = w[:, :, c].T
+                prod = products[e](b[:, j * m:(j + len(cs)) * m])
+                for i, c in enumerate(cs):
+                    comps[c] = prod[:, i * m:(i + 1) * m]
+                j += len(cs)
+            yield comps
+
+    try:
+        yield paths
+    finally:
+        a = first = last = None  # with the products, the last references to the arrays
+        products.clear()
+        trim = _malloc_trim()
+        if trim is not None:
+            trim(0)
 
 
 def sample_gamma_eps_exact(seed, spec, params, stream=0):
     """Exact Gaussian sample of Gamma(eps) on the grid (Cholesky transport)."""
-    z = _normal_block(seed, stream, 1, (len(spec.grid), 1))[0]
-    return PathSample(
-        grid=np.asarray(spec.grid, dtype=float),
-        values=_shared_factors([spec], params)[spec.eps](z)[:, 0],
-        n_terms=0,
-        provenance="cholesky",
-    )
+    with _grid_paths([spec], params) as paths:
+        (path,) = next(paths(seed, stream, 1, [(spec.eps,)]))
+    return PathSample(np.asarray(spec.grid, dtype=float), path[:, 0], n_terms=0, provenance="cholesky")
 
 
 def l2_error_law(t, eps, params):

@@ -94,11 +94,17 @@ class GaussianDraw:
     xi_plus: np.ndarray = field(repr=False)
 
 
+def _is_integer(x):
+    # an int or numpy integer and not a bool, whose True and False are ints:
+    # the one test of every count, index, seed and stream
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _philox_key(seed, stream):
     # the uint64 key (seed, stream); each must be an integer in [0, 2**64),
     # and not a bool, which would alias 0 or 1
     for k in (seed, stream):
-        if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and 0 <= k < 2 ** 64):
+        if not (_is_integer(k) and 0 <= k < 2 ** 64):
             raise ValueError(f"seed and stream must be integers in [0, 2**64), got {k!r}")
     return np.array([seed, stream], dtype=np.uint64)
 
@@ -137,7 +143,7 @@ def gaussian_draw(seed, n_terms, params, stream=0):
     reproduce bit-identical arrays, extending n keeps the leading
     coefficients unchanged, and distinct streams are independent.
     """
-    if n_terms < 1:
+    if not (_is_integer(n_terms) and n_terms >= 1):
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     xi = _normal_block(seed, stream, 1, (2 * n_terms,))[0].view(complex)
     xi *= math.sqrt(0.5)
@@ -194,7 +200,7 @@ def _sqrt_poch_ratio(alpha, ks):
 def _term_index(k):
     # the index k of f_k or F_k, as a Python int; rejects negative and
     # non-integer values rather than truncating them
-    if not isinstance(k, (int, np.integer)) or k < 0:
+    if not (_is_integer(k) and k >= 0):
         raise ValueError(f"k must be a non-negative integer, got {k!r}")
     return int(k)
 
@@ -255,7 +261,7 @@ def kernel_closed(z, w, params):
 def kernel_partial_sum(z, w, N, params):
     """Partial sum sum_(k<N) f_k(z) conj(f_k(w)); converges to kernel_closed."""
     z, w = _kernel_args(z, w)
-    if N < 1:
+    if not (_is_integer(N) and N >= 1):
         raise ValueError(f"N must be >= 1, got {N}")
     a = params.alpha
     pref = (
@@ -379,7 +385,7 @@ def fk_table(n_terms, points, params):
     is past the double range: below the real axis |cayley(z)| > 1, and F_k
     grows with k.
     """
-    if n_terms < 1:
+    if not (_is_integer(n_terms) and n_terms >= 1):
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     pts = np.asarray(points, dtype=complex)
     if pts.ndim != 1 or len(pts) == 0:
@@ -493,7 +499,7 @@ def _coupled_sup_experiment(labels, table, variants, n_mc, seed):
     # cuts are summed cut by cut, reading each row of the (n_ref, n_blocks,
     # n_points) table once.  The table is the caller's to give up: it is
     # overwritten by its real rows.  Returns ([(label, e_sup)], log-log slope).
-    if not (isinstance(n_mc, (int, np.integer)) and n_mc >= 1):
+    if not (_is_integer(n_mc) and n_mc >= 1):
         raise ValueError(f"n_mc must be an integer >= 1, got {n_mc!r}")
     n_ref, *path_shape = table.shape
     rows = _stack_real_rows(table.reshape(n_ref, -1))
@@ -524,6 +530,9 @@ def series_truncation_experiment(params, n_list, n_ref, n_mc, grid, seed):
     (rows, slope) where rows are (N, e_sup) pairs and slope is the
     least-squares slope of log e_sup against log N (nan if unfittable).
     """
+    n_list = list(n_list)
+    if not (_is_integer(n_ref) and all(_is_integer(n) for n in n_list)):
+        raise ValueError(f"n_ref and every N must be integers, got n_ref={n_ref!r}, N={n_list!r}")
     n_list = [int(n) for n in n_list]
     if any(n >= n_ref for n in n_list):
         raise ValueError("every N must be < n_ref")

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eps_approx import EpsApproxSpec, _finest_shift, _release_freed_heap, _shared_factors
-from .gamma_process import DomainError, ModelParams, _loglog_slope, _normal_block, _philox, _philox_key
+from .eps_approx import EpsApproxSpec, _finest_shift, _grid_paths
+from .gamma_process import DomainError, ModelParams, _is_integer, _loglog_slope, _philox, _philox_key
 from .specfun import _graded_edges, _graded_quad, _pow, hyp2f1, principal_pow
 
 __all__ = [
@@ -322,7 +322,7 @@ class MCEstimate:
     seed: int
 
     def __post_init__(self):
-        if self.n_samples < 2:
+        if not (_is_integer(self.n_samples) and self.n_samples >= 2):
             raise ValueError("n_samples must be >= 2")
 
 
@@ -332,28 +332,19 @@ _MC_BATCH = 128  # paths per batch
 def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     # Second moments of `_iterated_trapezoid` of the components, one MCEstimate
     # per shift set: component c of set s is an exact Gamma(s[c]) path on the
-    # uniform grid_n-grid of [0, t]; all sets have one length, the order.
-    # Deterministic Monte Carlo: path p draws its normals from a Philox
-    # stream keyed (seed, p), for every set alike (common random numbers),
-    # batches are fixed-size and reduced in path order, so the result is
-    # independent of n_threads, and of the batch size up to the BLAS
-    # product's rounding.  The components of a set that share a factor are
-    # one triangular product, so an estimate's last bits depend on which
-    # components share its factor.  Sets run two at a time, each pair
-    # drawing every path once and holding one n x (n + 1) array per two
-    # distinct shifts (`_shared_factors`): one for levy-area, whose sets need
-    # one shift each; levy-volume passes a single set, up to three shifts.
-    # Above the imports, the peak is one pair array, a batch's normals block
-    # and path buffer, and OpenBLAS's workspace, which it keeps for the
-    # process.  The heap a pair frees is handed back before the next pair is
-    # built (`_release_freed_heap`, glibc only).
+    # uniform grid_n-grid of [0, t] (`eps_approx._grid_paths`, path p from
+    # stream (seed, p) for every set); all sets have one length, the order.
+    # Sets run two at a time (levy-area's sets have one shift each;
+    # levy-volume passes one set), in fixed-size batches on n_threads,
+    # reduced in path order: the result is independent of n_threads, and of
+    # the batch size up to the BLAS product's rounding.
     if not 0 < t < math.inf:
         raise DomainError(f"t must be finite and > 0, got {t}")
-    if not (isinstance(grid_n, (int, np.integer)) and grid_n >= 2 and not grid_n & (grid_n - 1)):
+    if not (_is_integer(grid_n) and grid_n >= 2 and not grid_n & (grid_n - 1)):
         raise ValueError(f"grid_n must be a power of two, got {grid_n!r}")
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 2):
+    if not (_is_integer(n_paths) and n_paths >= 2):
         raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
-    if not (isinstance(n_threads, (int, np.integer)) and n_threads >= 1):
+    if not (_is_integer(n_threads) and n_threads >= 1):
         raise ValueError(f"n_threads must be an integer >= 1, got {n_threads!r}")
     _philox_key(seed, 0)  # a bad seed raises here, before any covariance is built
     finest = _finest_shift(t, grid_n)
@@ -365,48 +356,27 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     params = ModelParams(alpha)
     n = grid_n + 1
     grid = tuple(np.linspace(0.0, t, n))
-    n_comp = len(shift_sets[0])
     starts = list(range(0, n_paths, _MC_BATCH))
     values = np.empty((len(shift_sets), n_paths))
 
     for lo in range(0, len(shift_sets), 2):
         sets, out = shift_sets[lo:lo + 2], values[lo:lo + 2]
         shifts = dict.fromkeys(e for s in sets for e in s)
-        products = _shared_factors([EpsApproxSpec(alpha, e, grid) for e in shifts], params)
+        with _grid_paths([EpsApproxSpec(alpha, e, grid) for e in shifts], params) as paths:
 
-        def run_batch(p0):
-            # Batch p0 of the pair.  Path p's normals are the (n, n_comp)
-            # block of stream (seed, p) in w.  Each distinct shift of a set
-            # is one BLAS dtrmm (half the flops of a dense product) of its
-            # factor, in place on the normals of the k components using it,
-            # copied into k consecutive m-column slices of the batch's one
-            # F-order path buffer b, which every set reuses; a component
-            # path is its m columns.
-            m = min(p0 + _MC_BATCH, n_paths) - p0
-            w = _normal_block(seed, p0, m, (n, n_comp))
-            b = np.empty((n, n_comp * m), order="F")
-            for v, s in zip(out, sets):
-                paths, j = [None] * len(s), 0
-                for e in dict.fromkeys(s):
-                    cs = [c for c, x in enumerate(s) if x == e]
-                    for i, c in enumerate(cs, j):
-                        b[:, i * m:(i + 1) * m] = w[:, :, c].T
-                    prod = products[e](b[:, j * m:(j + len(cs)) * m])
-                    for i, c in enumerate(cs):
-                        paths[c] = prod[:, i * m:(i + 1) * m]
-                    j += len(cs)
-                v[p0:p0 + m] = _iterated_trapezoid(paths)
+            def run_batch(p0):
+                m = min(p0 + _MC_BATCH, n_paths) - p0
+                for v, comps in zip(out, paths(seed, p0, m, sets)):
+                    v[p0:p0 + m] = _iterated_trapezoid(comps)
 
-        if n_threads > 1:
-            from concurrent.futures import ThreadPoolExecutor  # on use: it loads logging
+            if n_threads > 1:
+                from concurrent.futures import ThreadPoolExecutor  # on use: it loads logging
 
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                list(pool.map(run_batch, starts))
-        else:
-            for p0 in starts:
-                run_batch(p0)
-        del products  # the pair's array is freed before the next pair is built
-        _release_freed_heap()
+                with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                    list(pool.map(run_batch, starts))
+            else:
+                for p0 in starts:
+                    run_batch(p0)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the caller's gate
         sq = values * values
         se = np.std(sq, axis=1, ddof=1) / math.sqrt(n_paths)

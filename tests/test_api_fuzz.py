@@ -17,6 +17,7 @@ import pytest
 from cfbm import eps_approx as ea
 from cfbm import gamma_process as gp
 from cfbm import rough_integrals as ri
+from cfbm.cli import ExperimentConfig
 
 DRAWS = 200  # per function
 
@@ -185,3 +186,31 @@ def test_non_finite_argument_raises_naming_it(call, message, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(message.format(bad))):
             call(bad)
+
+
+_GRID = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: gp.gaussian_draw(1, 2.5, _P), "n_terms"),
+    (lambda: gp.gaussian_draw(1, True, _P), "n_terms"),
+    (lambda: gp.fk_table(2.0, [0.5], _P), "n_terms"),
+    (lambda: gp.kernel_partial_sum(1j, 1j, 3.0, _P), "N"),
+    (lambda: gp.F_k(True, 0.5, _P), "k"),
+    (lambda: gp.series_truncation_experiment(_P, [2], 8.5, 4, _GRID, 0), "n_ref"),
+    (lambda: gp.series_truncation_experiment(_P, [2.7], 8, 4, _GRID, 0), "N"),
+    (lambda: ea.sup_error_experiment(_P, [0.1], 4, 8.5, 0, _GRID), "n_terms"),
+    (lambda: ea.sup_error_experiment(_P, [0.1], True, 8, 0, _GRID), "n_mc"),
+    (lambda: ri.mc_levy_area_moment(0.3, 0.5, 1.0, 4, 16, 0, n_threads=True), "n_threads"),
+    (lambda: ri.MCEstimate(1.0, 0.1, 2.5, 0), "n_samples"),
+    (lambda: ExperimentConfig(grid_n=64.0).validated("levy-area"), "grid_n"),
+    (lambda: ExperimentConfig(threads=True).validated("sample"), "threads"),
+], ids=["gaussian_draw-float", "gaussian_draw-bool", "fk_table", "kernel_partial_sum", "F_k",
+        "series_truncation_experiment-n_ref", "series_truncation_experiment-N",
+        "sup_error_experiment-n_terms", "sup_error_experiment-n_mc", "mc_levy_area_moment-n_threads",
+        "MCEstimate-n_samples", "ExperimentConfig-grid_n", "ExperimentConfig-threads"])
+def test_non_integer_count_raises_naming_it(call, name):
+    # a float count raised a TypeError from deep inside or was truncated, and
+    # a bool passed as 0 or 1
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call()

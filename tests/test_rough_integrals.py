@@ -459,6 +459,15 @@ class TestVolumePath:
         assert est == pytest.approx(outer(1.0) - outer(0.0), abs=1e-7)
 
 
+# the calls of `TestMonteCarloArea.test_second_call_keeps_no_more_heap`: a
+# Monte Carlo pair at n = 1025 on n_threads, and an exact sample of stream 0 at
+# a seed on the n-point uniform grid of [0, 1], each with its small warm-up
+_MC_WARM_UP = "mc_levy_area_moments(0.4, [0.5], 1.0, 4, 16, seed=0)"
+_MC_CALL = "mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 256, 1024, seed=0, n_threads={})"
+_SAMPLE_CALL = ("sample_gamma_eps_exact({}, EpsApproxSpec(0.4, 0.1, tuple(np.linspace(0.0, 1.0, {}))), "
+                "ModelParams(0.4))")
+
+
 class TestMonteCarloArea:
     def test_matches_analytic_small(self):
         est = mc_levy_area_moment(0.4, 0.1, 1.0, 1200, 256, seed=11)
@@ -550,7 +559,7 @@ class TestMonteCarloArea:
         # holding both its factors in one array
         import weakref
 
-        cholesky, normal_block = eps_approx.cholesky_factor, rough_integrals._normal_block
+        cholesky, normal_block = eps_approx.cholesky_factor, eps_approx._normal_block
         made, sizes, arrays, draws = [], [], [], [0]
 
         def counting_cholesky(spec, params, out=None):
@@ -569,7 +578,7 @@ class TestMonteCarloArea:
             return normal_block(seed, p0, m, shape)
 
         monkeypatch.setattr(eps_approx, "cholesky_factor", counting_cholesky)
-        monkeypatch.setattr(rough_integrals, "_normal_block", counting_normal_block)
+        monkeypatch.setattr(eps_approx, "_normal_block", counting_normal_block)
         mc_levy_area_moments(0.4, [0.2, 0.1, 0.05, 0.025], 1.0, 50, 256, seed=1)
         assert (sizes, arrays, draws[0]) == ([2, 2], [1, 1], 2 * 50)
 
@@ -615,33 +624,39 @@ class TestMonteCarloArea:
         not os.path.exists("/proc/self/status") or eps_approx._malloc_trim() is None,
         reason="needs /proc/self/status and the C library's malloc_trim",
     )
-    @pytest.mark.parametrize("n_threads", [
-        1,
+    @pytest.mark.parametrize("warm_up, first, second", [
+        pytest.param(_MC_WARM_UP, _MC_CALL.format(1), _MC_CALL.format(1), id="1"),
         # not strict: the second call ends 2 to 8 MB above the first in most
         # runs, but near it in about one run in a hundred
-        pytest.param(3, marks=pytest.mark.xfail(strict=False, reason=(
-            "malloc_trim does not return the top of a worker thread's arena, "
-            "which keeps a batch's buffers (CHANGES.md, FOUND on "
-            "_release_freed_heap)"))),
+        pytest.param(_MC_WARM_UP, _MC_CALL.format(3), _MC_CALL.format(3), id="3",
+                     marks=pytest.mark.xfail(strict=False, reason=(
+                         "malloc_trim does not return the top of a worker thread's arena, "
+                         "which keeps a batch's buffers (eps_approx._grid_paths; "
+                         "CHANGES.md, FOUND)"))),
+        pytest.param(_SAMPLE_CALL.format(0, 17), _SAMPLE_CALL.format(0, 1025),
+                     _SAMPLE_CALL.format(1, 1025), id="sampler"),
     ])
-    def test_second_call_keeps_no_more_heap(self, n_threads):
+    def test_second_call_keeps_no_more_heap(self, warm_up, first, second):
         # Freeing the 8.4 MB n = 1025 pair array raises glibc's mmap
         # threshold, so a second call's arrays land on the heap; the heap a
         # dropped factor pair leaves free is handed back, so the second call
-        # ends within 1 MB of the first (12.4 MB above it without the
-        # release).  A fresh interpreter, so no earlier test shaped its heap
-        call = f"mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 256, 1024, seed=0, n_threads={n_threads})"
+        # ends within 1 MB of the first (12.4 MB above it without the release
+        # for the Monte Carlo, 7.5 MB for the exact sampler).  A fresh
+        # interpreter, so no earlier test shaped its heap
         code = (
             "import gc\n"
+            "import numpy as np\n"
+            "from cfbm.eps_approx import EpsApproxSpec, sample_gamma_eps_exact\n"
+            "from cfbm.gamma_process import ModelParams\n"
             "from cfbm.rough_integrals import mc_levy_area_moments\n"
             "def rss_kb():\n"
             "    gc.collect()\n"
             "    with open('/proc/self/status') as f:\n"
             "        return next(int(s.split()[1]) for s in f if s.startswith('VmRSS:'))\n"
-            "mc_levy_area_moments(0.4, [0.5], 1.0, 4, 16, seed=0)\n"
-            f"{call}\n"
+            f"{warm_up}\n"
+            f"{first}\n"
             "first = rss_kb()\n"
-            f"{call}\n"
+            f"{second}\n"
             "print(rss_kb() - first)\n"
         )
         root = str(Path(eps_approx.__file__).resolve().parent.parent)
@@ -659,7 +674,7 @@ class TestMonteCarloArea:
         # product (the engine imports dtrmm on use, so the patch holds) lets
         # another thread's product start in between.  A write to the shared
         # array during the products is caught only by chance, though the
-        # sleep makes it likely; the disjoint triangles of `_shared_factors`
+        # sleep makes it likely; the disjoint triangles of `_grid_paths`
         # are what rule it out
         import sys
         import time

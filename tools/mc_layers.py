@@ -5,8 +5,10 @@ Runs ``rough_integrals._mc_second_moment`` at each covariance of
 command uses there (two equal shifts for ``levy-area``, three for
 ``levy-volume``), one set at a time and on one thread.  It times, through
 wrappers on the engine's module names, the three layers inside a batch that
-the benchmark's tracer cannot see: the normals (``_normal_block``), the triangular products (BLAS
-``dtrmm``) and the iterated-integral functional (``_iterated_trapezoid``).
+the benchmark's tracer cannot see: the normals (``_normal_block``, under the
+name the engine draws them by: ``eps_approx``'s, or ``rough_integrals``' in a
+checkout that draws them there), the triangular products (BLAS ``dtrmm``) and
+the iterated-integral functional (``_iterated_trapezoid``).
 ``rest_s`` is the batch time left over (copies and bookkeeping); the factor
 is timed apart and not counted in it.  ``factor_s`` is the time in
 ``cholesky_factor`` per covariance, under the name the engine calls it by
@@ -45,7 +47,7 @@ REPEATS = 3  # runs per covariance
 LAYERS = ("normals_s", "product_s", "trapezoid_s")
 # the (module, name) wrapped by a timer, by the total it adds to; the engine
 # calls each through its module's attribute
-WRAPPED = {"normals_s": ("cfbm.rough_integrals", "_normal_block"),
+WRAPPED = {"normals_s": ("cfbm.eps_approx", "_normal_block"),
            "product_s": ("scipy.linalg.blas", "dtrmm"),
            "trapezoid_s": ("cfbm.rough_integrals", "_iterated_trapezoid"),
            "factor_s": ("cfbm.eps_approx", "cholesky_factor"),
@@ -100,6 +102,8 @@ def layer_times(root):
     targets = {name: (importlib.import_module(mod), attr) for name, (mod, attr) in WRAPPED.items()}
     if hasattr(ri, "cholesky_factor"):  # a checkout whose engine imports the factor
         targets["factor_s"] = (ri, "cholesky_factor")
+    if hasattr(ri, "_normal_block"):  # a checkout whose Monte Carlo draws its normals
+        targets["normals_s"] = (ri, "_normal_block")
     originals = {name: getattr(mod, attr) for name, (mod, attr) in targets.items()}
     out = {}
     try:
