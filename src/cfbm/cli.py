@@ -454,7 +454,8 @@ def build_parser():
                         "(levy-volume uses only the first)")
     parser.add_argument("--n-mc", type=int, help="Monte Carlo replicates/paths")
     parser.add_argument("--out", type=str, help="output CSV path")
-    parser.add_argument("--threads", type=int, help="max worker threads (output-invariant)")
+    parser.add_argument("--threads", type=int,
+                        help="accepted and checked (>= 1); starts no thread, changes nothing")
     parser.add_argument("--config", type=str, help="key=value config file")
     return parser
 

@@ -201,14 +201,13 @@ def _grid_paths(specs, params):
     # format: the first of two in the lower triangle of a[:, 1:], copied
     # transposed onto its upper one, diagonal included; the second in the
     # lower triangle of a[:, :n], which `cholesky_factor` fills without
-    # touching that upper one, so threads share the array read-only.  Each
-    # distinct shift of a set is one in-place BLAS dtrmm (half a dense
-    # product's flops) on its components' normals, copied into consecutive
-    # m-column slices of one F-order path buffer per draw; a path's last bits
-    # depend on which components share its factor.  On exit the arrays are
-    # freed and glibc's free heap is handed back (malloc_trim(0)): freeing a
-    # large array raises its mmap threshold, so later buffers land on the
-    # heap, which glibc would keep resident; a worker thread's arena top stays.
+    # touching that upper one.  Each distinct shift of a set is one in-place
+    # BLAS dtrmm (half a dense product's flops) on its components' normals,
+    # copied into consecutive m-column slices of one F-order path buffer per
+    # draw; a path's last bits depend on which components share its factor.
+    # On exit the arrays are freed and glibc's free heap is handed back
+    # (malloc_trim(0)): freeing a large array raises its mmap threshold, so
+    # later buffers land on the heap, which glibc would keep resident.
     from scipy.linalg.blas import dtrmm  # on use: the sampling commands never load scipy
 
     products = {}

@@ -335,9 +335,9 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     # uniform grid_n-grid of [0, t] (`eps_approx._grid_paths`, path p from
     # stream (seed, p) for every set); all sets have one length, the order.
     # Sets run two at a time (levy-area's sets have one shift each;
-    # levy-volume passes one set), in fixed-size batches on n_threads,
-    # reduced in path order: the result is independent of n_threads, and of
-    # the batch size up to the BLAS product's rounding.
+    # levy-volume passes one set), in fixed-size batches in path order on the
+    # calling thread: the result is independent of the batch size up to the
+    # BLAS product's rounding.  n_threads is checked and otherwise unused.
     if not 0 < t < math.inf:
         raise DomainError(f"t must be finite and > 0, got {t}")
     if not (_is_integer(grid_n) and grid_n >= 2 and not grid_n & (grid_n - 1)):
@@ -356,27 +356,16 @@ def _mc_second_moment(alpha, shift_sets, t, grid_n, n_paths, seed, n_threads):
     params = ModelParams(alpha)
     n = grid_n + 1
     grid = tuple(np.linspace(0.0, t, n))
-    starts = list(range(0, n_paths, _MC_BATCH))
     values = np.empty((len(shift_sets), n_paths))
 
     for lo in range(0, len(shift_sets), 2):
         sets, out = shift_sets[lo:lo + 2], values[lo:lo + 2]
         shifts = dict.fromkeys(e for s in sets for e in s)
         with _grid_paths([EpsApproxSpec(alpha, e, grid) for e in shifts], params) as paths:
-
-            def run_batch(p0):
-                m = min(p0 + _MC_BATCH, n_paths) - p0
-                for v, comps in zip(out, paths(seed, p0, m, sets)):
-                    v[p0:p0 + m] = _iterated_trapezoid(comps)
-
-            if n_threads > 1:
-                from concurrent.futures import ThreadPoolExecutor  # on use: it loads logging
-
-                with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                    list(pool.map(run_batch, starts))
-            else:
-                for p0 in starts:
-                    run_batch(p0)
+            for p0 in range(0, n_paths, _MC_BATCH):
+                m = min(_MC_BATCH, n_paths - p0)
+                # a comprehension, so no batch's paths outlive it
+                out[:, p0:p0 + m] = [_iterated_trapezoid(c) for c in paths(seed, p0, m, sets)]
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the caller's gate
         sq = values * values
         se = np.std(sq, axis=1, ddof=1) / math.sqrt(n_paths)
@@ -391,11 +380,12 @@ def mc_levy_area_moments(alpha, eps_list, t, n_paths, grid_n, seed, n_threads=1)
     triangular product with the shift's factor.  Path p of every shift
     reads the Philox stream (seed, p), drawn once per pair of shifts, whose
     two factors share one n x (n + 1) array (one in each of two disjoint
-    triangles, read by every thread), so the estimates of different shifts
-    have correlated errors (common random numbers), and each equals
-    `mc_levy_area_moment` for its shift alone.  For a given set of numpy and
-    BLAS builds the estimates are deterministic in (seed, n_paths, grid_n)
-    and do not change with n_threads; the batch size moves them only as far
+    triangles), so the estimates of different shifts have correlated errors
+    (common random numbers), and each equals `mc_levy_area_moment` for its
+    shift alone.  Every batch runs on the calling thread; n_threads, an
+    integer >= 1, is checked and changes neither the result nor the work.
+    For a given set of numpy and BLAS builds the estimates are deterministic
+    in (seed, n_paths, grid_n); the batch size moves them only as far
     as OpenBLAS rounds a path's last entries differently in products of
     different widths (about 4e-16 relative).  They change with the BLAS
     builds and the BLAS thread count, by about 1e-5 relative (up to 6e-5
@@ -414,7 +404,7 @@ def mc_levy_area_moment(alpha, eps, t, n_paths, grid_n, seed, n_threads=1):
     """Sample second moment of the Levy area over exact Gamma(eps) pairs.
 
     The one-shift case of `mc_levy_area_moments`, with its determinism,
-    thread and batch invariance, and BLAS caveat.
+    unused n_threads, batch invariance and BLAS caveat.
     """
     return mc_levy_area_moments(alpha, [eps], t, n_paths, grid_n, seed, n_threads)[0]
 
@@ -427,9 +417,9 @@ def mc_levy_volume_moment(alpha, eps1, eps2, eps3, t, n_paths, grid_n, seed, n_t
     to two arrays), and the components with equal shifts share it in one
     triangular product, so the estimate's last bits depend on which
     components share a factor.
-    Deterministic, thread and batch invariant, with the BLAS caveat of
-    `mc_levy_area_moments`; the third-order functional carries the factor's
-    rounding noise further, up to about 3e-4 relative.
+    Deterministic and batch invariant, with the unused n_threads and the
+    BLAS caveat of `mc_levy_area_moments`; the third-order functional
+    carries the factor's rounding noise further, up to about 3e-4 relative.
     """
     return _mc_second_moment(alpha, [(eps1, eps2, eps3)], t, grid_n, n_paths, seed, n_threads)[0]
 

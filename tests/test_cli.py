@@ -129,10 +129,12 @@ class TestParsingAndConfig:
 
     def test_import_leaves_mpmath_unloaded(self, tmp_path):
         # mpmath backs only specfun-test's reference, and the iterated
-        # integrals (with concurrent.futures, for --threads > 1) only the
-        # levy-* commands; each is imported on use.  So neither the import
-        # nor the sampling and closed-form commands load them, and the
-        # package resolves its rough_integrals names on first access
+        # integrals only the levy-* commands; each is imported on use.
+        # cfbm never imports concurrent.futures (--threads starts no pool);
+        # scipy.linalg does, through numpy.testing, and only the levy-*
+        # commands load that.  So neither the import nor the sampling and
+        # closed-form commands load them, and the package resolves its
+        # rough_integrals names on first access
         code = (
             "import sys; from cfbm.cli import main\n"
             "def loaded():\n"
@@ -597,7 +599,7 @@ class TestThreadInvariance:
         ids=["levy-area", "levy-volume"],
     )
     def test_mc_commands_write_the_same_bytes_at_any_thread_count(self, argv, tmp_path):
-        # 300 paths end in a partial batch; the batches run on a pool at 3 threads
+        # 300 paths end in a partial batch
         outs = [tmp_path / "t1.csv", tmp_path / "t3.csv"]
         codes = [
             main([*argv, "--grid-n", "128", "--n-mc", "300", "--threads", k, "--out", str(out)])

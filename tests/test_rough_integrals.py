@@ -460,10 +460,10 @@ class TestVolumePath:
 
 
 # the calls of `TestMonteCarloArea.test_second_call_keeps_no_more_heap`: a
-# Monte Carlo pair at n = 1025 on n_threads, and an exact sample of stream 0 at
-# a seed on the n-point uniform grid of [0, 1], each with its small warm-up
+# Monte Carlo pair at n = 1025, and an exact sample of stream 0 at a seed on
+# the n-point uniform grid of [0, 1], each with its small warm-up
 _MC_WARM_UP = "mc_levy_area_moments(0.4, [0.5], 1.0, 4, 16, seed=0)"
-_MC_CALL = "mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 256, 1024, seed=0, n_threads={})"
+_MC_CALL = "mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 256, 1024, seed=0, n_threads=1)"
 _SAMPLE_CALL = ("sample_gamma_eps_exact({}, EpsApproxSpec(0.4, 0.1, tuple(np.linspace(0.0, 1.0, {}))), "
                 "ModelParams(0.4))")
 
@@ -516,9 +516,11 @@ class TestMonteCarloArea:
         (dict(eps_list=[math.nan]), "eps=nan"), (dict(grid_n=16.0), "grid_n"),
         (dict(eps_list=[]), "eps_list"), (dict(n_threads=0), "n_threads"),
         (dict(n_threads=-3), "n_threads"), (dict(n_threads=2.5), "n_threads"),
+        (dict(n_threads=True), "n_threads"),
     ], ids=["t-negative", "t-nan", "t-inf", "n_paths-0", "n_paths-1", "n_paths-float",
             "seed-negative", "seed-float", "seed-bool", "eps-nan", "grid_n-float",
-            "eps_list-empty", "n_threads-0", "n_threads-negative", "n_threads-float"])
+            "eps_list-empty", "n_threads-0", "n_threads-negative", "n_threads-float",
+            "n_threads-bool"])
     def test_inputs_checked_before_any_covariance(self, kwargs, match, monkeypatch):
         # every input is checked up front, not after the factors are built
         # or all paths are drawn (t = -1 used to return a value)
@@ -625,14 +627,7 @@ class TestMonteCarloArea:
         reason="needs /proc/self/status and the C library's malloc_trim",
     )
     @pytest.mark.parametrize("warm_up, first, second", [
-        pytest.param(_MC_WARM_UP, _MC_CALL.format(1), _MC_CALL.format(1), id="1"),
-        # not strict: the second call ends 2 to 8 MB above the first in most
-        # runs, but near it in about one run in a hundred
-        pytest.param(_MC_WARM_UP, _MC_CALL.format(3), _MC_CALL.format(3), id="3",
-                     marks=pytest.mark.xfail(strict=False, reason=(
-                         "malloc_trim does not return the top of a worker thread's arena, "
-                         "which keeps a batch's buffers (eps_approx._grid_paths; "
-                         "CHANGES.md, FOUND)"))),
+        pytest.param(_MC_WARM_UP, _MC_CALL, _MC_CALL, id="1"),
         pytest.param(_SAMPLE_CALL.format(0, 17), _SAMPLE_CALL.format(0, 1025),
                      _SAMPLE_CALL.format(1, 1025), id="sampler"),
     ])
@@ -665,38 +660,34 @@ class TestMonteCarloArea:
         assert res.returncode == 0, res.stderr
         assert abs(int(res.stdout)) <= 1024
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_shared_array_is_thread_safe(self, seed, monkeypatch):
-        # the two factors of a pair share one array, which every thread
-        # reads at once: nothing may write it after the factors are built.
-        # Ten batches on four threads, with a short switch interval, give the
-        # products many chances to interleave, and a 2 ms sleep before each
-        # product (the engine imports dtrmm on use, so the patch holds) lets
-        # another thread's product start in between.  A write to the shared
-        # array during the products is caught only by chance, though the
-        # sleep makes it likely; the disjoint triangles of `_grid_paths`
-        # are what rule it out
-        import sys
-        import time
-
-        from scipy.linalg import blas
-
-        dtrmm = blas.dtrmm
-
-        def slow_dtrmm(*args, **kwargs):
-            time.sleep(0.002)
-            return dtrmm(*args, **kwargs)
-
-        monkeypatch.setattr(blas, "dtrmm", slow_dtrmm)
-        monkeypatch.setattr(rough_integrals, "_MC_BATCH", 32)
-        one = mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 320, 512, seed=seed, n_threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            four = mc_levy_area_moments(0.4, [0.1, 0.05], 1.0, 320, 512, seed=seed, n_threads=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert [(e.mean, e.stderr) for e in one] == [(e.mean, e.stderr) for e in four]
+    @pytest.mark.parametrize("call", [
+        "mc_levy_area_moments(0.4, [0.5, 0.25], 1.0, 300, 16, seed=0, n_threads=4)",
+        "mc_levy_volume_moment(0.3, 0.5, 0.5, 0.5, 1.0, 300, 16, seed=0, n_threads=4)",
+    ], ids=["area", "volume"])
+    def test_batches_run_on_the_calling_thread(self, call):
+        # n_threads changes nothing: every batch's functional runs on the
+        # main thread with no other thread alive, and no thread pool module
+        # is imported (scipy.linalg itself imports concurrent.futures, through
+        # numpy.testing, but not its thread pool).  A fresh interpreter, so
+        # no other test loaded the module
+        code = (
+            "import sys, threading\n"
+            "import cfbm.rough_integrals as ri\n"
+            "seen, trapezoid = set(), ri._iterated_trapezoid\n"
+            "def spy(comps):\n"
+            "    seen.add((threading.current_thread() is threading.main_thread(),\n"
+            "              threading.active_count()))\n"
+            "    return trapezoid(comps)\n"
+            "ri._iterated_trapezoid = spy\n"
+            f"ri.{call}\n"
+            "print(sorted(seen), 'concurrent.futures.thread' in sys.modules,\n"
+            "      threading.active_count())\n"
+        )
+        root = str(Path(eps_approx.__file__).resolve().parent.parent)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": root})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split("\n")[0] == "[(True, 1)] False 1"
 
     @pytest.mark.parametrize("batch", [64, 256])
     def test_batch_size_moves_estimates_only_by_rounding(self, batch, monkeypatch):
@@ -828,6 +819,12 @@ class TestVolumeMoments:
         a = mc_levy_volume_moment(0.3, 0.08, 0.05, 0.04, 1.0, 600, 128, seed=8, n_threads=1)
         b = mc_levy_volume_moment(0.3, 0.08, 0.05, 0.04, 1.0, 600, 128, seed=8, n_threads=3)
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+    @pytest.mark.parametrize("n_threads", [0, 1.5, True], ids=["zero", "float", "bool"])
+    def test_mc_volume_checks_n_threads(self, n_threads):
+        # unused, but checked as in mc_levy_area_moments
+        with pytest.raises(ValueError, match="n_threads"):
+            mc_levy_volume_moment(0.3, 0.5, 0.5, 0.5, 1.0, 10, 16, seed=0, n_threads=n_threads)
 
     # ks: components per product, one product per distinct shift in
     # first-use order; (0.08, 0.05, 0.08) shares a factor between components

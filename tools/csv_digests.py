@@ -1,9 +1,9 @@
 """SHA-256 digests of the benchmark's CLI output CSVs.
 
 Runs the command lines of ``perfbench/workloads.py`` (every workload's
-``COMMANDS``) in-process at each given seed and thread count, and prints one
-JSON object that maps ``label.seed`` to the digest of that run's CSV, or to
-``exit N`` when the command exits N != 0.  ``--root`` names the checkout
+``COMMANDS``) in-process at each given seed, and prints one JSON object that
+maps ``label.seed`` to the digest of that run's CSV, or to ``exit N`` when
+the command exits N != 0.  ``--root`` names the checkout
 whose ``src`` and ``perfbench`` are imported (default: the one holding this
 script), so one copy of the script digests any checkout:
 
@@ -21,7 +21,7 @@ import tempfile
 from pathlib import Path
 
 
-def digests(root, seeds, threads):
+def digests(root, seeds):
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import cfbm.cli as cli
     import workloads
@@ -32,8 +32,7 @@ def digests(root, seeds, threads):
             for label, argv in commands:
                 for seed in seeds:
                     csv = Path(tmp) / f"{label}.{seed}.csv"
-                    rc = cli.main([*argv, "--seed", str(seed), "--threads", str(threads),
-                                   "--out", str(csv)])
+                    rc = cli.main([*argv, "--seed", str(seed), "--out", str(csv)])
                     out[f"{label}.{seed}"] = (
                         hashlib.sha256(csv.read_bytes()).hexdigest() if rc == 0 else f"exit {rc}"
                     )
@@ -46,9 +45,8 @@ def main():
                         help="checkout to digest (default: this script's)")
     parser.add_argument("--seed", type=int, action="append",
                         help="seed, repeatable (default: 0 and 7)")
-    parser.add_argument("--threads", type=int, default=1, help="--threads of every command")
     args = parser.parse_args()
-    result = digests(args.root.resolve(), args.seed or [0, 7], args.threads)
+    result = digests(args.root.resolve(), args.seed or [0, 7])
     print(json.dumps(result, indent=1, sort_keys=True))
 
 

@@ -5,16 +5,14 @@ Runs ``rough_integrals._mc_second_moment`` at each covariance of
 command uses there (two equal shifts for ``levy-area``, three for
 ``levy-volume``), one set at a time and on one thread.  It times, through
 wrappers on the engine's module names, the three layers inside a batch that
-the benchmark's tracer cannot see: the normals (``_normal_block``, under the
-name the engine draws them by: ``eps_approx``'s, or ``rough_integrals``' in a
-checkout that draws them there), the triangular products (BLAS ``dtrmm``) and
-the iterated-integral functional (``_iterated_trapezoid``).
+the benchmark's tracer cannot see: the normals (``eps_approx._normal_block``),
+the triangular products (BLAS ``dtrmm``) and the iterated-integral
+functional (``_iterated_trapezoid``).
 ``rest_s`` is the batch time left over (copies and bookkeeping); the factor
 is timed apart and not counted in it.  ``factor_s`` is the time in
-``cholesky_factor`` per covariance, under the name the engine calls it by
-(``eps_approx``'s, or ``rough_integrals``' in a checkout that imports it
-there), including ``covariance_s``, its build of the covariance's lower
-triangle (``eps_approx._covariance_lower``).
+``eps_approx.cholesky_factor`` per covariance, including ``covariance_s``,
+its build of the covariance's lower triangle
+(``eps_approx._covariance_lower``).
 ``product_s`` is the time inside ``dtrmm``: where a checkout passes it
 normals that are not F-contiguous, that includes scipy's copy of them, which
 a checkout that gathers them first counts in ``rest_s``, so compare
@@ -100,10 +98,6 @@ def layer_times(root):
     import workloads
 
     targets = {name: (importlib.import_module(mod), attr) for name, (mod, attr) in WRAPPED.items()}
-    if hasattr(ri, "cholesky_factor"):  # a checkout whose engine imports the factor
-        targets["factor_s"] = (ri, "cholesky_factor")
-    if hasattr(ri, "_normal_block"):  # a checkout whose Monte Carlo draws its normals
-        targets["normals_s"] = (ri, "_normal_block")
     originals = {name: getattr(mod, attr) for name, (mod, attr) in targets.items()}
     out = {}
     try:
