@@ -13,7 +13,7 @@ import csv
 import math
 import sys
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,21 +57,19 @@ class ExperimentConfig:
             ModelParams(self.alpha)
         except ValueError as exc:
             raise ConfigError(f"alpha: {exc}") from exc
-        for name in ("seed", "n_terms", "grid_n", "n_mc", "threads"):
+        levy = command in ("levy-area", "levy-volume")
+        floors = {"n_terms": 3 if command == "converge-series" else 1, "grid_n": 2,
+                  "n_mc": 2 if levy else 1, "threads": 1}
+        for name in ("seed", *floors):
             if not _is_integer(getattr(self, name)):
                 raise ConfigError(f"{name}: must be an integer, got {getattr(self, name)!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed: must be in [0, 2**64), got {self.seed}")
-        if self.n_terms < 1:
-            raise ConfigError(f"n_terms: must be >= 1, got {self.n_terms}")
-        if self.grid_n < 2:
-            raise ConfigError(f"grid_n: must be >= 2, got {self.grid_n}")
+        for name, floor in floors.items():
+            if getattr(self, name) < floor:
+                raise ConfigError(f"{name}: must be >= {floor}, got {getattr(self, name)}")
         if not 0 < self.t_max < math.inf:
             raise ConfigError(f"t_max: must be > 0 and finite, got {self.t_max}")
-        if self.n_mc < 1:
-            raise ConfigError(f"n_mc: must be >= 1, got {self.n_mc}")
-        if self.threads < 1:
-            raise ConfigError(f"threads: must be >= 1, got {self.threads}")
         if len(self.eps_list) == 0:
             raise ConfigError("eps_list: must not be empty")
         if not all(0 < e < math.inf for e in self.eps_list):
@@ -80,21 +78,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"eps_list: must be strictly decreasing, got {self.eps_list}"
             )
-        if command in ("levy-area", "levy-volume"):
-            if self.grid_n & (self.grid_n - 1):
-                raise ConfigError(f"grid_n: must be a power of two, got {self.grid_n}")
-            if self.n_mc < 2:
-                raise ConfigError(f"n_mc: must be >= 2, got {self.n_mc}")
-        if command == "converge-series" and self.n_terms < 3:
-            raise ConfigError(f"n_terms: must be >= 3, got {self.n_terms}")
-        if command == "specfun-test":
-            try:
-                import mpmath  # noqa: F401  (cmd_specfun_test imports it on use)
-            except ImportError:
-                raise ConfigError(
-                    "specfun-test: its reference, mpmath.hyp2f1, needs mpmath; "
-                    "pip install -e .[oracle]"
-                ) from None
+        if levy and self.grid_n & (self.grid_n - 1):
+            raise ConfigError(f"grid_n: must be a power of two, got {self.grid_n}")
         return self
 
 
@@ -151,19 +136,14 @@ def _write_csv(path, header, rows):
 
 
 def _resolve_config(args):
-    cfg = ExperimentConfig()
-    if args.config:
-        cfg = replace(cfg, **load_config_file(args.config))
-    overrides = {}
-    for name in _FIELD_TYPES:
+    values = load_config_file(args.config) if args.config else {}
+    for name in _FIELD_TYPES:  # a flag overrides the config file
         val = getattr(args, name)
         if val is not None:
-            overrides[name] = tuple(val) if name == "eps_list" else val
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    if not cfg.out:
-        cfg = replace(cfg, out=f"{args.command.replace('-', '_')}.csv")
-    return cfg.validated(args.command)
+            values[name] = tuple(val) if name == "eps_list" else val
+    if not values.get("out"):
+        values["out"] = f"{args.command.replace('-', '_')}.csv"
+    return ExperimentConfig(**values).validated(args.command)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +368,13 @@ def _random_2f1_case(rng, region):
 
 
 def cmd_specfun_test(cfg):
-    import mpmath
+    try:
+        import mpmath
+    except ImportError:
+        raise ConfigError(
+            "specfun-test: its reference, mpmath.hyp2f1, needs mpmath; "
+            "pip install -e .[oracle]"
+        ) from None
 
     def reference(a, b, c, z):
         # exact to double precision, so rel_error is the engine's own error
@@ -464,12 +450,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        header, rows, failures = _COMMANDS[args.command](cfg)
+        _write_csv(cfg.out, header, rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        header, rows, failures = _COMMANDS[args.command](cfg)
-        _write_csv(cfg.out, header, rows)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

@@ -2,10 +2,15 @@
 of the library code paths they check."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
 
+import cfbm
 from cfbm.gamma_process import DomainError
 from cfbm.specfun import (
     _EPSABS,
@@ -17,6 +22,25 @@ from cfbm.specfun import (
     hyp2f1,
     principal_pow,
 )
+
+# The child interpreter imports the same cfbm as this process, whatever the
+# working directory and whether or not cfbm is installed.
+_CFBM_ROOT = str(Path(cfbm.__file__).resolve().parent.parent)
+
+
+def run_python(args, cwd=None, env=None):
+    """Run a fresh interpreter on args, with cfbm's root ahead of any
+    inherited PYTHONPATH."""
+    pythonpath = [_CFBM_ROOT]
+    if os.environ.get("PYTHONPATH"):
+        pythonpath.append(os.environ["PYTHONPATH"])
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        env={**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(pythonpath)},
+    )
 
 
 def quad_complex(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=500):

@@ -1,38 +1,17 @@
 import csv
 import importlib
 import math
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cfbm
 import cfbm.cli as cli
 import cfbm.rough_integrals as rough_integrals
 from cfbm.cli import ConfigError, ExperimentConfig, load_config_file, main
 
-from helpers import environment_invariants
-
-# The child interpreter imports the same cfbm as this process, whatever the
-# working directory and whether or not cfbm is installed.
-_CFBM_ROOT = str(Path(cfbm.__file__).resolve().parent.parent)
-
-
-def run_python(args, cwd, env=None):
-    pythonpath = [_CFBM_ROOT]
-    if os.environ.get("PYTHONPATH"):
-        pythonpath.append(os.environ["PYTHONPATH"])
-    return subprocess.run(
-        [sys.executable, *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-        env={**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(pythonpath)},
-    )
+from helpers import environment_invariants, run_python
 
 
 def run_cli(args, cwd):
@@ -126,6 +105,31 @@ class TestParsingAndConfig:
             ["sample", "--config", str(cfg), "--n-terms", "128", "--out", str(out2)]
         ) == 0
         assert read_rows(out1) != read_rows(out2)
+
+    def test_config_file_eps_list(self, tmp_path):
+        # a comma-separated list runs the same shifts as repeated --eps flags
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text("eps_list = 0.2, 0.1\n")
+        sizes = ["--n-terms", "64", "--n-mc", "4", "--grid-n", "16"]
+        out1 = tmp_path / "a.csv"
+        out2 = tmp_path / "b.csv"
+        assert main(["converge-eps", "--config", str(cfg), *sizes, "--out", str(out1)]) == 0
+        assert main(
+            ["converge-eps", "--eps", "0.2", "--eps", "0.1", *sizes, "--out", str(out2)]
+        ) == 0
+        rows = read_rows(out1)
+        assert [float(row[0]) for row in rows[1:]] == [0.2, 0.1]
+        assert rows == read_rows(out2)
+
+    def test_config_file_empty_eps_list_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text("eps_list =\n")
+        out = tmp_path / "out.csv"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: eps_list: must not be empty"
+        ]
+        assert not out.exists()
 
     def test_import_leaves_mpmath_unloaded(self, tmp_path):
         # mpmath backs only specfun-test's reference, and the iterated

@@ -28,6 +28,7 @@ from helpers import (
     covariance_by_complex_broadcast,
     dblquad_complex,
     l2_error_by_mpmath,
+    run_python,
 )
 
 
@@ -100,8 +101,8 @@ class TestEpsApproxSpec:
                              ids=["nan-eps", "inf-eps", "nan-point", "two-nan-points",
                                   "inf-point"])
     def test_non_finite_values_rejected(self, eps, grid):
-        # np.unique keeps NaNs apart, so two NaN points would pass as distinct,
-        # and the factor does not flag a NaN covariance
+        # NaN points differ by NaN, not 0, so two of them would pass as
+        # distinct, and the factor does not flag a NaN covariance
         with pytest.raises(ValueError, match="finite"):
             EpsApproxSpec(0.4, eps, grid)
 
@@ -112,6 +113,23 @@ class TestEpsApproxSpec:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             EpsApproxSpec(0.4, 0.1, (0.0, 0.5, 0.5))
+        # -0.0 is the point 0.0
+        with pytest.raises(ValueError, match="distinct"):
+            EpsApproxSpec(0.4, 0.1, (0.0, -0.0))
+
+    def test_build_leaves_numpy_ma_unloaded(self):
+        # the distinctness test sorts the grid; np.unique would load numpy.ma,
+        # numpy.ma.core and numpy.ma.extras.  A fresh interpreter, so no
+        # other test loaded them
+        code = (
+            "import sys\n"
+            "from cfbm.eps_approx import EpsApproxSpec\n"
+            "EpsApproxSpec(0.4, 0.1, (0.5, 0.0, 1.0))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        res = run_python(["-c", code])
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["False"]
 
 
 def _lower_of(cov):
@@ -412,6 +430,24 @@ class TestExactSampler:
         emp = np.cov(samples.T, ddof=1)
         cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / n)
         assert np.max(np.abs(emp - cov) / cov_se) <= 3
+
+    def test_same_path_without_malloc_trim(self, monkeypatch):
+        # where the C library has no malloc_trim (musl, macOS, Windows) the
+        # lookup gives None, the heap is not handed back, and the path is
+        # the same
+        import ctypes
+
+        p = ModelParams(0.35)
+        spec = EpsApproxSpec(0.35, 0.1, tuple(np.linspace(0.1, 1, 6)))
+        ea._malloc_trim.cache_clear()
+        try:
+            trimmed = sample_gamma_eps_exact(7, spec, p).values
+            monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # no malloc_trim
+            ea._malloc_trim.cache_clear()
+            assert ea._malloc_trim() is None
+            assert np.array_equal(sample_gamma_eps_exact(7, spec, p).values, trimmed)
+        finally:
+            ea._malloc_trim.cache_clear()
 
 
 class TestL2ErrorLaw:

@@ -2,10 +2,7 @@ import functools
 import math
 import os
 import re
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +46,7 @@ from helpers import (
     levy_area_variance_by_quadpack,
     levy_area_variance_dblquad,
     quad_complex,
+    run_python,
     volume_inner_by_mpmath,
     volumes_batch,
 )
@@ -654,9 +652,7 @@ class TestMonteCarloArea:
             f"{second}\n"
             "print(rss_kb() - first)\n"
         )
-        root = str(Path(eps_approx.__file__).resolve().parent.parent)
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": root})
+        res = run_python(["-c", code])
         assert res.returncode == 0, res.stderr
         assert abs(int(res.stdout)) <= 1024
 
@@ -683,9 +679,7 @@ class TestMonteCarloArea:
             "print(sorted(seen), 'concurrent.futures.thread' in sys.modules,\n"
             "      threading.active_count())\n"
         )
-        root = str(Path(eps_approx.__file__).resolve().parent.parent)
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": root})
+        res = run_python(["-c", code])
         assert res.returncode == 0, res.stderr
         assert res.stdout.split("\n")[0] == "[(True, 1)] False 1"
 

@@ -425,6 +425,50 @@ class TestHyp2F1:
         ref = complex(mpmath.hyp2f1(0.4 + 0.997j, 0.9, 0.31, z))
         assert abs(hyp2f1(0.4 + 0.997j, 0.9, 0.31, z) - ref) <= 1e-12 * abs(ref)
 
+    def test_series_term_past_the_double_range_raises(self):
+        # a term has finite parts but an absolute value past the double
+        # range, so abs() raises OverflowError; the reported sum is still
+        # finite, which the stop test's non-finite exit never reports
+        with pytest.raises(NonConvergenceError, match="2F1 series at z=.* overflows") as info:
+            specfun._series_2f1(201 + 0j, 276 + 0j, 2.6 + 0j, cmath.rect(0.9, -2.1))
+        assert "inf" not in str(info.value) and "nan" not in str(info.value)
+
+    def test_at_one_overflow_raises(self):
+        # Gamma(170.5) Gamma(170) is past the double range
+        with pytest.raises(SpecFunError, match=r"2F1 at z=1\.0 overflows") as info:
+            hyp2f1_at_one(0.25, 0.25, 170.5)
+        assert type(info.value) is SpecFunError
+
+    def test_taylor_guard_trips(self, monkeypatch):
+        # |z| = 0.986 takes the Taylor re-expansion, which needs more than
+        # five terms there
+        monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 5)
+        with pytest.raises(NonConvergenceError,
+                           match="2F1 Taylor re-expansion guard tripped after 5 terms"):
+            hyp2f1(0.3, 0.7, 1.1, 0.5 + 0.85j)
+
+    @pytest.mark.parametrize("starts, finite_sum", [
+        # the first term, ab/c * 1.6e307 * (0.75 - 0.7) = 2e305, takes the
+        # sum's real part past the double range to inf while the terms stay
+        # finite, so the stop test passes (|e| <= tol * inf) on a non-finite sum
+        ((1.796e308, 1.6e307), False),
+        # the sum's parts are finite but its absolute value is past the
+        # double range, so abs() raises OverflowError
+        ((complex(1.5e308, 1.5e308), 1.0), True),
+    ], ids=["non-finite-sum", "abs-overflow"])
+    def test_taylor_overflow_raises(self, starts, finite_sum, monkeypatch):
+        # a seeded search of 34,000 inputs reached neither exit: where the
+        # terms grow, the recurrence's products overflow to inf and NaN
+        # before the sum leaves the double range, and the term guard trips.
+        # So the expansion's two start series, 2F1(a, b; c; z0) and
+        # 2F1(a+1, b+1; c+1; z0), return the values set here
+        values = iter(complex(v) for v in starts)
+        monkeypatch.setattr(specfun, "_series_2f1", lambda *args: next(values))
+        with pytest.raises(NonConvergenceError,
+                           match="2F1 Taylor re-expansion at z=.* overflows") as info:
+            specfun._taylor_2f1(0.5, 0.5, 1.0, 0.75)
+        assert ("inf" not in str(info.value)) is finite_sum
+
 
 # (a, b, c, z) of I1/I2 calls of the benchmark generator (seeds 0 and
 # 2001-2003) with |z| between 0.9994 and 1.0000, where neither the series in
